@@ -165,7 +165,11 @@ def _parse_element(alg: Algebra, text: str) -> Element:
 
 
 def _sample_grades(alg: Algebra, count: int, seed: int) -> list:
-    """Generator grades, their sums, and random small integer combinations."""
+    """Generator grades, their sums, and random small integer combinations.
+
+    Stops early when the box [-3,3]^dim, reduced by the moduli, holds fewer
+    than count grades.
+    """
     rng = random.Random(seed)
     base = [g.grade for g in alg.generators]
     zero = alg.zero_grade
@@ -175,7 +179,10 @@ def _sample_grades(alg: Algebra, count: int, seed: int) -> list:
         for k in base:
             got.add(g + k)
     dim = len(zero.coords)
-    while len(got) < count:
+    box = 1
+    for m in zero.moduli:
+        box *= min(m, 7) if m else 7
+    while len(got) < min(count, box):
         got.add(Grade(tuple(rng.randint(-3, 3) for _ in range(dim)), zero.moduli))
     return sorted(got, key=Grade.sort_key)
 
@@ -239,10 +246,10 @@ def cmd_dim(args) -> int:
         report.result(alg.label, f"{len(basis)} words ({note})")
         return 0
     cap = 64
-    for length in range(cap + 1):
-        if alg.system.basis_is_complete(length):
-            report.result(alg.label, str(len(alg.basis(length))))
-            return 0
+    basis = alg.system.enumerate_basis(cap + 1)
+    if len(basis[-1]) <= cap:
+        report.result(alg.label, str(len(basis)))
+        return 0
     report.add(alg.label, False, f"no empty level up to length {cap}; use --maxlen")
     return 1
 

@@ -302,11 +302,6 @@ def _as_element(value):
     return None
 
 
-def multiply(x: Element, y: Element) -> Element:
-    """Free product; concatenation on words, bilinear on sums."""
-    return x * y
-
-
 def grade_of(x: Element, zero: Grade):
     """Common grade of all words of x, or None if x is inhomogeneous.
 

@@ -137,9 +137,6 @@ class ReductionSystem:
                     return pos, rule
         return None
 
-    def is_irreducible(self, word: Word) -> bool:
-        return self.find_redex(word) is None
-
     def normalize(self, x) -> Element:
         """Canonical representative of x in the quotient; K[h]-linear."""
         if isinstance(x, (Word, Generator)):

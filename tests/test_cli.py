@@ -1,8 +1,12 @@
 """End-to-end runs of the command line interface."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import epsalg
 from epsalg.cli import run
 
 
@@ -125,6 +129,20 @@ def test_verify_suites_pass(suite, alg, capsys):
     assert code == 0, out
     assert "FAIL" not in out
     assert out.strip().splitlines()[-1].endswith("checks passed")
+
+
+@pytest.mark.parametrize("alg", ["qplane:2", "cex", "boson:n=1", "fermion:n=2"])
+def test_factor_suite_ends_on_small_grade_groups(alg):
+    # The box [-3,3]^dim holds fewer than the default 50 grades here; a child
+    # process with a timeout turns a sampling loop that never ends into a failure.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epsalg.__file__)))
+    code = "import sys; from epsalg.cli import run; sys.exit(run(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", "--suite", "factor", "--alg", alg],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "sample grades" in proc.stdout
 
 
 def test_machine_format(capsys):

@@ -2,14 +2,16 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsalg import (
     CommutationFactor,
     Grade,
+    I,
     MINUS_ONE,
     ONE,
+    R2,
     Scalar,
     counterexample_factor,
     eps_a,
@@ -133,3 +135,75 @@ def test_counterexample_factor_is_all_even():
     factor = counterexample_factor()
     for c in itertools.product((0, 1), repeat=2):
         assert factor.parity(Grade(c, (2, 2))) == 0
+
+
+def sampled_factor_violations(factor: CommutationFactor, samples) -> list:
+    """Check both factor axioms, parity additivity, and quotient soundness.
+
+    Exhaustive over the given samples: axiom (1) on all ordered pairs,
+    bi-additivity on all triples drawn from the sample list (capped to keep
+    the check polynomial at desk scale).  Returns human-readable violations;
+    an empty list certifies the axioms at sample scale.
+    """
+    samples = list(samples)
+    violations = []
+    seen_moduli = {g.moduli for g in samples}
+    for moduli in seen_moduli:
+        violations.extend(factor.moduli_violations(moduli))
+    for g, k in itertools.product(samples, repeat=2):
+        if g.moduli != k.moduli:
+            continue
+        if factor.eval(g, k) * factor.eval(k, g) != ONE:
+            violations.append(f"eps({g},{k})*eps({k},{g}) != 1")
+    parities = {}
+    for g in samples:
+        try:
+            parities[g] = factor.parity(g)
+        except ValueError as err:
+            violations.append(str(err))
+    cap = samples[: min(len(samples), 12)]
+    for g, gp, k in itertools.product(cap, repeat=3):
+        if not (g.moduli == gp.moduli == k.moduli):
+            continue
+        if factor.eval(g + gp, k) != factor.eval(g, k) * factor.eval(gp, k):
+            violations.append(f"eps({g}+{gp},{k}) != eps({g},{k})*eps({gp},{k})")
+        if factor.eval(k, g + gp) != factor.eval(k, g) * factor.eval(k, gp):
+            violations.append(f"eps({k},{g}+{gp}) != eps({k},{g})*eps({k},{gp})")
+    for g, k in itertools.product(cap, repeat=2):
+        if g.moduli != k.moduli or g not in parities or k not in parities:
+            continue
+        s = g + k
+        try:
+            ps = factor.parity(s)
+        except ValueError as err:
+            violations.append(str(err))
+            continue
+        if ps != (parities[g] + parities[k]) % 2:
+            violations.append(f"parity({g}+{k}) != parity({g})+parity({k}) mod 2")
+    return violations
+
+
+# Orders 1, 2, 4, 4, 8 and infinite: every order an element of Q(i, sqrt2)
+# can have, since its roots of unity are the 8th roots.
+BASES = (ONE, MINUS_ONE, I, -I, (ONE + I) / R2, Scalar.of(2))
+
+
+@st.composite
+def factors_with_moduli(draw):
+    n = draw(st.integers(1, 2))
+    entries = st.integers(-2, 2)
+    form = draw(st.tuples(*[st.tuples(*[entries] * n)] * n))
+    moduli = draw(st.tuples(*[st.sampled_from((0, 2, 4))] * n))
+    return CommutationFactor(draw(st.sampled_from(BASES)), form), moduli
+
+
+@settings(max_examples=12, deadline=None)
+@given(factors_with_moduli())
+def test_closed_form_agrees_with_sampled_oracle(case):
+    # The 0/1 cube holds the unit grades and their sums, where a bilinear law
+    # first fails; larger grids only make the oracle slower.
+    factor, moduli = case
+    cube = [Grade(c, moduli) for c in itertools.product((0, 1), repeat=factor.dim)]
+    assert (verify_factor_axioms(factor, cube) == []) == (
+        sampled_factor_violations(factor, cube) == []
+    )

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from epsalg import (
+    CommutationFactor,
     Element,
     Grade,
     H,
     Scalar,
     Word,
     build_counterexample,
+    build_epsilon_exterior,
     build_exterior_preset,
     build_noa,
     build_quantum_plane,
@@ -166,6 +168,13 @@ def test_exterior_odd_generator_grows_forever():
 def test_exterior_rejects_unknown_factor():
     with pytest.raises(ValueError, match="unknown factor preset"):
         build_exterior_preset(2, "eps_z")
+
+
+def test_certification_rejects_factor_breaking_axiom_one():
+    # eps(p1,p2)*eps(p2,p1) = 2**(1+0) = 2, so this is no commutation factor
+    factor = CommutationFactor(Scalar.of(2), ((0, 1), (0, 0)))
+    with pytest.raises(ValueError, match="commutation factor axioms fail"):
+        build_epsilon_exterior([Grade((1, 0)), Grade((0, 1))], factor)
 
 
 # ----------------------------------------------------- limits and parameters
