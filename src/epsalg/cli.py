@@ -24,7 +24,7 @@ from .brackets import (
     verify_poisson_axioms,
 )
 from .deformation import DeformationExpansion, check_deformation_identity, mu_n
-from .exprparse import EvalError, ParseError, element_from_text, scalar_from_text
+from .exprparse import element_from_text, scalar_from_text
 from .freealg import Element
 from .grading import Grade, verify_factor_axioms
 from .matrices import GradedMatrix, ibn_probe, rank_profile
@@ -38,6 +38,7 @@ from .presets import (
     parse_preset,
     with_h,
 )
+from .rewrite import RewriteError
 from .scalars import H, HPoly
 from .structure import (
     apply_J,
@@ -127,6 +128,11 @@ class Report:
 # ------------------------------------------------------------------- plumbing
 
 
+def _at_least(flag: str, value: int, low: int):
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}, got {value}")
+
+
 def _algebra_from_args(args) -> Algebra:
     if getattr(args, "alg", None):
         return parse_preset(args.alg)
@@ -214,6 +220,7 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_mu(args) -> int:
+    _at_least("--order", args.order, 0)
     alg = _algebra_from_args(args)
     exp = _expansion_for(alg)
     x = _parse_element(exp.classical, args.x)
@@ -240,25 +247,35 @@ def cmd_dim(args) -> int:
     alg = _algebra_from_args(args)
     report = Report("dim", args.format)
     if args.maxlen is not None:
+        _at_least("--maxlen", args.maxlen, 0)
         basis = alg.basis(args.maxlen)
         complete = alg.system.basis_is_complete(args.maxlen)
         note = "complete" if complete else f"truncated at length {args.maxlen}"
         report.result(alg.label, f"{len(basis)} words ({note})")
         return 0
-    cap = 64
-    basis = alg.system.enumerate_basis(cap + 1)
-    if len(basis[-1]) <= cap:
-        report.result(alg.label, str(len(basis)))
-        return 0
-    report.add(alg.label, False, f"no empty level up to length {cap}; use --maxlen")
-    return 1
+    dim = alg.system.dimension()
+    if dim is None:
+        report.add(alg.label, False, "infinitely many irreducible words; use --maxlen")
+        return 1
+    report.result(alg.label, str(dim))
+    return 0
 
 
 def _grade_from_json(data, zero: Grade) -> Grade:
+    if not (isinstance(data, list) and all(type(c) is int for c in data)):
+        raise UsageError(f"grade {json.dumps(data)} in --file is not a list of integers")
     return Grade(tuple(data), zero.moduli)
 
 
-def _matrix_from_json(alg: Algebra, data: dict) -> GradedMatrix:
+def _matrix_from_json(alg: Algebra, data) -> GradedMatrix:
+    if not (isinstance(data, dict) and {"rows", "cols", "entries"} <= data.keys()):
+        raise UsageError("a matrix in --file needs the keys 'rows', 'cols' and 'entries'")
+    for key in ("rows", "cols", "entries"):
+        if not isinstance(data[key], list):
+            raise UsageError(f"{key!r} in --file is not a list")
+    if not all(isinstance(row, list) and all(isinstance(c, str) for c in row)
+               for row in data["entries"]):
+        raise UsageError("'entries' in --file is not a list of rows of strings")
     zero = alg.zero_grade
     rows = [_grade_from_json(g, zero) for g in data["rows"]]
     cols = [_grade_from_json(g, zero) for g in data["cols"]]
@@ -270,6 +287,12 @@ def _matrix_from_json(alg: Algebra, data: dict) -> GradedMatrix:
 def cmd_rank(args) -> int:
     with open(args.file) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise UsageError("--file must hold a JSON object")
+    if ("P" in data) != ("Q" in data):
+        raise UsageError("--file needs both 'P' and 'Q' for the IBN probe")
+    if not isinstance(data.get("alg", ""), str):
+        raise UsageError("'alg' in --file is not a preset string")
     if args.alg:
         alg = parse_preset(args.alg)
     elif "alg" in data:
@@ -277,7 +300,7 @@ def cmd_rank(args) -> int:
     else:
         raise UsageError("no algebra: pass --alg or an 'alg' key in the file")
     report = Report("rank", args.format)
-    if "P" in data and "Q" in data:
+    if "P" in data:
         P = _matrix_from_json(alg, data["P"])
         Q = _matrix_from_json(alg, data["Q"])
         probe = ibn_probe(P, Q, kind=args.kind)
@@ -313,6 +336,8 @@ def cmd_presets(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _at_least("--samples", args.samples, 1)
+    _at_least("--maxlen", args.maxlen, 1)
     alg = _algebra_from_args(args)
     report = Report(f"verify-{args.suite}", args.format)
     runner = _SUITES[args.suite]
@@ -502,10 +527,7 @@ def run(argv=None) -> int:
         return 0 if not exc.code else 2
     try:
         return args.handler(args)
-    except (UsageError, ParseError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RewriteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,14 +14,18 @@ from .scalars import Scalar
 
 
 class DeformationExpansion:
-    """A symbolic-parameter algebra together with its classical limit."""
+    """A symbolic-parameter algebra together with its classical limit.
 
-    def __init__(self, quantum: Algebra, check_len: int = 4):
+    Irreducible words are the words avoiding every left side, so equal
+    generators and left sides prove the basis shared at every length."""
+
+    def __init__(self, quantum: Algebra):
         if quantum.is_classical():
             raise ValueError(f"{quantum.label} has no parameter left to expand in")
         self.quantum = quantum
         self.classical = classical_limit(quantum)
-        if quantum.basis(check_len) != self.classical.basis(check_len):
+        q, c = quantum.system, self.classical.system
+        if q.generators != c.generators or q.left_sides.keys() != c.left_sides.keys():
             raise ValueError(
                 "quantum and classical irreducible words disagree; "
                 "the shared-basis identification fails"

@@ -10,6 +10,10 @@ Unary minus binds below '*', so -a*b is -(a*b).  Reserved identifiers are
 h, I and r2; everything else resolves against the algebra's generator
 labels or the installed function table (comm, pb, J in the CLI).  Errors
 carry byte offsets into the source text.
+
+Parsing, printing and evaluation recurse once per nesting level and once per
+operator in a chain.  Each recursive step is a generator that yields its
+sub-steps to `_trampoline`, so depth costs heap, not Python stack.
 """
 from __future__ import annotations
 
@@ -112,6 +116,21 @@ class Call:
     pos: int = field(compare=False, default=0)
 
 
+def _trampoline(step):
+    """Run a generator that yields sub-generators and receives their results."""
+    stack, value = [step], None
+    while stack:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+    return value
+
+
 class _Parser:
     def __init__(self, src: str):
         self.tokens = tokenize(src)
@@ -132,35 +151,35 @@ class _Parser:
         return self.next()
 
     def parse(self):
-        node = self.expr()
+        node = _trampoline(self.expr())
         tok = self.peek()
         if tok.kind != "END":
             raise ParseError(f"trailing input {tok.text!r}", tok.pos)
         return node
 
     def expr(self):
-        node = self.term()
+        node = yield self.term()
         while self.peek().kind in ("+", "-"):
             tok = self.next()
-            node = BinOp(tok.kind, node, self.term(), tok.pos)
+            node = BinOp(tok.kind, node, (yield self.term()), tok.pos)
         return node
 
     def term(self):
         tok = self.peek()
         if tok.kind == "-":
             self.next()
-            return Neg(self.term(), tok.pos)
-        return self.product()
+            return Neg((yield self.term()), tok.pos)
+        return (yield self.product())
 
     def product(self):
-        node = self.power()
+        node = yield self.power()
         while self.peek().kind in ("*", "/"):
             tok = self.next()
-            node = BinOp(tok.kind, node, self.power(), tok.pos)
+            node = BinOp(tok.kind, node, (yield self.power()), tok.pos)
         return node
 
     def power(self):
-        node = self.atom()
+        node = yield self.atom()
         if self.peek().kind == "^":
             tok = self.next()
             exp = self.expect("INT")
@@ -176,16 +195,16 @@ class _Parser:
             self.next()
             if self.peek().kind == "(":
                 self.next()
-                args = [self.expr()]
+                args = [(yield self.expr())]
                 while self.peek().kind == ",":
                     self.next()
-                    args.append(self.expr())
+                    args.append((yield self.expr()))
                 self.expect(")")
                 return Call(tok.text, tuple(args), tok.pos)
             return Sym(tok.text, tok.pos)
         if tok.kind == "(":
             self.next()
-            node = self.expr()
+            node = yield self.expr()
             self.expect(")")
             return node
         raise ParseError(f"unexpected token {tok.text or 'end'!r}", tok.pos)
@@ -199,24 +218,28 @@ def parse(src: str):
 _LEVEL_ADD, _LEVEL_NEG, _LEVEL_MUL, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 
-def _render(node, need: int) -> str:
+def _render(node, need: int):
     if isinstance(node, Num):
         return str(node.value)
     if isinstance(node, Sym):
         return node.name
     if isinstance(node, Call):
-        inner = ", ".join(_render(a, _LEVEL_ADD) for a in node.args)
-        return f"{node.name}({inner})"
+        inner = []
+        for a in node.args:
+            inner.append((yield _render(a, _LEVEL_ADD)))
+        return f"{node.name}({', '.join(inner)})"
     if isinstance(node, Neg):
-        text, level = "-" + _render(node.arg, _LEVEL_NEG), _LEVEL_NEG
+        text, level = "-" + (yield _render(node.arg, _LEVEL_NEG)), _LEVEL_NEG
     elif isinstance(node, BinOp) and node.op in "+-":
-        text = f"{_render(node.left, _LEVEL_ADD)} {node.op} {_render(node.right, _LEVEL_NEG)}"
+        left = yield _render(node.left, _LEVEL_ADD)
+        text = f"{left} {node.op} {(yield _render(node.right, _LEVEL_NEG))}"
         level = _LEVEL_ADD
     elif isinstance(node, BinOp):
-        text = f"{_render(node.left, _LEVEL_MUL)}{node.op}{_render(node.right, _LEVEL_POW)}"
+        left = yield _render(node.left, _LEVEL_MUL)
+        text = f"{left}{node.op}{(yield _render(node.right, _LEVEL_POW))}"
         level = _LEVEL_MUL
     elif isinstance(node, Pow):
-        text, level = f"{_render(node.base, _LEVEL_ATOM)}^{node.exp}", _LEVEL_POW
+        text, level = f"{(yield _render(node.base, _LEVEL_ATOM))}^{node.exp}", _LEVEL_POW
     else:
         raise TypeError(f"not a syntax node: {node!r}")
     return f"({text})" if level < need else text
@@ -224,7 +247,7 @@ def _render(node, need: int) -> str:
 
 def print_expr(node) -> str:
     """Inverse of parse up to positions: parse(print_expr(t)) == t."""
-    return _render(node, _LEVEL_ADD)
+    return _trampoline(_render(node, _LEVEL_ADD))
 
 
 _RESERVED = {"h": H, "I": I, "r2": R2}
@@ -244,9 +267,10 @@ def evaluate(node, atoms: dict, functions: dict = None) -> Element:
                 raise EvalError(f"unknown generator {n.name!r}", n.pos)
             return got
         if isinstance(n, Neg):
-            return -run(n.arg)
+            return -(yield run(n.arg))
         if isinstance(n, BinOp):
-            left, right = run(n.left), run(n.right)
+            left = yield run(n.left)
+            right = yield run(n.right)
             if n.op == "+":
                 return left + right
             if n.op == "-":
@@ -260,7 +284,7 @@ def evaluate(node, atoms: dict, functions: dict = None) -> Element:
                 raise EvalError("division by zero", n.pos)
             return left * denom.inverse()
         if isinstance(n, Pow):
-            return run(n.base) ** n.exp
+            return (yield run(n.base)) ** n.exp
         if isinstance(n, Call):
             fn = functions.get(n.name)
             if fn is None:
@@ -270,10 +294,13 @@ def evaluate(node, atoms: dict, functions: dict = None) -> Element:
                 raise EvalError(
                     f"{n.name} takes {arity} arguments, got {len(n.args)}", n.pos
                 )
-            return call(*(run(a) for a in n.args))
+            args = []
+            for a in n.args:
+                args.append((yield run(a)))
+            return call(*args)
         raise TypeError(f"not a syntax node: {n!r}")
 
-    return run(node)
+    return _trampoline(run(node))
 
 
 def _as_scalar(x: Element):

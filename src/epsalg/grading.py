@@ -9,7 +9,7 @@ odd parts according to the sign of eps(g,g).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .scalars import MINUS_ONE, ONE, Scalar
 
@@ -88,7 +88,7 @@ class CommutationFactor:
 
     base: Scalar
     form: tuple
-    label: str = ""
+    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "base", Scalar.of(self.base))

@@ -6,6 +6,9 @@ reduction terminates.  Confluence is certified by resolving all overlap
 and inclusion ambiguities (the diamond lemma); once the unresolved list is
 empty, irreducible words form a basis of the quotient and `normalize`
 computes the canonical representative.
+
+Redexes, irreducible words and their number depend on the left sides
+alone; all three read one index, `left_sides` (letters -> rule).
 """
 from __future__ import annotations
 
@@ -81,22 +84,16 @@ class ReductionSystem:
             raise ValueError("duplicate generator in precedence list")
         self.rules = tuple(rules)
         self._validate()
-        # Scan order: shortest lhs first makes the leftmost match innermost.
-        scan = sorted(range(len(self.rules)), key=lambda i: (len(self.rules[i].lhs), i))
-        self._by_first = {}
-        for i in scan:
-            rule = self.rules[i]
-            self._by_first.setdefault(rule.lhs[0], []).append(rule)
         self._nf = {}
 
     def _validate(self):
-        seen = set()
+        self.left_sides = {}
         for rule in self.rules:
             if len(rule.lhs) == 0:
                 raise ValueError("rule with empty left side")
-            if rule.lhs in seen:
+            if rule.lhs.letters in self.left_sides:
                 raise ValueError(f"duplicate rule left side {rule.lhs}")
-            seen.add(rule.lhs)
+            self.left_sides[rule.lhs.letters] = rule
             for letter in itertools.chain(
                 rule.lhs, *(w for w in rule.rhs.terms)
             ):
@@ -116,6 +113,7 @@ class ReductionSystem:
                     raise ValueError(
                         f"rule {rule} does not decrease the termination order at {word}"
                     )
+        self._lengths = sorted(set(map(len, self.left_sides)))
 
     # ------------------------------------------------------------------ order
 
@@ -130,10 +128,10 @@ class ReductionSystem:
     def find_redex(self, word: Word):
         """Leftmost, then shortest, match: (position, rule) or None."""
         letters = word.letters
-        for pos, letter in enumerate(letters):
-            for rule in self._by_first.get(letter, ()):
-                m = len(rule.lhs)
-                if letters[pos : pos + m] == rule.lhs.letters:
+        for pos in range(len(letters)):
+            for m in self._lengths:
+                rule = self.left_sides.get(letters[pos : pos + m])
+                if rule is not None:
                     return pos, rule
         return None
 
@@ -228,14 +226,9 @@ class ReductionSystem:
             grown = []
             for word in frontier:
                 for g in self.generators:
-                    cand = Word(word.letters + (g,))
-                    if any(
-                        cand.ends_with(rule.lhs)
-                        for rule in self.rules
-                        if len(rule.lhs) <= len(cand)
-                    ):
-                        continue
-                    grown.append(cand)
+                    letters = word.letters + (g,)
+                    if not any(letters[-m:] in self.left_sides for m in self._lengths):
+                        grown.append(Word(letters))
             basis.extend(grown)
             frontier = grown
             if not frontier:
@@ -250,6 +243,42 @@ class ReductionSystem:
         """
         levels = self.enumerate_basis(max_len + 1)
         return all(len(w) <= max_len for w in levels)
+
+    def dimension(self):
+        """Number of irreducible words, or None when there are infinitely many.
+
+        With m the longest left side, a word of length >= m - 1 is irreducible
+        iff each of its windows of length m is.  Those words are the walks in
+        the graph whose vertices are the irreducible words of length m - 1 and
+        whose edges are those of length m, each running from its prefix to its
+        suffix.  There are finitely many iff the graph has no cycle
+        (Ufnarovskij, Math. Notes 31, 1982).  Without rules every word is
+        irreducible.
+        """
+        if not self._lengths:
+            return None
+        m = self._lengths[-1]
+        words = [w.letters for w in self.enumerate_basis(m)]
+        succ = {v: [] for v in words if len(v) == m - 1}
+        pred = {v: [] for v in succ}
+        for w in words:
+            if len(w) == m:
+                succ[w[:-1]].append(w[1:])
+                pred[w[1:]].append(w[:-1])
+        # Peel off sinks; walks[v] counts the walks that start at v.
+        outdeg = {v: len(s) for v, s in succ.items()}
+        ready = [v for v, k in outdeg.items() if k == 0]
+        walks = {}
+        while ready:
+            v = ready.pop()
+            walks[v] = 1 + sum(walks[u] for u in succ[v])
+            for p in pred[v]:
+                outdeg[p] -= 1
+                if outdeg[p] == 0:
+                    ready.append(p)
+        if len(walks) < len(succ):
+            return None  # the vertices left over lie on or lead into a cycle
+        return sum(len(w) < m - 1 for w in words) + sum(walks.values())
 
     def clear_cache(self):
         self._nf = {}

@@ -175,3 +175,86 @@ def test_argparse_exits_are_mapped(capsys):
     capsys.readouterr()
     assert run(["--help"]) == 0
     assert "normalize" in capsys.readouterr().out
+
+
+def _child(*argv, timeout=10):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epsalg.__file__)))
+    code = "import sys; from epsalg.cli import run; sys.exit(run(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+@pytest.mark.parametrize("alg", ["boson:n=2", "boson:n=3"])
+def test_dim_detects_infinite_algebras_from_left_sides(alg):
+    # A child process with a timeout turns an enumeration of the infinite
+    # basis into a failure instead of a hung suite.
+    proc = _child("dim", "--alg", alg, "--format", "machine")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    (record,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert record["status"] == "fail" and "use --maxlen" in record["payload"]
+
+
+def test_step_budget_is_a_one_line_error(monkeypatch, capsys):
+    system = epsalg.parse_preset("boson:n=1").system
+    monkeypatch.setattr(system, "max_steps", 2)
+    monkeypatch.setattr(system, "_nf", {})
+    assert run(["normalize", "--alg", "boson:n=1", "a1^3*ad1^3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step budget") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "expr,want",
+    [
+        ("(" * 2000 + "a1" + ")" * 2000, "a1"),
+        ("(" * 200 + "a1" + ")" * 200, "a1"),
+        ("+".join(["a1"] * 3000), "3000*a1"),
+        ("+".join(["a1"] * 500), "500*a1"),
+        ("0" + "-" * 3001 + "a1", "-a1"),
+        ("J(" * 1500 + "a1" + ")" * 1500, "a1"),
+    ],
+)
+def test_deep_expressions(expr, want, capsys):
+    assert run(["normalize", "--alg", "boson:n=1", expr]) == 0
+    assert _lines(capsys) == [want]
+
+
+_MATRIX = {"rows": [[0, 0]], "cols": [[0, 0]], "entries": [["1"]]}
+
+
+@pytest.mark.parametrize(
+    "argv,data,flag",
+    [
+        (["mu", "--alg", "boson:n=1", "--order", "-1", "a1", "ad1"], None, "--order"),
+        (["verify", "--suite", "lie", "--alg", "boson:n=1", "--samples", "0"], None, "--samples"),
+        (["verify", "--suite", "factor", "--alg", "boson:n=1", "--samples", "-5"], None, "--samples"),
+        (["verify", "--suite", "deformation", "--alg", "boson:n=1", "--maxlen", "0"], None, "--maxlen"),
+        (["dim", "--alg", "boson:n=1", "--maxlen", "-1"], None, "--maxlen"),
+        (["rank", "--alg", "cex"], [_MATRIX], "--file"),
+        (["rank", "--alg", "cex"], {"P": _MATRIX}, "'Q'"),
+        (["rank"], {**_MATRIX, "alg": 5}, "'alg'"),
+        (["rank", "--alg", "cex"], {"rows": [], "entries": []}, "'cols'"),
+        (["rank", "--alg", "cex"], {**_MATRIX, "rows": 5}, "'rows'"),
+        (["rank", "--alg", "cex"], {**_MATRIX, "rows": [[0, "x"]]}, "grade"),
+        (["rank", "--alg", "cex"], {**_MATRIX, "entries": [[1]]}, "'entries'"),
+    ],
+)
+def test_bad_values_exit_two_with_one_line(argv, data, flag, tmp_path, capsys):
+    if data is not None:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        argv = argv + ["--file", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err
+
+
+def test_smallest_valid_values_still_run(capsys):
+    assert run(["mu", "--alg", "boson:n=1", "--order", "0", "a1", "ad1"]) == 0
+    assert run(["verify", "--suite", "lie", "--alg", "boson:n=1", "--samples", "1"]) == 0
+    assert run(["dim", "--alg", "boson:n=1", "--maxlen", "0"]) == 0
+    assert _lines(capsys)[-1] == "1 words (truncated at length 0)"

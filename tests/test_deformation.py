@@ -100,3 +100,13 @@ def test_mu_against_direct_normalization():
     for k in range(full.h_degree() + 1):
         total = total + Element.scalar(H) ** k * mu_n(exp, x, y, k)
     assert exp.quantum.normalize(total) == full
+
+
+def test_shared_basis_is_proved_from_left_sides(monkeypatch):
+    # Pretend the h = 0 limit of fermion:n=1 is the boson one: it keeps the
+    # generators but drops the square rules, so the two bases differ.
+    import epsalg.deformation as deformation
+
+    monkeypatch.setattr(deformation, "classical_limit", lambda alg: build_noa("c", 1, 0))
+    with pytest.raises(ValueError, match="irreducible words disagree"):
+        DeformationExpansion(build_noa("a", 1))

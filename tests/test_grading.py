@@ -207,3 +207,9 @@ def test_closed_form_agrees_with_sampled_oracle(case):
     assert (verify_factor_axioms(factor, cube) == []) == (
         sampled_factor_violations(factor, cube) == []
     )
+
+
+def test_label_takes_no_part_in_equality():
+    bare = CommutationFactor(MINUS_ONE, eps_c_prime(2).form)
+    assert eps_c_prime(2) == bare
+    assert hash(eps_c_prime(2)) == hash(bare)

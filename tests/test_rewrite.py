@@ -8,10 +8,14 @@ containing the engine's normal form.
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epsalg import (
     EMPTY_WORD,
     Element,
+    Generator,
+    Grade,
     H,
     HPoly,
     ReductionSystem,
@@ -201,3 +205,66 @@ def test_word_order_is_deglex():
     gens = sys_.generators
     assert sys_.word_lt(Word((gens[3],)), Word((gens[0], gens[0])))
     assert sys_.word_lt(Word((gens[0], gens[1])), Word((gens[1], gens[0])))
+
+
+# ------------------------------------------------------- finiteness of the basis
+
+
+def _avoiding(ngens, lefts, length):
+    """Letter-index words of one length in which no left side occurs."""
+    return [
+        w
+        for w in itertools.product(range(ngens), repeat=length)
+        if not any(
+            w[i : i + len(lhs)] == lhs for lhs in lefts for i in range(length - len(lhs) + 1)
+        )
+    ]
+
+
+@st.composite
+def _monomial_rules(draw):
+    ngens, longest = draw(st.sampled_from([(2, 3), (3, 2)]))
+    lhs = st.lists(st.integers(0, ngens - 1), min_size=1, max_size=longest).map(tuple)
+    return ngens, draw(st.lists(lhs, min_size=1, max_size=5, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monomial_rules())
+@example((2, [(0,), (1, 1)]))
+@example((2, [(0,), (1,)]))
+@example((3, [(1,)]))
+@example((2, [(0, 0), (1, 1)]))
+@example((2, [(0, 0, 0), (0, 1), (1, 1, 1)]))
+def test_dimension_and_basis_match_subword_filter(case):
+    # Monomial rules (right sides 0) make every left-side set a valid system.
+    # Oracle: with m the longest left side and N the number of avoiding words
+    # of length m-1, an avoiding word of length m+N repeats a window of length
+    # m-1 (pigeonhole), so the set is infinite iff such a word exists.
+    ngens, lefts = case
+    gens = tuple(Generator("x", i, Grade((1,))) for i in range(ngens))
+    sys_ = ReductionSystem(
+        gens, [Rule(Word(tuple(gens[i] for i in lhs)), Element.zero()) for lhs in lefts]
+    )
+    m = max(map(len, lefts))
+    bound = m + len(_avoiding(ngens, lefts, m - 1))
+    levels = [_avoiding(ngens, lefts, length) for length in range(bound + 1)]
+    expect = None if levels[-1] else sum(map(len, levels))
+    assert sys_.dimension() == expect
+    got = sys_.enumerate_basis(bound)
+    assert {tuple(gens.index(g) for g in w) for w in got} == {
+        w for level in levels for w in level
+    }
+    keys = [sys_.word_key(w) for w in got]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_free_algebra_has_no_dimension():
+    assert ReductionSystem(build_noa("a", 1).system.generators, []).dimension() is None
+
+
+@pytest.mark.parametrize(
+    "family,n,dim",
+    [("a", 3, 64), ("a'", 2, 16), ("b", 3, 16), ("b'", 2, 9), ("c", 2, None), ("c'", 3, None)],
+)
+def test_dimension_of_families(family, n, dim):
+    assert build_noa(family, n).system.dimension() == dim
