@@ -7,12 +7,18 @@ from epsalg import (
     BracketContext,
     DeformationExpansion,
     Element,
+    Generator,
+    Grade,
     H,
+    H_ZERO,
     I,
+    Algebra,
+    ReductionSystem,
     Scalar,
     build_noa,
     commutator,
     eps_c,
+    eps_q,
     epsilon_commutator,
     in_epsilon_center,
     oscillator_set,
@@ -23,6 +29,7 @@ from epsalg import (
     verify_lie_axioms,
     verify_poisson_axioms,
 )
+from epsalg.brackets import _lie_residuals
 
 FAMILIES = ["a", "a'", "b", "b'", "c", "c'"]
 
@@ -98,6 +105,20 @@ def test_lie_axioms_on_random_triples(family):
     ctx = BracketContext.quantum(alg)
     triples = sample_triples(alg, 8, seed=11, max_len=2)
     assert verify_lie_axioms(ctx, triples) == []
+
+
+def test_antisymmetry_weighs_the_swap_by_eps_x_y():
+    # The law is [x,y] + eps(x,y)[y,x] = 0.  With eps taking the values +-1
+    # eps(x,y) = eps(y,x), so only a factor beyond the signs tells the two
+    # weights apart: on the free algebra with eps_q(2), eps(x,y) = 2 = 1/eps(y,x).
+    x = Generator("x", None, Grade((0, 1)))
+    y = Generator("y", None, Grade((1, 0)))
+    alg = Algebra("free", "free", ReductionSystem((y, x), ()), eps_q(2), H_ZERO)
+    ctx = BracketContext.quantum(alg)
+    X, Y = Element.from_word(x), Element.from_word(y)
+    assert verify_lie_axioms(ctx, [(X, Y, X)]) == []
+    anti, _ = _lie_residuals(ctx, commutator, X, Y, X)
+    assert not anti.is_zero()
 
 
 @pytest.mark.parametrize("family", ["a", "a'", "c", "c'"])
