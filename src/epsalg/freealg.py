@@ -77,21 +77,6 @@ class Word:
             g = g + letter.grade
         return g
 
-    def find(self, pattern: Word, start: int = 0) -> int:
-        """Leftmost occurrence of pattern at or after start, -1 if absent."""
-        n, m = len(self.letters), len(pattern.letters)
-        for pos in range(start, n - m + 1):
-            if self.letters[pos : pos + m] == pattern.letters:
-                return pos
-        return -1
-
-    def contains(self, pattern: Word) -> bool:
-        return self.find(pattern) >= 0
-
-    def ends_with(self, pattern: Word) -> bool:
-        m = len(pattern.letters)
-        return m <= len(self.letters) and self.letters[-m:] == pattern.letters
-
     def sort_key(self):
         return (len(self.letters), tuple(g.sort_key() for g in self.letters))
 
@@ -235,12 +220,16 @@ class Element:
         return self * inv
 
     def __pow__(self, n: int) -> Element:
+        """Square and multiply, refused at once past 10**6 expanded words."""
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = Element.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        k = len(self.terms)
+        if k > 1 and (n >= 20 or k**n > 10**6):  # 2**20 > 10**6
+            raise ValueError(f"({k} terms)^{n} would expand to more than 10**6 words")
+        if n == 0:
+            return Element.one()
+        half = self ** (n // 2)
+        return half * half * self if n & 1 else half * half
 
     def coefficient(self, word: Word) -> HPoly:
         return self.terms.get(word, HPoly())

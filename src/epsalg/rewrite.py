@@ -5,18 +5,21 @@ degree-lexicographic order induced by the generator list, so every
 reduction terminates.  Confluence is certified by resolving all overlap
 and inclusion ambiguities (the diamond lemma); once the unresolved list is
 empty, irreducible words form a basis of the quotient and `normalize`
-computes the canonical representative.
+computes the canonical representative, in one pass per word over the words
+pending, largest first, each rewritten once at its leftmost redex.
 
 Redexes, irreducible words and their number depend on the left sides
 alone; all three read one index, `left_sides` (letters -> rule).
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
 from .freealg import EMPTY_WORD, Element, Generator, Word, grade_of
 from .grading import Grade
+from .scalars import H_ONE
 
 
 class RewriteError(Exception):
@@ -136,51 +139,61 @@ class ReductionSystem:
         return None
 
     def normalize(self, x) -> Element:
-        """Canonical representative of x in the quotient; K[h]-linear."""
+        """Canonical representative of x in the quotient; K[h]-linear.
+
+        `_nf` keeps the normal forms of the words of x, not of those met on
+        the way.
+        """
         if isinstance(x, (Word, Generator)):
             x = Element.from_word(x)
-        budget = [self.max_steps]
         out = Element.zero()
         for word, coeff in x.terms.items():
-            out = out + self._word_nf(word, budget) * coeff
+            nf = self._nf.get(word)
+            if nf is None:
+                nf = self._nf[word] = self._word_nf(word)
+            out = out + nf * coeff
         return out
 
-    def _word_nf(self, word: Word, budget) -> Element:
-        cache = self._nf
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
-        stack = [word]
-        while stack:
-            top = stack[-1]
-            if top in cache:
-                stack.pop()
+    def _word_nf(self, word: Word) -> Element:
+        """One pass over pending words and their coefficients, largest first.
+
+        Every rewrite yields smaller words, so a word popped has its whole
+        coefficient: it is rewritten once at its leftmost redex (one step of
+        `max_steps`) or, if irreducible, moved to the output.
+        """
+        prec = self._prec
+
+        def largest_first(w):
+            return (-len(w), tuple(-prec[g] for g in w))
+
+        pending = {word: H_ONE}
+        heap = [(largest_first(word), word)]
+        out = Element.zero()
+        steps = self.max_steps
+        while heap:
+            top = heapq.heappop(heap)[1]
+            coeff = pending.pop(top)
+            if not coeff:
                 continue
             match = self.find_redex(top)
             if match is None:
-                cache[top] = Element.from_word(top)
-                stack.pop()
+                out.terms[top] = coeff
                 continue
-            pos, rule = match
-            head, tail = top.letters[:pos], top.letters[pos + len(rule.lhs) :]
-            children = [
-                (Word(head + w.letters + tail), c) for w, c in rule.rhs.terms.items()
-            ]
-            pending = [w for w, _ in children if w not in cache]
-            if pending:
-                stack.extend(pending)
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
+            steps -= 1
+            if steps < 0:
                 raise StepBudgetExceeded(
                     f"step budget {self.max_steps} exhausted while reducing {word}"
                 )
-            total = Element.zero()
-            for w, c in children:
-                total = total + cache[w] * c
-            cache[top] = total
-            stack.pop()
-        return cache[word]
+            pos, rule = match
+            head, tail = top.letters[:pos], top.letters[pos + len(rule.lhs) :]
+            for w, c in rule.rhs.terms.items():
+                child = Word(head + w.letters + tail)
+                prev = pending.get(child)
+                if prev is None:
+                    heapq.heappush(heap, (largest_first(child), child))
+                term = coeff if c == H_ONE else coeff * c  # most rule coefficients are 1
+                pending[child] = term if prev is None else prev + term
+        return out
 
     # -------------------------------------------------------------- ambiguity
 
@@ -279,6 +292,3 @@ class ReductionSystem:
         if len(walks) < len(succ):
             return None  # the vertices left over lie on or lead into a cycle
         return sum(len(w) < m - 1 for w in words) + sum(walks.values())
-
-    def clear_cache(self):
-        self._nf = {}

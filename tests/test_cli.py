@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import epsalg
+from epsalg import Element, H
 from epsalg.cli import run
 
 
@@ -194,6 +196,32 @@ def test_dim_detects_infinite_algebras_from_left_sides(alg):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     (record,) = [json.loads(line) for line in proc.stdout.splitlines()]
     assert record["status"] == "fail" and "use --maxlen" in record["payload"]
+
+
+def test_large_normal_ordering_is_the_wick_sum():
+    # a^n ad^n = sum_j C(n,j)^2 j! h^j ad^(n-j) a^(n-j) for [a, ad] = h.
+    alg = epsalg.parse_preset("boson:n=1")
+    a, ad = alg.gen_element("a1"), alg.gen_element("ad1")
+    want = Element.zero()
+    for j in range(31):
+        weight = math.comb(30, j) ** 2 * math.factorial(j)
+        want = want + ad ** (30 - j) * a ** (30 - j) * weight * H**j
+    proc = _child("normalize", "--alg", "boson:n=1", "a1^30*ad1^30")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{want}\n"
+
+
+def test_high_power_of_a_word_is_prompt():
+    proc = _child("normalize", "--alg", "boson:n=1", "a1^100000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "a1^100000\n"
+
+
+def test_power_beyond_a_million_words_is_a_one_line_error():
+    proc = _child("normalize", "--alg", "boson:n=1", "(a1+ad1)^40")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "10**6 words" in proc.stderr
 
 
 def test_step_budget_is_a_one_line_error(monkeypatch, capsys):

@@ -38,16 +38,6 @@ def test_word_basics():
     assert EMPTY_WORD.is_empty() and len(EMPTY_WORD) == 0
 
 
-def test_word_find_and_suffix():
-    w = Word((X, Y, X, Y))
-    assert w.find(Word((X, Y))) == 0
-    assert w.find(Word((X, Y)), start=1) == 2
-    assert w.find(Word((Y, Y))) == -1
-    assert w.ends_with(Word((X, Y)))
-    assert not w.ends_with(Word((X, X)))
-    assert w.contains(Word((Y, X)))
-
-
 def test_word_str_compresses_runs():
     assert str(Word((X, X, X))) == "x^3"
     assert str(Word((X, Y, Y))) == "x*y^2"
@@ -94,6 +84,24 @@ def test_division_and_power():
         + Element.from_word(Word((Y, X)))
         + Element.from_word(Word((Y, Y)))
     )
+
+
+def test_power_by_squaring_matches_repeated_products():
+    e = Element.from_word(X) * 2 + Element.from_word(Y) * H
+    prod = Element.one()
+    for n in range(8):
+        assert e**n == prod
+        prod = prod * e
+    assert (Element.from_word(X) * 3) ** 25 == Element.from_word(Word((X,) * 25)) * 3**25
+
+
+def test_power_refuses_an_expansion_beyond_a_million_words():
+    e = Element.from_word(X) + Element.from_word(Y)
+    assert len((e**10).terms) == 2**10
+    with pytest.raises(ValueError, match="more than 10\\*\\*6 words"):
+        e**20
+    with pytest.raises(ValueError, match="more than 10\\*\\*6 words"):
+        (e + Element.one()) ** 13
 
 
 def test_h_coefficient_extraction():

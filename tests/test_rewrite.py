@@ -70,9 +70,13 @@ def _all_words(gens, max_len):
             yield Word(tup)
 
 
-@pytest.mark.parametrize("family", ["a", "b", "c"])
-def test_engine_agrees_with_all_orders_oracle(family):
-    alg = build_noa(family, 1)
+@pytest.mark.parametrize(
+    "family,n",
+    [pytest.param(f, 1, id=f) for f in ["a", "b", "c"]]
+    + [pytest.param(f, 2, id=f"{f}:n=2") for f in ["a", "a'", "b", "b'", "c", "c'"]],
+)
+def test_engine_agrees_with_all_orders_oracle(family, n):
+    alg = build_noa(family, n)
     sys_ = alg.system
     for word in _all_words(sys_.generators, 3):
         nfs = _all_normal_forms(sys_.rules, Element.from_word(word))
@@ -198,6 +202,40 @@ def test_step_budget():
     tiny = ReductionSystem(base.system.generators, base.system.rules, max_steps=2)
     with pytest.raises(StepBudgetExceeded):
         tiny.normalize(Word((a, a, a, ad, ad, ad)))
+
+
+def test_step_budget_applies_per_word():
+    base = build_noa("c", 2)
+    g = base.gen
+    words = [Word((g(f"a{i}"),) * 3 + (g(f"ad{i}"),) * 3) for i in (1, 2)]
+    x = Element.from_word(words[0]) + Element.from_word(words[1])
+
+    def system(max_steps):
+        return ReductionSystem(base.system.generators, base.system.rules, max_steps)
+
+    # the fewest steps that reduce one of the two mirror-image words
+    steps = next(k for k in range(1000) if _reduces(system(k), words[0]))
+    assert system(steps).normalize(x) == base.normalize(x)
+    with pytest.raises(StepBudgetExceeded):
+        system(steps - 1).normalize(x)
+
+
+def _reduces(sys_, word):
+    try:
+        sys_.normalize(word)
+    except StepBudgetExceeded:
+        return False
+    return True
+
+
+def test_memo_keeps_only_the_words_asked_for():
+    base = build_noa("c", 2)
+    sys_ = ReductionSystem(base.system.generators, base.system.rules)
+    x = base.parse("a1^3*ad1^3*a2*ad2 + 2*a2*ad2*a1")
+    nf = sys_.normalize(x)
+    assert set(sys_._nf) == set(x.terms)
+    assert sys_.normalize(x) == nf == base.normalize(x)
+    assert set(sys_._nf) == set(x.terms)
 
 
 def test_word_order_is_deglex():
