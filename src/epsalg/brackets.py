@@ -79,10 +79,11 @@ def poisson_bracket(ctx: BracketContext, x: Element, y: Element) -> Element:
 def _lie_residuals(ctx, bracket, x, y, z):
     alg, eps = ctx.algebra, ctx.factor.eval
     gx, gy, gz = alg.grade_of(x), alg.grade_of(y), alg.grade_of(z)
-    anti = alg.normalize(bracket(ctx, x, y) + bracket(ctx, y, x) * eps(gx, gy))
+    xy = bracket(ctx, x, y)
+    anti = alg.normalize(xy + bracket(ctx, y, x) * eps(gx, gy))
     jacobi = alg.normalize(
         bracket(ctx, x, bracket(ctx, y, z)) * eps(gz, gx)
-        + bracket(ctx, z, bracket(ctx, x, y)) * eps(gy, gz)
+        + bracket(ctx, z, xy) * eps(gy, gz)
         + bracket(ctx, y, bracket(ctx, z, x)) * eps(gx, gy)
     )
     return anti, jacobi

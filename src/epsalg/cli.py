@@ -461,8 +461,22 @@ def _add_algebra_options(sub):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-a1" as a value, not a flag, and reports usage errors in one line."""
+
+    def _parse_optional(self, arg_string):
+        # Every option here but -h is long, so a single-dash token is an expression.
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epsalg",
         description="exact computations in epsilon-graded algebras",
     )

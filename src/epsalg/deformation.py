@@ -59,11 +59,12 @@ def check_deformation_identity(
 
     sum over p+q=n of mu_p(mu_q(x,y), z) - mu_p(x, mu_q(y,z)).
     """
+    xy, yz = exp.mu(x, y), exp.mu(y, z)
     residual = Element.zero()
     for q in range(n + 1):
         p = n - q
-        residual = residual + exp.mu_n(exp.mu_n(x, y, q), z, p)
-        residual = residual - exp.mu_n(x, exp.mu_n(y, z, q), p)
+        residual = residual + exp.mu_n(xy.h_coefficient(q), z, p)
+        residual = residual - exp.mu_n(x, yz.h_coefficient(q), p)
     return residual
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grading import Grade
-from .scalars import H_ONE, HPoly, Scalar
+from .scalars import H_ONE, HPoly, Scalar, _Arithmetic
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class Word:
 EMPTY_WORD = Word()
 
 
-class Element:
+class Element(_Arithmetic):
     """Sparse K[h]-linear combination of words."""
 
     __slots__ = ("terms",)
@@ -113,6 +113,16 @@ class Element:
                 c = HPoly.of(coeff)
                 if c:
                     self.terms[word] = c
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, Element):
+            return value
+        if isinstance(value, (int, Fraction, Scalar, HPoly)):
+            return Element.scalar(value)
+        if isinstance(value, (Word, Generator)):
+            return Element.from_word(value)
+        return None
 
     @staticmethod
     def zero() -> Element:
@@ -146,7 +156,7 @@ class Element:
     __hash__ = None
 
     def __add__(self, other):
-        o = _as_element(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         out = dict(self.terms)
@@ -167,18 +177,6 @@ class Element:
         result = Element()
         result.terms = {w: -c for w, c in self.terms.items()}
         return result
-
-    def __sub__(self, other):
-        o = _as_element(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _as_element(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar, HPoly)):
@@ -213,23 +211,16 @@ class Element:
             return Element.from_word(other) * self
         return NotImplemented
 
-    def __truediv__(self, other):
-        if isinstance(other, HPoly):
-            other = other.constant()
-        inv = Scalar.of(other).inverse()
-        return self * inv
-
     def __pow__(self, n: int) -> Element:
-        """Square and multiply, refused at once past 10**6 expanded words."""
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        k = len(self.terms)
-        if k > 1 and (n >= 20 or k**n > 10**6):  # 2**20 > 10**6
-            raise ValueError(f"({k} terms)^{n} would expand to more than 10**6 words")
-        if n == 0:
-            return Element.one()
-        half = self ** (n // 2)
-        return half * half * self if n & 1 else half * half
+        """Refused before any product past 10**6 words or 10**6 letters in a word."""
+        if isinstance(n, int):
+            k = len(self.terms)
+            if k > 1 and (n >= 20 or k**n > 10**6):  # 2**20 > 10**6
+                raise ValueError(f"({k} terms)^{n} would expand to more than 10**6 words")
+            longest = max(map(len, self.terms), default=0)
+            if longest * n > 10**6:
+                raise ValueError(f"({longest}-letter word)^{n} exceeds 10**6 letters")
+        return super().__pow__(n)
 
     def coefficient(self, word: Word) -> HPoly:
         return self.terms.get(word, HPoly())
@@ -279,16 +270,6 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({self})"
-
-
-def _as_element(value):
-    if isinstance(value, Element):
-        return value
-    if isinstance(value, (int, Fraction, Scalar, HPoly)):
-        return Element.scalar(value)
-    if isinstance(value, (Word, Generator)):
-        return Element.from_word(value)
-    return None
 
 
 def grade_of(x: Element, zero: Grade):

@@ -159,7 +159,9 @@ class ReductionSystem:
 
         Every rewrite yields smaller words, so a word popped has its whole
         coefficient: it is rewritten once at its leftmost redex (one step of
-        `max_steps`) or, if irreducible, moved to the output.
+        `max_steps`) or, if irreducible, moved to the output.  A child gets
+        `coeff * c` for each rule term c; the HPoly product returns coeff
+        itself, or its negation, for the common rule coefficients 1 and -1.
         """
         prec = self._prec
 
@@ -191,7 +193,7 @@ class ReductionSystem:
                 prev = pending.get(child)
                 if prev is None:
                     heapq.heappush(heap, (largest_first(child), child))
-                term = coeff if c == H_ONE else coeff * c  # most rule coefficients are 1
+                term = coeff * c
                 pending[child] = term if prev is None else prev + term
         return out
 

@@ -5,6 +5,13 @@ so every value is a 4-tuple of rationals and all arithmetic is exact.  The
 conjugation tau fixes rationals and r2 and sends I to -I; its fixed subfield
 Q(r2) is where the deformation constant h and every rescaling norm
 lambda*tau(lambda) live.
+
+Scalar, HPoly and freealg.Element share `_Arithmetic`: each gives `_coerce`
+(None for a foreign operand), `__add__`, `__neg__` and `__mul__`; the base
+derives subtraction, division by a constant and square-and-multiply powers
+with unit `_coerce(1)`.  Units and zeros are absorbed in `HPoly.__mul__`
+alone: it skips zero coefficients on both sides and returns the other factor,
+or its negation, for a factor 1 or -1, so callers need not test for them.
 """
 from __future__ import annotations
 
@@ -22,8 +29,48 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
+class _Arithmetic:
+    """Subtraction, division and powers from `_coerce`, `+`, unary `-`, `*`."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __truediv__(self, other):
+        """Division by a nonzero constant; Scalar / HPoly stays a TypeError."""
+        if isinstance(other, HPoly) and not isinstance(self, Scalar):
+            other = other.constant()
+        o = Scalar._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __pow__(self, n: int):
+        """Square and multiply, squaring no further than the top bit of n."""
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out, base = self._coerce(1), self
+        while True:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
+
+
 @dataclass(frozen=True)
-class Scalar:
+class Scalar(_Arithmetic):
     """c0 + c1*I + c2*r2 + c3*I*r2 with exact rational coordinates."""
 
     c0: Fraction = Fraction(0)
@@ -61,8 +108,16 @@ class Scalar:
             raise ValueError(f"{self} is not rational")
         return self.c0
 
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, Scalar):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Scalar(_frac(value))
+        return None
+
     def __add__(self, other):
-        o = _coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return Scalar(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2, self.c3 + o.c3)
@@ -72,20 +127,8 @@ class Scalar:
     def __neg__(self) -> Scalar:
         return Scalar(-self.c0, -self.c1, -self.c2, -self.c3)
 
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
-        o = _coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         a0, a1, a2, a3 = self.c0, self.c1, self.c2, self.c3
@@ -119,31 +162,16 @@ class Scalar:
             cofactor.c0 / norm, cofactor.c1 / norm, cofactor.c2 / norm, cofactor.c3 / norm
         )
 
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
     def __rtruediv__(self, other):
-        o = _coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
 
     def __pow__(self, n: int) -> Scalar:
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if isinstance(n, int) and n < 0:
+            return self.inverse() ** -n
+        return super().__pow__(n)
 
     def __str__(self) -> str:
         parts = []
@@ -169,14 +197,6 @@ class Scalar:
         return sum(1 for c in (self.c0, self.c1, self.c2, self.c3) if c)
 
 
-def _coerce(value):
-    if isinstance(value, Scalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Scalar(_frac(value))
-    return None
-
-
 def join_signed(parts: list[str]) -> str:
     """Join rendered terms, folding leading minus signs into ' - '."""
     out = parts[0]
@@ -197,7 +217,7 @@ HALF = Scalar(Fraction(1, 2))
 
 
 @dataclass(frozen=True)
-class HPoly:
+class HPoly(_Arithmetic):
     """Polynomial in the deformation parameter h over Scalar.
 
     coeffs[k] multiplies h**k; trailing zeros are never stored, so the zero
@@ -213,12 +233,18 @@ class HPoly:
         object.__setattr__(self, "coeffs", cs)
 
     @staticmethod
-    def of(value) -> HPoly:
+    def _coerce(value):
         if isinstance(value, HPoly):
             return value
-        if isinstance(value, (Scalar, int, Fraction)):
-            return HPoly((Scalar.of(value),))
-        raise TypeError(f"cannot make an h-polynomial from {type(value).__name__}")
+        c = Scalar._coerce(value)
+        return None if c is None else HPoly((c,))
+
+    @staticmethod
+    def of(value) -> HPoly:
+        p = HPoly._coerce(value)
+        if p is None:
+            raise TypeError(f"cannot make an h-polynomial from {type(value).__name__}")
+        return p
 
     @property
     def degree(self) -> int:
@@ -244,7 +270,7 @@ class HPoly:
         return ZERO
 
     def __add__(self, other):
-        o = _coerce_poly(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
@@ -257,47 +283,30 @@ class HPoly:
     def __neg__(self) -> HPoly:
         return HPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        o = _coerce_poly(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _coerce_poly(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
-        o = _coerce_poly(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return HPoly()
-        out = [ZERO] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for k, b in enumerate(o.coeffs):
-                out[j + k] = out[j + k] + a * b
+        a, b = self.coeffs, o.coeffs
+        if not a or not b:
+            return H_ZERO
+        if a == (ONE,):
+            return o
+        if a == (MINUS_ONE,):
+            return -o
+        if b == (ONE,):
+            return self
+        if b == (MINUS_ONE,):
+            return -self
+        nonzero_b = [(k, y) for k, y in enumerate(b) if y]
+        out = [ZERO] * (len(a) + len(b) - 1)
+        for j, x in enumerate(a):
+            if x:
+                for k, y in nonzero_b:
+                    out[j + k] = out[j + k] + x * y
         return HPoly(tuple(out))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, HPoly):
-            other = other.constant()
-        inv = Scalar.of(other).inverse()
-        return self * inv
-
-    def __pow__(self, n: int) -> HPoly:
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = H_ONE
-        for _ in range(n):
-            out = out * self
-        return out
 
     def tau(self) -> HPoly:
         """Coefficientwise conjugation; h itself is tau-fixed."""
@@ -355,14 +364,6 @@ class HPoly:
             if c.term_count() == 1:
                 return f"{self}*"
         return f"({self})*"
-
-
-def _coerce_poly(value):
-    if isinstance(value, HPoly):
-        return value
-    if isinstance(value, (Scalar, int, Fraction)):
-        return HPoly((Scalar.of(value),))
-    return None
 
 
 H = HPoly((ZERO, ONE))

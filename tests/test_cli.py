@@ -224,6 +224,45 @@ def test_power_beyond_a_million_words_is_a_one_line_error():
     assert "10**6 words" in proc.stderr
 
 
+def test_power_beyond_a_million_letters_is_a_one_line_error():
+    proc = _child("normalize", "--alg", "boson:n=1", "a1^2000000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "10**6 letters" in proc.stderr
+
+
+def test_expressions_may_start_with_a_minus(capsys):
+    assert run(["normalize", "--alg", "boson:n=1", "-a1"]) == 0
+    assert _lines(capsys) == ["-a1"]
+    assert run(["bracket", "--alg", "boson:n=1", "-a1", "ad1"]) == 0
+    assert _lines(capsys) == ["-h"]
+    assert run(["normalize", "--family", "boson", "--n", "1", "--h", "-1/2", "a1*ad1"]) == 0
+    assert _lines(capsys) == ["ad1*a1 - 1/2"]
+    assert run(["normalize", "--alg", "boson:n=1", "-h"]) == 0
+    assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--alg", "boson:n=1", "--bogus", "a1"],
+        ["normalize", "--alg", "boson:n=1"],
+        ["normalize", "--alg", "boson:n=1", "--format", "xml", "a1"],
+        ["bracket", "--alg", "boson:n=1", "--kind", "nope", "a1", "ad1"],
+        ["normalize", "--alg", "boson:n=1", "-a1", "extra"],
+        ["no-such-command"],
+        [],
+    ],
+    ids=["unknown-flag", "missing-argument", "bad-choice", "bad-kind", "extra-argument",
+         "unknown-command", "no-command"],
+)
+def test_argparse_errors_are_one_line(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_step_budget_is_a_one_line_error(monkeypatch, capsys):
     system = epsalg.parse_preset("boson:n=1").system
     monkeypatch.setattr(system, "max_steps", 2)

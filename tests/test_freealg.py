@@ -1,4 +1,5 @@
 """Words, sparse elements, grading helpers of the free algebra."""
+import operator
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from epsalg import (
     Generator,
     Grade,
     H,
+    H_ONE,
     HPoly,
     Scalar,
     Word,
@@ -145,3 +147,45 @@ def test_str_frozen():
     assert str(e) == "2*x^2 - y + (h + 1)"
     assert str(Element.zero()) == "0"
     assert str(Element.one()) == "1"
+
+
+# Which operands + - * / accept on each side, as before the three classes
+# shared one arithmetic base.  Each row gives `left op right` and then
+# `right op left` against int, Fraction, Scalar, H_ONE, H, Element, Word and
+# str; S, P, E name the result type, T and V the TypeError or ValueError.
+OPERAND_TABLE = [
+    "Scalar  + SSSPPETT SSSPPETT",
+    "Scalar  - SSSPPETT SSSPPETT",
+    "Scalar  * SSSPPETT SSSPPETT",
+    "Scalar  / SSSTTTTT SSSPPETT",
+    "HPoly   + PPPPPETT PPPPPETT",
+    "HPoly   - PPPPPETT PPPPPETT",
+    "HPoly   * PPPPPETT PPPPPETT",
+    "HPoly   / PPPPVTTT TTTVVVTT",
+    "Element + EEEEEEET EEEEEEET",
+    "Element - EEEEEEET EEEEEEET",
+    "Element * EEEEEEET EEEEEEET",
+    "Element / EEEEVTTT TTTTTTTT",
+]
+
+
+@pytest.mark.parametrize("row", OPERAND_TABLE, ids=[" ".join(r.split()[:2]) for r in OPERAND_TABLE])
+def test_operands_accepted_and_refused(row):
+    lefts = {
+        "Scalar": Scalar(2, 1),
+        "HPoly": H * Scalar(0, 1) + 3,
+        "Element": Element.from_word(X) * 2 + 1,
+    }
+    rights = [3, Fraction(1, 3), Scalar(2, 1), H_ONE, H, Element.from_word(Y), Word((X,)), "x"]
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    names = {"S": Scalar, "P": HPoly, "E": Element, "T": TypeError, "V": ValueError}
+    left, op, forward, reflected = row.split()
+    x, fn = lefts[left], ops[op]
+    for want, pairs in ((forward, [(x, y) for y in rights]), (reflected, [(y, x) for y in rights])):
+        for code, (a, b) in zip(want, pairs):
+            expected = names[code]
+            if issubclass(expected, Exception):
+                with pytest.raises(expected):
+                    fn(a, b)
+            else:
+                assert type(fn(a, b)) is expected, (a, op, b)

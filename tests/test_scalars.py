@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epsalg import H, H_ONE, H_ZERO, HALF, I, ONE, R2, ZERO, HPoly, Scalar
+from epsalg import H, H_ONE, H_ZERO, HALF, I, MINUS_ONE, ONE, R2, ZERO, HPoly, Scalar
 from epsalg import scalar_from_text
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -171,3 +171,37 @@ def test_product_prefixes():
     assert (-H_ONE).as_product_prefix() == "-"
     assert (H * 2).as_product_prefix() == "2*h*"
     assert (H + 1).as_product_prefix() == "(h + 1)*"
+
+
+# Zero coefficients and the constants 1 and -1 come up often here, so that
+# the zero skipping and the unit returns of HPoly.__mul__ are both hit.
+sparse_coeffs = st.one_of(st.sampled_from([ZERO, ONE, MINUS_ONE]), scalars)
+sparse_hpolys = st.one_of(
+    st.sampled_from([H_ZERO, H_ONE, -H_ONE, H, -H]),
+    st.lists(sparse_coeffs, max_size=4).map(lambda cs: HPoly(tuple(cs))),
+)
+
+
+def hpoly_to_sympy(p: HPoly):
+    h = sympy.Symbol("h")
+    return sum((to_sympy(c) * h**k for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(sparse_hpolys, sparse_hpolys)
+@example(H_ONE, HPoly((ZERO, I, ZERO, R2)))
+@example(-H_ONE, HPoly((ZERO, I, ZERO, R2)))
+@example(HPoly((ZERO, ZERO, ONE)), HPoly((ONE, ZERO, MINUS_ONE)))
+def test_hpoly_mul_matches_sympy(a, b):
+    want = hpoly_to_sympy(a) * hpoly_to_sympy(b)
+    for got in (a * b, b * a):
+        assert sympy.expand(hpoly_to_sympy(got) - want) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_hpolys)
+def test_hpoly_power_is_the_repeated_product(p):
+    prod = H_ONE
+    for n in range(5):
+        assert p**n == prod
+        prod = prod * p
