@@ -8,6 +8,7 @@ homogeneous elements and report every violated instance exactly.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,13 +48,20 @@ def commutator(ctx: BracketContext, x: Element, y: Element) -> Element:
     return ctx.algebra.normalize(x * y - y * x)
 
 
+def _eps_bracket(ctx: BracketContext, product, x: Element, y: Element) -> Element:
+    """Sum of product(u, v) - eps(u|, v|) product(v, u) over homogeneous pieces."""
+    alg, eps = ctx.algebra, ctx.factor.eval
+    ys = alg.components(y).items()
+    return Element.sum(
+        term
+        for gx, u in alg.components(x).items()
+        for gy, v in ys
+        for term in (product(u, v), product(v, u) * -eps(gx, gy))
+    )
+
+
 def epsilon_commutator(ctx: BracketContext, x: Element, y: Element) -> Element:
-    alg = ctx.algebra
-    out = Element.zero()
-    for gx, u in alg.components(x).items():
-        for gy, v in alg.components(y).items():
-            out = out + u * v - v * u * ctx.factor.eval(gx, gy)
-    return alg.normalize(out)
+    return ctx.algebra.normalize(_eps_bracket(ctx, operator.mul, x, y))
 
 
 def in_epsilon_center(ctx: BracketContext, x: Element) -> bool:
@@ -67,13 +75,8 @@ def in_epsilon_center(ctx: BracketContext, x: Element) -> bool:
 def poisson_bracket(ctx: BracketContext, x: Element, y: Element) -> Element:
     if ctx.expansion is None:
         raise ValueError("Poisson bracket needs a deformation expansion")
-    alg = ctx.algebra
-    exp = ctx.expansion
-    out = Element.zero()
-    for gx, u in alg.components(x).items():
-        for gy, v in alg.components(y).items():
-            out = out + exp.mu_n(u, v, 1) - exp.mu_n(v, u, 1) * ctx.factor.eval(gx, gy)
-    return out
+    mu_n = ctx.expansion.mu_n
+    return _eps_bracket(ctx, lambda u, v: mu_n(u, v, 1), x, y)
 
 
 def _lie_residuals(ctx, bracket, x, y, z):
@@ -149,10 +152,7 @@ def sample_homogeneous(
     grade = grades[rng.randrange(len(grades))]
     words = buckets[grade]
     count = rng.randint(1, min(max_terms, len(words)))
-    out = Element.zero()
-    for word in rng.sample(words, count):
-        out = out + Element.from_word(word, _random_scalar(rng))
-    return out
+    return Element((word, _random_scalar(rng)) for word in rng.sample(words, count))
 
 
 def sample_triples(alg: Algebra, count: int, seed: int, max_len: int = 3):

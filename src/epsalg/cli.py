@@ -34,6 +34,7 @@ from .presets import (
     PRESET_NAMES,
     Algebra,
     build_noa,
+    check_modes,
     classical_limit,
     parse_preset,
     with_h,
@@ -140,7 +141,7 @@ def _algebra_from_args(args) -> Algebra:
         if args.n is None:
             raise UsageError("--family needs --n")
         h = H if args.h is None else HPoly.of(scalar_from_text(args.h))
-        return build_noa(args.family, args.n, h)
+        return build_noa(args.family, check_modes(args.n), h)
     raise UsageError("pick an algebra with --alg PRESET or --family NAME --n N")
 
 

@@ -60,12 +60,14 @@ def check_deformation_identity(
     sum over p+q=n of mu_p(mu_q(x,y), z) - mu_p(x, mu_q(y,z)).
     """
     xy, yz = exp.mu(x, y), exp.mu(y, z)
-    residual = Element.zero()
-    for q in range(n + 1):
-        p = n - q
-        residual = residual + exp.mu_n(xy.h_coefficient(q), z, p)
-        residual = residual - exp.mu_n(x, yz.h_coefficient(q), p)
-    return residual
+    return Element.sum(
+        term
+        for q in range(n + 1)
+        for term in (
+            exp.mu_n(xy.h_coefficient(q), z, n - q),
+            -exp.mu_n(x, yz.h_coefficient(q), n - q),
+        )
+    )
 
 
 def fix_parameter(exp: DeformationExpansion, value) -> Algebra:

@@ -2,11 +2,14 @@
 
 Words are immutable letter tuples, elements are sparse dictionaries mapping
 words to h-polynomial coefficients with zero values never stored.  The
-product is plain concatenation extended bilinearly; all quotient structure
-lives in the rewrite engine.
+Element constructor is the one place that merges repeated words and drops
+zeros: every sum and product in the library hands it (word, coefficient)
+pairs.  The product is plain concatenation extended bilinearly; all quotient
+structure lives in the rewrite engine.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +22,13 @@ class Generator:
     name: str
     index: int | None
     grade: Grade
+
+    def __post_init__(self):
+        # Letters are hashed in every word and redex lookup; equality stays by value.
+        object.__setattr__(self, "_hash", hash((self.name, self.index, self.grade)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def label(self) -> str:
@@ -106,13 +116,23 @@ class Element(_Arithmetic):
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for word, coeff in terms.items():
-                c = HPoly.of(coeff)
-                if c:
-                    self.terms[word] = c
+    def __init__(self, terms=()):
+        """From a mapping or from (word, coefficient) pairs, in one pass: the
+        coefficients of a repeated word add up and zero sums are dropped."""
+        out = {}
+        for word, coeff in terms.items() if isinstance(terms, dict) else terms:
+            if type(coeff) is not HPoly:
+                coeff = HPoly.of(coeff)
+            prev = out.pop(word, None)
+            if prev is not None:
+                coeff = prev + coeff
+            if coeff:
+                out[word] = coeff
+        self.terms = out
+
+    @staticmethod
+    def sum(elements) -> Element:
+        return Element(itertools.chain.from_iterable(e.terms.items() for e in elements))
 
     @staticmethod
     def _coerce(value):
@@ -133,14 +153,14 @@ class Element(_Arithmetic):
         return Element({EMPTY_WORD: H_ONE})
 
     @staticmethod
-    def from_word(word, coeff=1) -> Element:
+    def from_word(word, coeff=H_ONE) -> Element:
         if isinstance(word, Generator):
             word = Word(word)
         return Element({word: coeff})
 
     @staticmethod
     def scalar(value) -> Element:
-        return Element({EMPTY_WORD: HPoly.of(value)})
+        return Element({EMPTY_WORD: value})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -159,50 +179,26 @@ class Element(_Arithmetic):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for word, coeff in o.terms.items():
-            c = out.get(word)
-            c = coeff if c is None else c + coeff
-            if c:
-                out[word] = c
-            elif word in out:
-                del out[word]
-        result = Element()
-        result.terms = out
-        return result
+        return Element(itertools.chain(self.terms.items(), o.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> Element:
-        result = Element()
-        result.terms = {w: -c for w, c in self.terms.items()}
-        return result
+        return Element((w, -c) for w, c in self.terms.items())
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar, HPoly)):
             c = HPoly.of(other)
-            result = Element()
-            if c:
-                result.terms = {w: v * c for w, v in self.terms.items()}
-            return result
+            return Element((w, v * c) for w, v in self.terms.items())
         if isinstance(other, (Word, Generator)):
             other = Element.from_word(other)
         if not isinstance(other, Element):
             return NotImplemented
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                c = c1 * c2
-                prev = out.get(w)
-                c = c if prev is None else prev + c
-                if c:
-                    out[w] = c
-                elif w in out:
-                    del out[w]
-        result = Element()
-        result.terms = out
-        return result
+        return Element(
+            (w1 * w2, c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar, HPoly)):
@@ -212,7 +208,8 @@ class Element(_Arithmetic):
         return NotImplemented
 
     def __pow__(self, n: int) -> Element:
-        """Refused before any product past 10**6 words or 10**6 letters in a word."""
+        """Refused before any product past 10**6 words, 10**6 letters in a
+        word, h-degree 10**6 or 10**6 bits in a rational coordinate."""
         if isinstance(n, int):
             k = len(self.terms)
             if k > 1 and (n >= 20 or k**n > 10**6):  # 2**20 > 10**6
@@ -220,6 +217,14 @@ class Element(_Arithmetic):
             longest = max(map(len, self.terms), default=0)
             if longest * n > 10**6:
                 raise ValueError(f"({longest}-letter word)^{n} exceeds 10**6 letters")
+            degree = self.h_degree()
+            if degree * n > 10**6:
+                raise ValueError(f"(h-degree {degree})^{n} exceeds h-degree 10**6")
+            scalars = [s for c in self.terms.values() for s in c.coeffs]
+            bits = max((max(abs(r.numerator), r.denominator).bit_length()
+                        for s in scalars for r in (s.c0, s.c1, s.c2, s.c3)), default=0)
+            if bits * n > 10**6:
+                raise ValueError(f"({bits}-bit coefficient)^{n} exceeds 10**6 bits")
         return super().__pow__(n)
 
     def coefficient(self, word: Word) -> HPoly:
@@ -230,21 +235,11 @@ class Element(_Arithmetic):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
 
     def map_coefficients(self, fn) -> Element:
-        result = Element()
-        for w, c in self.terms.items():
-            v = fn(c)
-            if v:
-                result.terms[w] = v
-        return result
+        return Element((w, fn(c)) for w, c in self.terms.items())
 
     def h_coefficient(self, k: int) -> Element:
         """The element of h-degree k, with constant coefficients."""
-        result = Element()
-        for w, c in self.terms.items():
-            v = c.coefficient(k)
-            if v:
-                result.terms[w] = HPoly.of(v)
-        return result
+        return Element((w, c.coefficient(k)) for w, c in self.terms.items())
 
     def h_degree(self) -> int:
         return max((c.degree for c in self.terms.values()), default=-1)
@@ -289,9 +284,7 @@ def grade_of(x: Element, zero: Grade):
 
 def homogeneous_components(x: Element, zero: Grade) -> dict:
     """Split x by grade; the pieces sum back to x and each is homogeneous."""
-    out = {}
+    pairs = {}
     for word, coeff in x.terms.items():
-        g = word.grade(zero)
-        bucket = out.setdefault(g, Element())
-        bucket.terms[word] = coeff
-    return out
+        pairs.setdefault(word.grade(zero), []).append((word, coeff))
+    return {g: Element(p) for g, p in pairs.items()}

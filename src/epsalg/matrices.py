@@ -104,9 +104,7 @@ def gm_mul(P: GradedMatrix, Q: GradedMatrix) -> GradedMatrix:
     for i in range(P.nrows):
         row = []
         for j in range(Q.ncols):
-            total = Element.zero()
-            for k in range(P.ncols):
-                total = total + P.entries[i][k] * Q.entries[k][j]
+            total = Element.sum(P.entries[i][k] * Q.entries[k][j] for k in range(P.ncols))
             row.append(P.alg.normalize(total))
         entries.append(row)
     return GradedMatrix(

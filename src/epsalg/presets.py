@@ -39,6 +39,16 @@ FAMILY_NAMES = {
 
 FAMILY_LABELS = {v: k for k, v in FAMILY_NAMES.items()}
 
+# Certification grows fast with the modes (boson:n=40 took 39 s on a 2-core
+# machine), so preset strings and the CLI refuse more; build_noa does not.
+MAX_MODES = 16
+
+
+def check_modes(n: int) -> int:
+    if n > MAX_MODES:
+        raise ValueError(f"n={n} exceeds the input limit n <= {MAX_MODES}")
+    return n
+
 
 class Algebra:
     """A graded algebra given by generators, a factor, and a confluent system."""
@@ -163,9 +173,7 @@ def _noa_rules(family: str, n: int, h: HPoly, ad, a):
                 rules.append(Rule(word(ad[i], ad[j]), Element.zero()))
                 if i != j:
                     rules.append(Rule(word(a[i], ad[j]), Element.zero()))
-        total = Element.zero()
-        for k in range(n):
-            total = total + w_elem(ad[k], a[k])
+        total = Element.sum(w_elem(ad[k], a[k]) for k in range(n))
         for i in range(n):
             rules.append(Rule(word(a[i], ad[i]), one * h - total))
     elif family == "b'":
@@ -175,9 +183,7 @@ def _noa_rules(family: str, n: int, h: HPoly, ad, a):
                 rules.append(Rule(word(ad[i], ad[j]), Element.zero()))
                 if i != j:
                     rules.append(Rule(word(ad[j], a[i]), Element.zero()))
-        total = Element.zero()
-        for k in range(n):
-            total = total + w_elem(a[k], ad[k])
+        total = Element.sum(w_elem(a[k], ad[k]) for k in range(n))
         for i in range(n):
             rules.append(Rule(word(ad[i], a[i]), one * h - total))
     else:
@@ -344,7 +350,7 @@ def parse_preset(text: str) -> Algebra:
             else:
                 params[key] = value
     if name in FAMILY_NAMES:
-        n = int(params.pop("n", order.pop(0) if order else 1))
+        n = check_modes(int(params.pop("n", order.pop(0) if order else 1)))
         h = _scalar_param(params.pop("h", None))
         _reject_extras(name, params, order)
         return build_noa(name, n, H if h is None else h)
@@ -358,7 +364,7 @@ def parse_preset(text: str) -> Algebra:
         _reject_extras(name, params, order)
         return build_counterexample()
     if name == "ext":
-        n = int(params.pop("n", order.pop(0) if order else 1))
+        n = check_modes(int(params.pop("n", order.pop(0) if order else 1)))
         factor_name = params.pop("factor", "eps_c")
         _reject_extras(name, params, order)
         return build_exterior_preset(n, factor_name)

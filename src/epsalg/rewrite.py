@@ -141,18 +141,23 @@ class ReductionSystem:
     def normalize(self, x) -> Element:
         """Canonical representative of x in the quotient; K[h]-linear.
 
-        `_nf` keeps the normal forms of the words of x, not of those met on
-        the way.
+        One pass over the pairs of the normal forms of the words of x, so the
+        cost is linear in their size.  `_nf` keeps the normal forms of the
+        words of x, not of those met on the way.
         """
         if isinstance(x, (Word, Generator)):
             x = Element.from_word(x)
-        out = Element.zero()
-        for word, coeff in x.terms.items():
-            nf = self._nf.get(word)
-            if nf is None:
-                nf = self._nf[word] = self._word_nf(word)
-            out = out + nf * coeff
-        return out
+        return Element(
+            (w, c * coeff)
+            for word, coeff in x.terms.items()
+            for w, c in self._cached_nf(word).terms.items()
+        )
+
+    def _cached_nf(self, word: Word) -> Element:
+        nf = self._nf.get(word)
+        if nf is None:
+            nf = self._nf[word] = self._word_nf(word)
+        return nf
 
     def _word_nf(self, word: Word) -> Element:
         """One pass over pending words and their coefficients, largest first.
@@ -170,7 +175,7 @@ class ReductionSystem:
 
         pending = {word: H_ONE}
         heap = [(largest_first(word), word)]
-        out = Element.zero()
+        irreducible = []
         steps = self.max_steps
         while heap:
             top = heapq.heappop(heap)[1]
@@ -179,7 +184,7 @@ class ReductionSystem:
                 continue
             match = self.find_redex(top)
             if match is None:
-                out.terms[top] = coeff
+                irreducible.append((top, coeff))
                 continue
             steps -= 1
             if steps < 0:
@@ -195,7 +200,7 @@ class ReductionSystem:
                     heapq.heappush(heap, (largest_first(child), child))
                 term = coeff * c
                 pending[child] = term if prev is None else prev + term
-        return out
+        return Element(irreducible)
 
     # -------------------------------------------------------------- ambiguity
 

@@ -8,10 +8,11 @@ lambda*tau(lambda) live.
 
 Scalar, HPoly and freealg.Element share `_Arithmetic`: each gives `_coerce`
 (None for a foreign operand), `__add__`, `__neg__` and `__mul__`; the base
-derives subtraction, division by a constant and square-and-multiply powers
-with unit `_coerce(1)`.  Units and zeros are absorbed in `HPoly.__mul__`
-alone: it skips zero coefficients on both sides and returns the other factor,
-or its negation, for a factor 1 or -1, so callers need not test for them.
+derives `of` (a TypeError for a foreign operand), subtraction, division by a
+constant and square-and-multiply powers with unit `_coerce(1)`.  Units and
+zeros are absorbed in `HPoly.__mul__` alone: it skips zero coefficients on
+both sides and returns the other factor, or its negation, for a factor 1 or
+-1, so callers need not test for them.
 """
 from __future__ import annotations
 
@@ -30,9 +31,16 @@ def _frac(x) -> Fraction:
 
 
 class _Arithmetic:
-    """Subtraction, division and powers from `_coerce`, `+`, unary `-`, `*`."""
+    """`of`, subtraction, division and powers from `_coerce`, `+`, unary `-`, `*`."""
 
     __slots__ = ()
+
+    @classmethod
+    def of(cls, value):
+        got = cls._coerce(value)
+        if got is None:
+            raise TypeError(f"cannot make a {cls.__name__} from {type(value).__name__}")
+        return got
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -83,12 +91,6 @@ class Scalar(_Arithmetic):
         object.__setattr__(self, "c1", _frac(self.c1))
         object.__setattr__(self, "c2", _frac(self.c2))
         object.__setattr__(self, "c3", _frac(self.c3))
-
-    @staticmethod
-    def of(value) -> Scalar:
-        if isinstance(value, Scalar):
-            return value
-        return Scalar(_frac(value))
 
     def __bool__(self) -> bool:
         return bool(self.c0 or self.c1 or self.c2 or self.c3)
@@ -238,13 +240,6 @@ class HPoly(_Arithmetic):
             return value
         c = Scalar._coerce(value)
         return None if c is None else HPoly((c,))
-
-    @staticmethod
-    def of(value) -> HPoly:
-        p = HPoly._coerce(value)
-        if p is None:
-            raise TypeError(f"cannot make an h-polynomial from {type(value).__name__}")
-        return p
 
     @property
     def degree(self) -> int:

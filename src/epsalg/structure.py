@@ -19,11 +19,10 @@ def apply_J(alg: Algebra, x: Element) -> Element:
     """The anti-involution: reverse words, swap paired letters, conjugate."""
     if not alg.involution:
         raise ValueError(f"{alg.label} carries no anti-involution")
-    out = Element.zero()
-    for word, coeff in x.terms.items():
-        image = Word(tuple(alg.involution[g] for g in reversed(word.letters)))
-        out = out + Element.from_word(image, coeff.tau())
-    return out
+    return Element(
+        (Word(tuple(alg.involution[g] for g in reversed(word.letters))), coeff.tau())
+        for word, coeff in x.terms.items()
+    )
 
 
 def verify_J_well_defined(alg: Algebra) -> list:
@@ -56,13 +55,10 @@ def apply_sigma(alg: Algebra, perm, x: Element) -> Element:
     if n is None:
         raise ValueError(f"{alg.label} has no indexed modes to permute")
     perm = _as_perm(perm, n)
-    out = Element.zero()
-    for word, coeff in x.terms.items():
-        image = Word(
-            tuple(alg.indexed_gen(g.name, perm[g.index]) for g in word.letters)
-        )
-        out = out + Element.from_word(image, coeff)
-    return out
+    return Element(
+        (Word(tuple(alg.indexed_gen(g.name, perm[g.index]) for g in word.letters)), coeff)
+        for word, coeff in x.terms.items()
+    )
 
 
 def verify_sigma(alg: Algebra, perm) -> list:
@@ -115,14 +111,14 @@ def rescale(source: Algebra, lam) -> RescalingMap:
 
 
 def apply_phi(m: RescalingMap, x: Element) -> Element:
-    out = Element.zero()
     tl = m.lam.tau()
-    for word, coeff in x.terms.items():
-        c = coeff
+
+    def image(word, c):
         for g in word.letters:
             c = c * (m.lam if g.name == "a" else tl)
-        out = out + Element.from_word(word, c)
-    return out
+        return c
+
+    return Element((word, image(word, coeff)) for word, coeff in x.terms.items())
 
 
 def verify_rescaling(m: RescalingMap) -> list:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import epsalg
 from epsalg import Element, H
@@ -231,6 +233,38 @@ def test_power_beyond_a_million_letters_is_a_one_line_error():
     assert "10**6 letters" in proc.stderr
 
 
+def test_power_beyond_a_million_h_degrees_is_a_one_line_error():
+    # Without the budget h^2000000 builds 2,000,001 coefficients for seconds;
+    # the child's timeout turns a budget that does not hold into a failure.
+    proc = _child("normalize", "--alg", "boson:n=1", "h^2000000", timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "h-degree 10**6" in proc.stderr
+
+
+def test_power_beyond_a_million_bits_is_a_one_line_error(capsys):
+    assert run(["normalize", "--alg", "boson:n=1", "2^1000000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "10**6 bits" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--alg", "boson:n=17"],
+        ["dim", "--alg", "ext:40"],
+        ["dim", "--family", "fermion", "--n", "17"],
+        ["dim", "--alg", "excl:n=" + "9" * 40],
+    ],
+)
+def test_more_than_sixteen_modes_is_a_one_line_error(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "n <= 16" in err
+
+
 def test_expressions_may_start_with_a_minus(capsys):
     assert run(["normalize", "--alg", "boson:n=1", "-a1"]) == 0
     assert _lines(capsys) == ["-a1"]
@@ -325,3 +359,77 @@ def test_smallest_valid_values_still_run(capsys):
     assert run(["verify", "--suite", "lie", "--alg", "boson:n=1", "--samples", "1"]) == 0
     assert run(["dim", "--alg", "boson:n=1", "--maxlen", "0"]) == 0
     assert _lines(capsys)[-1] == "1 words (truncated at length 0)"
+
+
+# ------------------------------------------------------------------ fuzzing
+
+# Valid presets use at most two modes, so a mutation that doubles a digit
+# lands beyond the mode budget rather than on a slow certification.
+_PRESETS = ["boson:n=2", "fermion:n=2", "excl:2", "excl-dual:n=2", "pseudo-boson:n=2",
+            "pseudo-fermion:n=2,h=2", "qplane:2", "qplane:q=-2", "cex", "ext:n=2",
+            "ext:2,factor=eps_a"]
+
+
+def _mutate(text, pos, how, char):
+    pos %= len(text)
+    if how == "drop":
+        return text[:pos] + text[pos + 1:]
+    if how == "double":
+        return text[:pos + 1] + text[pos:]
+    return text[:pos] + char + text[pos + 1:]
+
+
+_huge = st.one_of(st.integers(10**6 + 1, 10**40).map(str), st.just("9" * 5000))
+_presets = st.one_of(
+    st.sampled_from(_PRESETS),
+    st.builds(_mutate, st.sampled_from(_PRESETS), st.integers(0, 30),
+              st.sampled_from(["drop", "double", "replace"]), st.sampled_from(":,=-/x ")),
+    st.builds("{}:n={}".format, st.sampled_from(["boson", "excl", "ext", "fermion"]),
+              st.one_of(st.integers(17, 10**30).map(str), _huge)),
+)
+# Expressions are either a few factors, each an atom with a power that is
+# small or beyond every power budget, or tokens of the grammar joined by
+# spaces, so that digits never fuse into a mid-sized exponent.
+_atoms = ["a1", "ad1", "a2", "x", "y", "v1", "h", "I", "r2", "0", "2", "1/2", "(a1 + ad1)",
+          "(1 + h)", "comm(a1, ad1)", "pb(a1, ad1)", "J(a1)"]
+_factors = st.builds(
+    "{}{}".format, st.sampled_from(_atoms),
+    st.one_of(st.sampled_from(["", "^0", "^2"]), _huge.map("^{}".format)),
+)
+_exprs = st.one_of(
+    st.builds("{}{}{}".format, _factors, st.sampled_from([" + ", " - ", "*", "/"]), _factors),
+    _factors,
+    st.lists(
+        st.one_of(st.sampled_from(_atoms + ["+", "-", "*", "/", "^2", "(", ")", ",", "comm(",
+                                            "\u00b2", "?"]),
+                  _huge.map("^{}".format)),
+        min_size=1, max_size=6,
+    ).map(" ".join),
+)
+_algebra = st.one_of(
+    _presets.map(lambda p: ["--alg", p]),
+    st.builds(lambda f, n: ["--family", f, "--n", n], st.sampled_from(["boson", "fermion"]),
+              st.sampled_from(["2", "17", "0", str(10**20)])),
+)
+_commands = st.one_of(
+    st.builds(lambda e: ["normalize", e], _exprs),
+    st.builds(lambda k, x, y: ["bracket", "--kind", k, x, y],
+              st.sampled_from(["comm", "plain", "poisson"]), _exprs, _exprs),
+    st.builds(lambda k, x, y: ["mu", "--order", k, x, y],
+              st.sampled_from(["-1", "0", "1", "2"]), _exprs, _exprs),
+    st.sampled_from([["dim"], ["dim", "--maxlen", "-1"], ["dim", "--maxlen", "2"]]),
+    st.just(["confluence"]),
+    st.builds(lambda s, n: ["verify", "--suite", s, "--samples", n],
+              st.sampled_from(["factor", "confluence"]), st.sampled_from(["0", "1", "3"])),
+)
+
+
+# capsys is read out after every example, so sharing it across examples is safe.
+@settings(max_examples=60, deadline=2000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=_commands, algebra=_algebra)
+def test_fuzzed_commands_end_in_a_result_or_a_one_line_error(capsys, command, algebra):
+    code = run(command[:1] + algebra + command[1:])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in out + err

@@ -3,7 +3,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsalg import (
@@ -70,6 +70,27 @@ def test_scalar_action(a):
     assert (a * Scalar(0, 1, 0, 0)) * Scalar(0, -1, 0, 0) == a
 
 
+# Pairs over two words with coefficients in -2..2 repeat words, sum to zero
+# and carry zero coefficients often; odd ones come as HPolys and even ones as
+# ints, so coefficients are passed through and coerced.
+pairs = st.lists(
+    st.tuples(st.sampled_from([Word((X,)), Word((X, Y))]), st.integers(-2, 2)), max_size=8
+)
+
+
+@settings(max_examples=50)
+@given(pairs)
+def test_constructor_merges_pairs_like_a_dict(ps):
+    want = {}
+    for word, c in ps:
+        want[word] = want.get(word, 0) + c
+    e = Element((word, HPoly.of(c) if c % 2 else c) for word, c in ps)
+    assert e.terms == {w: HPoly.of(c) for w, c in want.items() if c}
+    assert all(e.terms.values())
+    assert Element.sum(Element({w: c}) for w, c in ps) == e
+    assert Element(dict(ps)) == Element(list(dict(ps).items()))
+
+
 def test_element_from_pieces():
     e = Element.from_word(X) * Y + Element.scalar(2)
     assert e.coefficient(Word((X, Y))) == HPoly.of(1)
@@ -106,6 +127,15 @@ def test_power_refuses_an_expansion_beyond_a_million_words():
         (e + Element.one()) ** 13
 
 
+def test_power_refuses_coefficients_beyond_a_million_bits_or_degrees():
+    assert (Element.one() * (1 + Scalar(0, 1))) ** 64 == Element.scalar(2**32)
+    with pytest.raises(ValueError, match="h-degree 10\\*\\*6"):
+        Element.scalar(H) ** (10**6 + 1)
+    with pytest.raises(ValueError, match="10\\*\\*6 bits"):
+        Element.scalar(Fraction(1, 3)) ** (5 * 10**5 + 1)
+    assert len((Element.scalar(3) ** (5 * 10**5)).terms) == 1
+
+
 def test_h_coefficient_extraction():
     e = Element.from_word(X) * (H * H + 1) + Element.scalar(H * 3)
     assert e.h_coefficient(0) == Element.from_word(X)
@@ -117,6 +147,23 @@ def test_h_coefficient_extraction():
 def test_tau_acts_on_coefficients():
     e = Element.from_word(X) * Scalar(0, 1, 0, 0)
     assert e.tau() == Element.from_word(X) * Scalar(0, -1, 0, 0)
+
+
+def test_generators_hash_and_compare_by_value():
+    twin = Generator("x", None, Grade((1, 0)))
+    assert twin == X and twin is not X
+    assert hash(twin) == hash(X) == hash(("x", None, Grade((1, 0))))
+    assert X != Generator("x", 1, Grade((1, 0)))
+
+
+def test_of_coerces_or_raises():
+    assert Scalar.of(2) == Scalar(2) and HPoly.of(Fraction(1, 2)) == H_ONE / 2
+    assert Element.of(Word((X,))) == Element.from_word(X)
+    for cls in (Scalar, HPoly, Element):
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls.of("x")
+    with pytest.raises(TypeError):
+        Scalar.of(H)
 
 
 def test_grade_of():

@@ -6,11 +6,15 @@ elements it can reach.  For a confluent system that set must be a singleton
 containing the engine's normal form.
 """
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import epsalg
 from epsalg import (
     EMPTY_WORD,
     Element,
@@ -306,3 +310,23 @@ def test_free_algebra_has_no_dimension():
 )
 def test_dimension_of_families(family, n, dim):
     assert build_noa(family, n).system.dimension() == dim
+
+
+def test_normalizing_a_large_sum_is_linear_in_its_words():
+    # The 65,536 words that take each fermion:n=8 generator at most once, in
+    # precedence order, are the basis and their own normal forms.  A sum that
+    # copies the whole element per word is quadratic (over 30 s for this one);
+    # the child's timeout turns that into a failure.
+    code = (
+        "import itertools\n"
+        "from epsalg import H_ONE, Element, Word, build_noa\n"
+        "alg = build_noa('fermion', 8)\n"
+        "gens = alg.generators\n"
+        "words = (Word(c) for r in range(17) for c in itertools.combinations(gens, r))\n"
+        "x = Element.sum(Element.from_word(w, H_ONE) for w in words)\n"
+        "assert len(x.terms) == 2**16 and alg.normalize(x) == x\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epsalg.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
