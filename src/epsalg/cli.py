@@ -55,6 +55,10 @@ class UsageError(ValueError):
     pass
 
 
+# Irreducible words that `dim --maxlen` and `verify --maxlen` may admit.
+MAX_BASIS_WORDS = 10**6
+
+
 # --------------------------------------------------------------------- output
 
 
@@ -132,6 +136,11 @@ class Report:
 def _at_least(flag: str, value: int, low: int):
     if value < low:
         raise UsageError(f"{flag} must be at least {low}, got {value}")
+
+
+def _refuse_large_basis(words: int, max_len: int):
+    if words > MAX_BASIS_WORDS:
+        raise UsageError(f"--maxlen {max_len} admits more than 10**6 irreducible words")
 
 
 def _algebra_from_args(args) -> Algebra:
@@ -249,10 +258,11 @@ def cmd_dim(args) -> int:
     report = Report("dim", args.format)
     if args.maxlen is not None:
         _at_least("--maxlen", args.maxlen, 0)
-        basis = alg.basis(args.maxlen)
-        complete = alg.system.basis_is_complete(args.maxlen)
-        note = "complete" if complete else f"truncated at length {args.maxlen}"
-        report.result(alg.label, f"{len(basis)} words ({note})")
+        counts = alg.system.basis_counts(args.maxlen + 1, MAX_BASIS_WORDS)
+        words = sum(counts[: args.maxlen + 1])
+        _refuse_large_basis(words, args.maxlen)
+        note = "complete" if counts[-1] == 0 else f"truncated at length {args.maxlen}"
+        report.result(alg.label, f"{words} words ({note})")
         return 0
     dim = alg.system.dimension()
     if dim is None:
@@ -340,6 +350,7 @@ def cmd_verify(args) -> int:
     _at_least("--samples", args.samples, 1)
     _at_least("--maxlen", args.maxlen, 1)
     alg = _algebra_from_args(args)
+    _refuse_large_basis(sum(alg.system.basis_counts(args.maxlen, MAX_BASIS_WORDS)), args.maxlen)
     report = Report(f"verify-{args.suite}", args.format)
     runner = _SUITES[args.suite]
     runner(report, alg, args)

@@ -209,7 +209,8 @@ class Element(_Arithmetic):
 
     def __pow__(self, n: int) -> Element:
         """Refused before any product past 10**6 words, 10**6 letters in a
-        word, h-degree 10**6 or 10**6 bits in a rational coordinate."""
+        word, h-degree 10**6, 10**6 bits in a rational coordinate or 10**6
+        units of coefficient work (see `_power_work`)."""
         if isinstance(n, int):
             k = len(self.terms)
             if k > 1 and (n >= 20 or k**n > 10**6):  # 2**20 > 10**6
@@ -221,10 +222,14 @@ class Element(_Arithmetic):
             if degree * n > 10**6:
                 raise ValueError(f"(h-degree {degree})^{n} exceeds h-degree 10**6")
             scalars = [s for c in self.terms.values() for s in c.coeffs]
-            bits = max((max(abs(r.numerator), r.denominator).bit_length()
-                        for s in scalars for r in (s.c0, s.c1, s.c2, s.c3)), default=0)
+            bits = max((max(s.d, *map(abs, s.n)).bit_length() for s in scalars), default=0)
             if bits * n > 10**6:
                 raise ValueError(f"({bits}-bit coefficient)^{n} exceeds 10**6 bits")
+            dense = max((sum(1 for s in c.coeffs if s) for c in self.terms.values()), default=0)
+            if n > 1 and _power_work(k, dense, degree, bits, n) > 10**6:
+                raise ValueError(
+                    f"({k} terms of h-degree {degree})^{n} exceeds 10**6 units of coefficient work"
+                )
         return super().__pow__(n)
 
     def coefficient(self, word: Word) -> HPoly:
@@ -265,6 +270,36 @@ class Element(_Arithmetic):
 
     def __repr__(self) -> str:
         return f"Element({self})"
+
+
+def _power_work(terms: int, dense: int, degree: int, bits: int, n: int) -> int:
+    """Coefficient products of `Element.__pow__`, weighted by operand size.
+
+    Follows the squarings and multiplications of `_Arithmetic.__pow__` on a
+    bound of each factor: its words, its nonzero h-coefficients per word,
+    its h-degree and the bits of its coordinates (which add up in a
+    product).  A product of two coefficients costs one unit per pair of
+    started 1024-bit limbs, so `(1+h)^1000` costs about 4 * 10**5 units.
+    """
+
+    def times(a, b):
+        (t1, c1, d1, b1), (t2, c2, d2, b2) = a, b
+        work = t1 * t2 * c1 * c2 * (1 + b1 // 1024) * (1 + b2 // 1024)
+        return (t1 * t2, min(c1 * c2, d1 + d2 + 1), d1 + d2, b1 + b2), work
+
+    out, base, total = None, (terms, dense, degree, bits), 0
+    while True:
+        if n & 1:
+            if out is None:
+                out = base
+            else:
+                out, work = times(out, base)
+                total += work
+        n >>= 1
+        if not n:
+            return total
+        base, work = times(base, base)
+        total += work
 
 
 def grade_of(x: Element, zero: Grade):

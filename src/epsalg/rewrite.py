@@ -261,22 +261,17 @@ class ReductionSystem:
         An empty length level is conclusive: any longer word contains a
         reducible subword of that length.
         """
-        levels = self.enumerate_basis(max_len + 1)
-        return all(len(w) <= max_len for w in levels)
+        return self.basis_counts(max_len + 1)[-1] == 0
 
-    def dimension(self):
-        """Number of irreducible words, or None when there are infinitely many.
+    def _window_graph(self):
+        """The irreducible words of length <= m, m the longest left side, and
+        the graph on them that `dimension` and `basis_counts` walk.
 
-        With m the longest left side, a word of length >= m - 1 is irreducible
-        iff each of its windows of length m is.  Those words are the walks in
-        the graph whose vertices are the irreducible words of length m - 1 and
-        whose edges are those of length m, each running from its prefix to its
-        suffix.  There are finitely many iff the graph has no cycle
-        (Ufnarovskij, Math. Notes 31, 1982).  Without rules every word is
-        irreducible.
+        A word of length >= m - 1 is irreducible iff each of its windows of
+        length m is.  Those words are the walks in the graph whose vertices
+        are the irreducible words of length m - 1 and whose edges are those
+        of length m, each running from its prefix to its suffix.
         """
-        if not self._lengths:
-            return None
         m = self._lengths[-1]
         words = [w.letters for w in self.enumerate_basis(m)]
         succ = {v: [] for v in words if len(v) == m - 1}
@@ -285,6 +280,50 @@ class ReductionSystem:
             if len(w) == m:
                 succ[w[:-1]].append(w[1:])
                 pred[w[1:]].append(w[:-1])
+        return m, words, succ, pred
+
+    def basis_counts(self, max_len: int, limit: int | None = None) -> list:
+        """Irreducible words of each length 0..max_len, without building them.
+
+        The list stops after the first empty length, since every longer
+        length is empty too, and once its sum passes `limit`.
+        """
+        if not self._lengths:
+            levels = (len(self.generators) ** t for t in range(max_len + 1))
+        else:
+            levels = self._walk_counts(max_len)
+        counts, total = [], 0
+        for count in levels:
+            counts.append(count)
+            total += count
+            if not count or (limit is not None and total > limit):
+                break
+        return counts
+
+    def _walk_counts(self, max_len: int):
+        m, words, succ, _ = self._window_graph()
+        for t in range(min(max_len, m - 2) + 1):
+            yield sum(len(w) == t for w in words)
+        walks = dict.fromkeys(succ, 1)  # walks ending at each vertex
+        for _ in range(m - 1, max_len + 1):
+            yield sum(walks.values())
+            grown = dict.fromkeys(succ, 0)
+            for v, k in walks.items():
+                if k:
+                    for u in succ[v]:
+                        grown[u] += k
+            walks = grown
+
+    def dimension(self):
+        """Number of irreducible words, or None when there are infinitely many.
+
+        There are finitely many iff the graph of `_window_graph` has no
+        cycle (Ufnarovskij, Math. Notes 31, 1982).  Without rules every word
+        is irreducible.
+        """
+        if not self._lengths:
+            return None
+        m, words, succ, pred = self._window_graph()
         # Peel off sinks; walks[v] counts the walks that start at v.
         outdeg = {v: len(s) for v, s in succ.items()}
         ready = [v for v, k in outdeg.items() if k == 0]

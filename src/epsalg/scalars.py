@@ -1,10 +1,20 @@
 """Exact coefficient arithmetic: the field Q(i, sqrt(2)) and polynomials in h.
 
 Scalars are stored on the basis 1, I, r2, I*r2 with I^2 = -1 and r2^2 = 2,
-so every value is a 4-tuple of rationals and all arithmetic is exact.  The
+as four integer numerators over one positive denominator, reduced by their
+gcd; zero is (0, 0, 0, 0)/1.  The form is canonical, so equality and hash
+compare the integers, and all arithmetic is exact integer arithmetic: a sum
+of equal denominators adds numerators only, and a rational factor costs 4
+products instead of 16.  `c0..c3` read the coordinates as Fractions.  The
 conjugation tau fixes rationals and r2 and sends I to -I; its fixed subfield
 Q(r2) is where the deformation constant h and every rescaling norm
 lambda*tau(lambda) live.
+
+The public constructors `Scalar(c0, c1, c2, c3)` and `HPoly(coeffs)` coerce
+ints and Fractions; the arithmetic builds its results through the private
+`Scalar._make` and `HPoly._make`, which trust their arguments.  An HPoly
+product convolves the integer numerators of both sides over a common
+denominator and makes one Scalar per degree.
 
 Scalar, HPoly and freealg.Element share `_Arithmetic`: each gives `_coerce`
 (None for a foreign operand), `__add__`, `__neg__` and `__mul__`; the base
@@ -16,8 +26,8 @@ both sides and returns the other factor, or its negation, for a factor 1 or
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 ScalarLike = "Scalar | int | Fraction"
 
@@ -77,33 +87,61 @@ class _Arithmetic:
             base = base * base
 
 
-@dataclass(frozen=True)
 class Scalar(_Arithmetic):
-    """c0 + c1*I + c2*r2 + c3*I*r2 with exact rational coordinates."""
+    """(n0 + n1*I + n2*r2 + n3*I*r2) / d with integer numerators n and d > 0.
 
-    c0: Fraction = Fraction(0)
-    c1: Fraction = Fraction(0)
-    c2: Fraction = Fraction(0)
-    c3: Fraction = Fraction(0)
+    The form is canonical, gcd(d, *n) == 1 and zero is (0, 0, 0, 0)/1, so
+    equality and hash are structural.  Scalars are immutable by convention:
+    nothing writes `n` or `d` after `_make`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "c0", _frac(self.c0))
-        object.__setattr__(self, "c1", _frac(self.c1))
-        object.__setattr__(self, "c2", _frac(self.c2))
-        object.__setattr__(self, "c3", _frac(self.c3))
+    __slots__ = ("n", "d")
+
+    def __init__(self, c0=0, c1=0, c2=0, c3=0):
+        cs = (_frac(c0), _frac(c1), _frac(c2), _frac(c3))
+        d = lcm(*(c.denominator for c in cs))
+        # Over the lcm of reduced denominators the form is already reduced.
+        self.n = tuple(c.numerator * (d // c.denominator) for c in cs)
+        self.d = d
+
+    @staticmethod
+    def _make(n: tuple, d: int) -> Scalar:
+        """The Scalar n/d, reduced; d > 0 and no coercion of the arguments."""
+        g = gcd(d, *n)
+        if g != 1:
+            n = tuple(x // g for x in n)
+            d //= g
+        s = _new(Scalar)
+        s.n = n
+        s.d = d
+        return s
+
+    c0 = property(lambda self: Fraction(self.n[0], self.d))
+    c1 = property(lambda self: Fraction(self.n[1], self.d))
+    c2 = property(lambda self: Fraction(self.n[2], self.d))
+    c3 = property(lambda self: Fraction(self.n[3], self.d))
+
+    def __eq__(self, other):
+        if type(other) is Scalar:
+            return self.n == other.n and self.d == other.d
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.d))
 
     def __bool__(self) -> bool:
-        return bool(self.c0 or self.c1 or self.c2 or self.c3)
+        return self.n != _ZERO_N
 
     def is_zero(self) -> bool:
-        return not self
+        return self.n == _ZERO_N
 
     def is_rational(self) -> bool:
-        return not (self.c1 or self.c2 or self.c3)
+        n = self.n
+        return not (n[1] or n[2] or n[3])
 
     def is_tau_fixed(self) -> bool:
         """Membership in K+ = Q(r2): no I components."""
-        return not (self.c1 or self.c3)
+        return not (self.n[1] or self.n[3])
 
     def rational(self) -> Fraction:
         if not self.is_rational():
@@ -112,57 +150,87 @@ class Scalar(_Arithmetic):
 
     @staticmethod
     def _coerce(value):
-        if isinstance(value, Scalar):
+        if type(value) is Scalar:
             return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(_frac(value))
+        if isinstance(value, int):
+            return _make((int(value), 0, 0, 0), 1)
+        if isinstance(value, Fraction):
+            return _make((value.numerator, 0, 0, 0), value.denominator)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2, self.c3 + o.c3)
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        da, db = self.d, other.d
+        if da == db:
+            return _make((a0 + b0, a1 + b1, a2 + b2, a3 + b3), da)
+        return _make(
+            (a0 * db + b0 * da, a1 * db + b1 * da, a2 * db + b2 * da, a3 * db + b3 * da),
+            da * db,
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self.c0, -self.c1, -self.c2, -self.c3)
+        a0, a1, a2, a3 = self.n
+        s = _new(Scalar)
+        s.n = (-a0, -a1, -a2, -a3)
+        s.d = self.d
+        return s
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a0, a1, a2, a3 = self.c0, self.c1, self.c2, self.c3
-        b0, b1, b2, b3 = o.c0, o.c1, o.c2, o.c3
-        # Multiplication table of the basis: I*r2 = (I*r2), (I*r2)^2 = -2.
-        return Scalar(
-            a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
-            a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
-            a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
-            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
-        )
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        if not (a1 or a2 or a3):  # a rational factor: 4 products, not 16
+            n = (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+        elif not (b1 or b2 or b3):
+            n = (b0 * a0, b0 * a1, b0 * a2, b0 * a3)
+        else:
+            # Multiplication table of the basis: I*r2 = (I*r2), (I*r2)^2 = -2.
+            n = (
+                a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
+                a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
+                a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
+                a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+            )
+        return _make(n, self.d * other.d)
 
     __rmul__ = __mul__
 
     def tau(self) -> Scalar:
         """The conjugation i -> -i; an involutive field automorphism."""
-        return Scalar(self.c0, -self.c1, self.c2, -self.c3)
+        a0, a1, a2, a3 = self.n
+        s = _new(Scalar)
+        s.n = (a0, -a1, a2, -a3)
+        s.d = self.d
+        return s
 
     def inverse(self) -> Scalar:
         """Exact inverse via the product of the three nontrivial conjugates.
 
-        z * tau(z) * sigma(z) * tau(sigma(z)) is the field norm, a rational,
-        where sigma flips the sign of r2.  Division by zero is an error.
+        For the integer part z = n, z * tau(z) * sigma(z) * tau(sigma(z)) is
+        the field norm, where sigma flips the sign of r2.  It is an integer,
+        and a positive one: it is |z|^2 * |sigma(z)|^2 in the complex
+        embedding.  So 1/(n/d) = d * cofactor / norm.  Division by zero is an
+        error.
         """
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        sigma = Scalar(self.c0, self.c1, -self.c2, -self.c3)
-        cofactor = self.tau() * sigma * sigma.tau()
-        norm = (self * cofactor).rational()
-        return Scalar(
-            cofactor.c0 / norm, cofactor.c1 / norm, cofactor.c2 / norm, cofactor.c3 / norm
-        )
+        a0, a1, a2, a3 = self.n
+        z = _make(self.n, 1)
+        sigma = _make((a0, a1, -a2, -a3), 1)
+        cofactor = z.tau() * sigma * sigma.tau()
+        norm = (z * cofactor).n[0]
+        d = self.d
+        return _make(tuple(d * c for c in cofactor.n), norm)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -196,7 +264,12 @@ class Scalar(_Arithmetic):
         return f"Scalar({self})"
 
     def term_count(self) -> int:
-        return sum(1 for c in (self.c0, self.c1, self.c2, self.c3) if c)
+        return sum(1 for c in self.n if c)
+
+
+_new = object.__new__
+_make = Scalar._make
+_ZERO_N = (0, 0, 0, 0)
 
 
 def join_signed(parts: list[str]) -> str:
@@ -218,7 +291,6 @@ R2 = Scalar(0, 0, 1)
 HALF = Scalar(Fraction(1, 2))
 
 
-@dataclass(frozen=True)
 class HPoly(_Arithmetic):
     """Polynomial in the deformation parameter h over Scalar.
 
@@ -226,20 +298,32 @@ class HPoly(_Arithmetic):
     polynomial is the empty tuple and equality is structural.
     """
 
-    coeffs: tuple = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = tuple(Scalar.of(c) for c in self.coeffs)
-        while cs and cs[-1].is_zero():
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+    def __init__(self, coeffs=()):
+        self.coeffs = _strip(tuple(Scalar.of(c) for c in coeffs))
+
+    @staticmethod
+    def _make(cs: tuple) -> HPoly:
+        """The HPoly of a tuple of Scalars without trailing zeros."""
+        p = _new(HPoly)
+        p.coeffs = cs
+        return p
+
+    def __eq__(self, other):
+        if type(other) is HPoly:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @staticmethod
     def _coerce(value):
-        if isinstance(value, HPoly):
+        if type(value) is HPoly:
             return value
         c = Scalar._coerce(value)
-        return None if c is None else HPoly((c,))
+        return None if c is None else _hmake((c,) if c else ())
 
     @property
     def degree(self) -> int:
@@ -265,47 +349,45 @@ class HPoly(_Arithmetic):
         return ZERO
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return HPoly(
-            tuple(self.coefficient(k) + o.coefficient(k) for k in range(n))
-        )
+        if type(other) is not HPoly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if len(a) > len(b):
+            return _hmake(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        return _hmake(_strip(tuple(x + y for x, y in zip(a, b))))
 
     __radd__ = __add__
 
     def __neg__(self) -> HPoly:
-        return HPoly(tuple(-c for c in self.coeffs))
+        return _hmake(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        if type(other) is not HPoly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.coeffs, other.coeffs
         if not a or not b:
             return H_ZERO
-        if a == (ONE,):
-            return o
-        if a == (MINUS_ONE,):
-            return -o
-        if b == (ONE,):
-            return self
-        if b == (MINUS_ONE,):
-            return -self
-        nonzero_b = [(k, y) for k, y in enumerate(b) if y]
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for j, x in enumerate(a):
-            if x:
-                for k, y in nonzero_b:
-                    out[j + k] = out[j + k] + x * y
-        return HPoly(tuple(out))
+        if len(a) == 1 or len(b) == 1:
+            x, p = (a[0], other) if len(a) == 1 else (b[0], self)
+            if x == ONE:
+                return p
+            if x == MINUS_ONE:
+                return -p
+            # A product of nonzero field elements is nonzero: no strip.
+            return _hmake(tuple(x * y if y else y for y in p.coeffs))
+        return _hmake(_convolve(a, b))
 
     __rmul__ = __mul__
 
     def tau(self) -> HPoly:
         """Coefficientwise conjugation; h itself is tau-fixed."""
-        return HPoly(tuple(c.tau() for c in self.coeffs))
+        return _hmake(tuple(c.tau() for c in self.coeffs))
 
     def substitute_h(self, value) -> Scalar:
         v = Scalar.of(value)
@@ -359,6 +441,53 @@ class HPoly(_Arithmetic):
             if c.term_count() == 1:
                 return f"{self}*"
         return f"({self})*"
+
+
+_hmake = HPoly._make
+
+
+def _strip(cs: tuple) -> tuple:
+    """cs without its trailing zero Scalars."""
+    k = len(cs)
+    while k and not cs[k - 1]:
+        k -= 1
+    return cs if k == len(cs) else cs[:k]
+
+
+def _over_lcm(cs: tuple):
+    """(d, [(k, numerators of cs[k] over d)]) for the nonzero cs[k], d their lcm."""
+    d = lcm(*(c.d for c in cs))
+    return d, [(k, c.n if c.d == d else tuple(d // c.d * x for x in c.n))
+               for k, c in enumerate(cs) if c]
+
+
+def _convolve(a: tuple, b: tuple) -> tuple:
+    """Coefficients of the product of two h-polynomials, nonzero on top.
+
+    Each side is written over the lcm of its denominators, so the products
+    and sums run on integer numerators and one Scalar is made per degree.
+    """
+    da, xs = _over_lcm(a)
+    db, ys = _over_lcm(b)
+    out = [[0, 0, 0, 0] for _ in range(len(a) + len(b) - 1)]
+    for j, (a0, a1, a2, a3) in xs:
+        if not (a1 or a2 or a3):
+            for k, (b0, b1, b2, b3) in ys:
+                acc = out[j + k]
+                acc[0] += a0 * b0
+                acc[1] += a0 * b1
+                acc[2] += a0 * b2
+                acc[3] += a0 * b3
+            continue
+        for k, (b0, b1, b2, b3) in ys:
+            # The multiplication table of Scalar.__mul__.
+            acc = out[j + k]
+            acc[0] += a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3)
+            acc[1] += a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2)
+            acc[2] += a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1
+            acc[3] += a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1
+    d = da * db
+    return tuple(_make(tuple(acc), d) if any(acc) else ZERO for acc in out)
 
 
 H = HPoly((ZERO, ONE))

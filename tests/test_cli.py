@@ -249,6 +249,33 @@ def test_power_beyond_a_million_bits_is_a_one_line_error(capsys):
     assert "10**6 bits" in err
 
 
+def test_power_beyond_its_coefficient_work_is_a_one_line_error():
+    # (1+h)^3000 squares dense h-polynomials for seconds before the budget;
+    # the child's timeout turns a budget that does not hold into a failure.
+    proc = _child("normalize", "--alg", "boson:n=1", "(1+h)^3000", timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "coefficient work" in proc.stderr
+    proc = _child("normalize", "--alg", "boson:n=1", "(1+h)^300", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    terms = [f"{math.comb(300, k)}*h^{k}" for k in range(299, 1, -1)]
+    assert proc.stdout == f"(h^300 + {' + '.join(terms)} + 300*h + 1)\n"
+
+
+def test_dim_maxlen_beyond_a_million_words_is_a_one_line_error():
+    # boson:n=2 has about L^4/24 words up to length L; counting them instead
+    # of listing them makes the refusal prompt.
+    for argv in (["dim", "--alg", "boson:n=2", "--maxlen", "200"],
+                 ["verify", "--suite", "poisson", "--alg", "boson:n=2", "--maxlen", "200"]):
+        proc = _child(*argv, timeout=5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "10**6 irreducible words" in proc.stderr
+    proc = _child("dim", "--alg", "boson:n=2", "--maxlen", "45", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "211876 words (truncated at length 45)\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

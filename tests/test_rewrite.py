@@ -300,6 +300,32 @@ def test_dimension_and_basis_match_subword_filter(case):
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_monomial_rules(), st.integers(0, 6))
+@example((2, [(0,), (1, 1)]), 4)
+@example((2, [(0, 0, 0), (0, 1), (1, 1, 1)]), 6)
+def test_basis_counts_match_the_enumerated_basis(case, max_len):
+    ngens, lefts = case
+    gens = tuple(Generator("x", i, Grade((1,))) for i in range(ngens))
+    sys_ = ReductionSystem(
+        gens, [Rule(Word(tuple(gens[i] for i in lhs)), Element.zero()) for lhs in lefts]
+    )
+    words = sys_.enumerate_basis(max_len)
+    want = [sum(len(w) == t for w in words) for t in range(max_len + 1)]
+    if 0 in want:
+        want = want[: want.index(0) + 1]
+    assert sys_.basis_counts(max_len) == want
+    longer = sys_.enumerate_basis(max_len + 1)
+    assert sys_.basis_is_complete(max_len) == all(len(w) <= max_len for w in longer)
+    limited = sys_.basis_counts(max_len, limit=3)
+    assert limited == want[: len(limited)] and (limited == want or sum(limited) > 3)
+
+
+def test_free_algebra_counts_every_word():
+    gens = build_noa("a", 1).system.generators
+    assert ReductionSystem(gens, []).basis_counts(3) == [1, 2, 4, 8]
+
+
 def test_free_algebra_has_no_dimension():
     assert ReductionSystem(build_noa("a", 1).system.generators, []).dimension() is None
 
