@@ -8,8 +8,9 @@
 
 Unary minus binds below '*', so -a*b is -(a*b).  Reserved identifiers are
 h, I and r2; everything else resolves against the algebra's generator
-labels or the installed function table (comm, pb, J in the CLI).  Errors
-carry byte offsets into the source text.
+labels or the installed function table (comm, pb, J in the CLI).  An INT
+has at most `scalars.MAX_DIGITS` digits.  Errors carry byte offsets into the
+source text.
 
 Parsing, printing and evaluation recurse once per nesting level and once per
 operator in a chain.  Each recursive step is a generator that yields its
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .freealg import EMPTY_WORD, Element
-from .scalars import H, I, R2, Scalar
+from .scalars import MAX_DIGITS, H, I, R2, Scalar
 
 
 class ParseError(ValueError):
@@ -57,6 +58,8 @@ def tokenize(src: str):
             j = i
             while j < n and src[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal with more than {MAX_DIGITS} digits", i)
             tokens.append(Token("INT", src[i:j], i))
             i = j
             continue

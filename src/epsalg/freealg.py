@@ -82,10 +82,12 @@ class Word:
         return not self.letters
 
     def grade(self, zero: Grade) -> Grade:
-        g = zero
-        for letter in self.letters:
-            g = g + letter.grade
-        return g
+        """Sum of the letters' grades: coordinates add up, reduced once."""
+        grades = [letter.grade for letter in self.letters]
+        for g in grades:
+            if g.moduli != zero.moduli or len(g.coords) != len(zero.coords):
+                raise ValueError(f"grade group mismatch: {zero!r} vs {g!r}")
+        return Grade(tuple(map(sum, zip(zero.coords, *(g.coords for g in grades)))), zero.moduli)
 
     def sort_key(self):
         return (len(self.letters), tuple(g.sort_key() for g in self.letters))

@@ -8,18 +8,36 @@ empty, irreducible words form a basis of the quotient and `normalize`
 computes the canonical representative, in one pass per word over the words
 pending, largest first, each rewritten once at its leftmost redex.
 
+Inside a system a word is a code string, one character per letter: the
+generator of precedence i is `chr(_BASE - i)`, so the smallest
+`(-len(s), s)` is the largest word and hashing, slicing, concatenation and
+heap order all run on strings.  Every left side is compiled into one
+regular expression, an alternation sorted shortest first, whose `search`
+returns the leftmost redex and, at that position, the shortest.  A rewrite
+at position p leaves the letters before p alone, so a child word is
+searched from p - (m - 1), m the longest left side.  Words are encoded on
+entry and only irreducible ones are decoded.
+
 Redexes, irreducible words and their number depend on the left sides
-alone; all three read one index, `left_sides` (letters -> rule).
+alone; all three read the one pattern compiled from `left_sides`
+(letters -> rule).
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from dataclasses import dataclass, field
 
-from .freealg import EMPTY_WORD, Element, Generator, Word, grade_of
+from .freealg import Element, Generator, Word, grade_of
 from .grading import Grade
 from .scalars import H_ONE
+
+
+# The highest code point below the surrogates: precedences 0 .. _BASE map to
+# distinct characters chr(_BASE) .. chr(0).
+_BASE = 0xD7FF
+MAX_GENERATORS = _BASE + 1
 
 
 class RewriteError(Exception):
@@ -76,6 +94,8 @@ class ReductionSystem:
         self.generators = tuple(generators)
         if not self.generators:
             raise ValueError("a reduction system needs at least one generator")
+        if len(self.generators) > MAX_GENERATORS:
+            raise ValueError(f"a reduction system takes at most {MAX_GENERATORS} generators")
         dims = {(g.grade.dim, g.grade.moduli) for g in self.generators}
         if len(dims) != 1:
             raise ValueError("generators live in different grade groups")
@@ -87,6 +107,7 @@ class ReductionSystem:
             raise ValueError("duplicate generator in precedence list")
         self.rules = tuple(rules)
         self._validate()
+        self._compile()
         self._nf = {}
 
     def _validate(self):
@@ -116,7 +137,28 @@ class ReductionSystem:
                     raise ValueError(
                         f"rule {rule} does not decrease the termination order at {word}"
                     )
-        self._lengths = sorted(set(map(len, self.left_sides)))
+
+    def _compile(self):
+        """Code strings of the letters and of every rule, and the redex pattern."""
+        self._code = {g: chr(_BASE - i) for g, i in self._prec.items()}
+        self._letter = {c: g for g, c in self._code.items()}
+        self._rewrites = {
+            self._encode(lhs): [(self._encode(w.letters), c) for w, c in rule.rhs.terms.items()]
+            for lhs, rule in self.left_sides.items()
+        }
+        lefts = sorted(self._rewrites, key=lambda s: (len(s), s))
+        # "(?!)" never matches: without rules every word is irreducible.
+        self._redex = re.compile("|".join(map(re.escape, lefts)) or "(?!)")
+        self._reach = len(lefts[-1]) - 1 if lefts else 0
+
+    def _encode(self, letters) -> str:
+        try:
+            return "".join([self._code[g] for g in letters])
+        except KeyError as exc:
+            raise ValueError(f"word uses foreign generator {exc.args[0]}") from None
+
+    def _decode(self, s: str) -> Word:
+        return Word([self._letter[c] for c in s])
 
     # ------------------------------------------------------------------ order
 
@@ -127,16 +169,6 @@ class ReductionSystem:
         return self.word_key(a) < self.word_key(b)
 
     # -------------------------------------------------------------- reduction
-
-    def find_redex(self, word: Word):
-        """Leftmost, then shortest, match: (position, rule) or None."""
-        letters = word.letters
-        for pos in range(len(letters)):
-            for m in self._lengths:
-                rule = self.left_sides.get(letters[pos : pos + m])
-                if rule is not None:
-                    return pos, rule
-        return None
 
     def normalize(self, x) -> Element:
         """Canonical representative of x in the quotient; K[h]-linear.
@@ -160,46 +192,53 @@ class ReductionSystem:
         return nf
 
     def _word_nf(self, word: Word) -> Element:
-        """One pass over pending words and their coefficients, largest first.
+        """One pass over pending code strings and their coefficients, largest first.
 
-        Every rewrite yields smaller words, so a word popped has its whole
-        coefficient: it is rewritten once at its leftmost redex (one step of
-        `max_steps`) or, if irreducible, moved to the output.  A child gets
-        `coeff * c` for each rule term c; the HPoly product returns coeff
-        itself, or its negation, for the common rule coefficients 1 and -1.
+        The word is encoded once.  Every rewrite yields smaller words, so a
+        word popped has its whole coefficient: it is rewritten once at its
+        leftmost redex (one step of `max_steps`) or, if irreducible, decoded
+        into the output.  A child gets `coeff * c` for each rule term c; the
+        HPoly product returns coeff itself, or its negation, for the common
+        rule coefficients 1 and -1.  A child's search starts `_reach` letters
+        before the rewrite, since no redex of its parent starts earlier; a
+        child reached from two parents keeps the smaller start.
         """
-        prec = self._prec
-
-        def largest_first(w):
-            return (-len(w), tuple(-prec[g] for g in w))
-
-        pending = {word: H_ONE}
-        heap = [(largest_first(word), word)]
+        search, rewrites, reach = self._redex.search, self._rewrites, self._reach
+        top = self._encode(word.letters)
+        pending = {top: H_ONE}
+        starts = {top: 0}
+        heap = [(-len(top), top)]
         irreducible = []
         steps = self.max_steps
         while heap:
             top = heapq.heappop(heap)[1]
             coeff = pending.pop(top)
+            start = starts.pop(top)
             if not coeff:
                 continue
-            match = self.find_redex(top)
+            match = search(top, start)
             if match is None:
-                irreducible.append((top, coeff))
+                irreducible.append((self._decode(top), coeff))
                 continue
             steps -= 1
             if steps < 0:
                 raise StepBudgetExceeded(
                     f"step budget {self.max_steps} exhausted while reducing {word}"
                 )
-            pos, rule = match
-            head, tail = top.letters[:pos], top.letters[pos + len(rule.lhs) :]
-            for w, c in rule.rhs.terms.items():
-                child = Word(head + w.letters + tail)
+            pos, end = match.span()
+            head, tail = top[:pos], top[end:]
+            start = max(0, pos - reach)
+            for w, c in rewrites[match.group()]:
+                child = head + w + tail
                 prev = pending.get(child)
-                if prev is None:
-                    heapq.heappush(heap, (largest_first(child), child))
                 term = coeff * c
-                pending[child] = term if prev is None else prev + term
+                if prev is None:
+                    heapq.heappush(heap, (-len(child), child))
+                    pending[child] = term
+                    starts[child] = start
+                else:
+                    pending[child] = prev + term
+                    starts[child] = min(starts[child], start)
         return Element(irreducible)
 
     # -------------------------------------------------------------- ambiguity
@@ -240,15 +279,21 @@ class ReductionSystem:
         Grown length by length: a one-letter extension of an irreducible word
         is irreducible iff no rule left side is a suffix of it.
         """
-        basis = [EMPTY_WORD]
-        frontier = [EMPTY_WORD]
-        for _ in range(max_len):
+        return [self._decode(s) for s in self._irreducible_codes(max_len)]
+
+    def _irreducible_codes(self, max_len: int) -> list:
+        search, codes = self._redex.search, list(self._code.values())
+        basis = [""]
+        frontier = [""]
+        for length in range(1, max_len + 1):
+            # The prefix is irreducible, so a redex must end at the new letter.
+            start = max(0, length - 1 - self._reach)
             grown = []
             for word in frontier:
-                for g in self.generators:
-                    letters = word.letters + (g,)
-                    if not any(letters[-m:] in self.left_sides for m in self._lengths):
-                        grown.append(Word(letters))
+                for c in codes:
+                    child = word + c
+                    if search(child, start) is None:
+                        grown.append(child)
             basis.extend(grown)
             frontier = grown
             if not frontier:
@@ -272,8 +317,8 @@ class ReductionSystem:
         are the irreducible words of length m - 1 and whose edges are those
         of length m, each running from its prefix to its suffix.
         """
-        m = self._lengths[-1]
-        words = [w.letters for w in self.enumerate_basis(m)]
+        m = self._reach + 1
+        words = self._irreducible_codes(m)
         succ = {v: [] for v in words if len(v) == m - 1}
         pred = {v: [] for v in succ}
         for w in words:
@@ -288,7 +333,7 @@ class ReductionSystem:
         The list stops after the first empty length, since every longer
         length is empty too, and once its sum passes `limit`.
         """
-        if not self._lengths:
+        if not self.left_sides:
             levels = (len(self.generators) ** t for t in range(max_len + 1))
         else:
             levels = self._walk_counts(max_len)
@@ -321,7 +366,7 @@ class ReductionSystem:
         cycle (Ufnarovskij, Math. Notes 31, 1982).  Without rules every word
         is irreducible.
         """
-        if not self._lengths:
+        if not self.left_sides:
             return None
         m, words, succ, pred = self._window_graph()
         # Peel off sinks; walks[v] counts the walks that start at v.

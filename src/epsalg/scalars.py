@@ -22,7 +22,8 @@ derives `of` (a TypeError for a foreign operand), subtraction, division by a
 constant and square-and-multiply powers with unit `_coerce(1)`.  Units and
 zeros are absorbed in `HPoly.__mul__` alone: it skips zero coefficients on
 both sides and returns the other factor, or its negation, for a factor 1 or
--1, so callers need not test for them.
+-1, so callers need not test for them.  A coordinate is printed only up to
+`MAX_DIGITS` decimal digits; a longer one is a ValueError.
 """
 from __future__ import annotations
 
@@ -30,6 +31,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 ScalarLike = "Scalar | int | Fraction"
+
+# Numbers are printed and read with at most this many decimal digits, the
+# default of the interpreter's own int/str conversion limit.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
 
 
 def _frac(x) -> Fraction:
@@ -248,6 +254,8 @@ class Scalar(_Arithmetic):
         for coeff, unit in ((self.c0, ""), (self.c1, "I"), (self.c2, "r2"), (self.c3, "I*r2")):
             if not coeff:
                 continue
+            if abs(coeff.numerator) >= _DIGIT_BOUND or coeff.denominator >= _DIGIT_BOUND:
+                raise ValueError(f"a coefficient has more than {MAX_DIGITS} digits to print")
             if not unit:
                 parts.append(str(coeff))
             elif coeff == 1:

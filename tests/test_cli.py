@@ -262,6 +262,32 @@ def test_power_beyond_its_coefficient_work_is_a_one_line_error():
     assert proc.stdout == f"(h^300 + {' + '.join(terms)} + 300*h + 1)\n"
 
 
+def test_long_words_answer_promptly():
+    # Rewriting a1^10000*ad1 moves ad1 across 10,000 letters; a reducer that
+    # rescans the word from its start at every step takes about a minute.
+    proc = _child("normalize", "--alg", "boson:n=1", "a1^10000*ad1", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ad1*a1^10000 + 10000*h*a1^9999\n"
+
+
+def test_numbers_past_the_digit_limit_are_one_line_errors(capsys):
+    # 2^14300 has 4,305 digits and 2^14000 has 4,215; the interpreter's own
+    # limit would end the first in a message naming a Python setting.
+    for text, why in [
+        ("2^14300", "more than 4300 digits to print"),
+        ("(2^100000)/(3^100000)", "more than 4300 digits to print"),
+        ("1" * 4301 + "*a1", "integer literal with more than 4300 digits"),
+        ("a1^" + "1" * 4301, "integer literal with more than 4300 digits"),
+    ]:
+        assert run(["normalize", "--alg", "boson:n=1", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert why in err and "sys." not in err
+    assert run(["normalize", "--alg", "boson:n=1", "2^14000*a1 + " + "9" * 4300]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == f"{2**14000}*a1 + {'9' * 4300}"
+
+
 def test_dim_maxlen_beyond_a_million_words_is_a_one_line_error():
     # boson:n=2 has about L^4/24 words up to length L; counting them instead
     # of listing them makes the refusal prompt.

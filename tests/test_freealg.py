@@ -18,6 +18,7 @@ from epsalg import (
     Word,
     grade_of,
     homogeneous_components,
+    parse_preset,
 )
 
 X = Generator("x", None, Grade((1, 0)))
@@ -38,6 +39,39 @@ def test_word_basics():
     assert w[1:].letters == (Y, Y)
     assert w.grade(Grade.zero(2)) == Grade((1, 2))
     assert EMPTY_WORD.is_empty() and len(EMPTY_WORD) == 0
+
+
+MODULAR = [Generator("m", i, Grade(c, (3, 0))) for i, c in enumerate([(1, 0), (2, -1), (-4, 5)])]
+
+
+def _letterwise_grade(word, zero):
+    g = zero
+    for letter in word:
+        g = g + letter.grade
+    return g
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from(MODULAR), max_size=12), st.sampled_from([(0, 0), (2, -7)]))
+def test_word_grade_matches_the_letterwise_sum(letters, start):
+    word = Word(letters)
+    zero = Grade(start, (3, 0))
+    assert word.grade(zero) == _letterwise_grade(word, zero)
+
+
+@pytest.mark.parametrize("preset", ["ext:n=3", "cex"])
+def test_word_grade_matches_the_letterwise_sum_on_presets(preset):
+    alg = parse_preset(preset)
+    gens = alg.generators
+    word = Word(gens[k % len(gens)] for k in (0, 1, 1, 2, 3, 0, 2, 2, 1))
+    assert word.grade(alg.zero_grade) == _letterwise_grade(word, alg.zero_grade)
+
+
+def test_word_grade_refuses_a_foreign_grade_group():
+    with pytest.raises(ValueError, match="grade group mismatch"):
+        Word((X, MODULAR[0])).grade(Grade.zero(2))
+    with pytest.raises(ValueError, match="grade group mismatch"):
+        Word((X,)).grade(Grade.zero(3))
 
 
 def test_word_str_compresses_runs():

@@ -5,6 +5,8 @@ rule at every position, in every order, and records the set of fully reduced
 elements it can reach.  For a confluent system that set must be a singleton
 containing the engine's normal form.
 """
+import functools
+import heapq
 import itertools
 import os
 import subprocess
@@ -21,13 +23,16 @@ from epsalg import (
     Generator,
     Grade,
     H,
+    H_ONE,
     HPoly,
     ReductionSystem,
     Rule,
     StepBudgetExceeded,
     Word,
     build_noa,
+    parse_preset,
 )
+from epsalg.rewrite import MAX_GENERATORS
 
 
 def _key(e: Element):
@@ -143,11 +148,11 @@ def test_confluence_of_presets():
         assert build_noa(family, 2).system.check_confluence() == []
 
 
-def test_sign_mutated_fermion_is_not_confluent():
+def _sign_mutated_fermion():
     base = build_noa("a", 1)
     a, ad = base.gen("a1"), base.gen("ad1")
     h1 = Element.from_word(Word((ad, a))) + Element.scalar(H)
-    broken = ReductionSystem(
+    return ReductionSystem(
         base.system.generators,
         [
             Rule(Word((a, a)), Element.zero()),
@@ -156,7 +161,22 @@ def test_sign_mutated_fermion_is_not_confluent():
             Rule(Word((a, ad)), h1),
         ],
     )
-    bad = broken.check_confluence()
+
+
+def _inclusion_system():
+    base = build_noa("a", 1)
+    a, ad = base.gen("a1"), base.gen("ad1")
+    return ReductionSystem(
+        base.system.generators,
+        [
+            Rule(Word((a, a)), Element.zero()),
+            Rule(Word((a, a, ad)), Element.from_word(a)),
+        ],
+    )
+
+
+def test_sign_mutated_fermion_is_not_confluent():
+    bad = _sign_mutated_fermion().check_confluence()
     assert bad
     residuals = {str(amb.residual) for amb in bad}
     assert residuals & {"2*h*a1", "-2*h*a1", "2*h*ad1", "-2*h*ad1"}
@@ -166,15 +186,7 @@ def test_sign_mutated_fermion_is_not_confluent():
 
 
 def test_inclusion_ambiguity_is_reported():
-    base = build_noa("a", 1)
-    a, ad = base.gen("a1"), base.gen("ad1")
-    sys_ = ReductionSystem(
-        base.system.generators,
-        [
-            Rule(Word((a, a)), Element.zero()),
-            Rule(Word((a, a, ad)), Element.from_word(a)),
-        ],
-    )
+    sys_ = _inclusion_system()
     kinds = {amb.kind for amb in sys_.iter_ambiguities()}
     assert "inclusion" in kinds
     assert sys_.check_confluence() != []
@@ -247,6 +259,115 @@ def test_word_order_is_deglex():
     gens = sys_.generators
     assert sys_.word_lt(Word((gens[3],)), Word((gens[0], gens[0])))
     assert sys_.word_lt(Word((gens[0], gens[1])), Word((gens[1], gens[0])))
+
+
+# ------------------------------------------------ the tuple reducer as an oracle
+#
+# The reducer the engine had before words became code strings, kept word for
+# word: it scans letter tuples for the leftmost, then shortest, redex and
+# orders pending words by precedence tuples.  On a non-confluent system the
+# normal form depends on where each rewrite happens, so agreement there pins
+# the redex choice and the start of each search, not just the quotient.
+
+
+def _tuple_find_redex(self, word: Word):
+    """Leftmost, then shortest, match: (position, rule) or None."""
+    letters = word.letters
+    for pos in range(len(letters)):
+        for m in sorted(set(map(len, self.left_sides))):
+            rule = self.left_sides.get(letters[pos : pos + m])
+            if rule is not None:
+                return pos, rule
+    return None
+
+
+def _tuple_word_nf(self, word: Word) -> Element:
+    prec = self._prec
+
+    def largest_first(w):
+        return (-len(w), tuple(-prec[g] for g in w))
+
+    pending = {word: H_ONE}
+    heap = [(largest_first(word), word)]
+    irreducible = []
+    steps = self.max_steps
+    while heap:
+        top = heapq.heappop(heap)[1]
+        coeff = pending.pop(top)
+        if not coeff:
+            continue
+        match = _tuple_find_redex(self, top)
+        if match is None:
+            irreducible.append((top, coeff))
+            continue
+        steps -= 1
+        if steps < 0:
+            raise StepBudgetExceeded(
+                f"step budget {self.max_steps} exhausted while reducing {word}"
+            )
+        pos, rule = match
+        head, tail = top.letters[:pos], top.letters[pos + len(rule.lhs) :]
+        for w, c in rule.rhs.terms.items():
+            child = Word(head + w.letters + tail)
+            prev = pending.get(child)
+            if prev is None:
+                heapq.heappush(heap, (largest_first(child), child))
+            term = coeff * c
+            pending[child] = term if prev is None else prev + term
+    return Element(irreducible)
+
+
+_ORACLE_PRESETS = [
+    f"{family}:n=2{h}"
+    for family in ["fermion", "pseudo-fermion", "excl", "excl-dual", "boson", "pseudo-boson"]
+    for h in ("", ",h=0")
+] + ["qplane:2", "cex", "ext:n=3"]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_system(name):
+    if name == "sign-mutated":
+        return _sign_mutated_fermion()
+    if name == "inclusion":
+        return _inclusion_system()
+    return parse_preset(name).system
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_ORACLE_PRESETS + ["sign-mutated", "inclusion"]),
+    st.lists(st.integers(0, 10**6), max_size=9),
+)
+@example("inclusion", [0, 0, 1])
+@example("inclusion", [1, 0, 0, 1, 0, 0, 1])
+@example("sign-mutated", [0, 0, 1, 1, 0, 1])
+@example("sign-mutated", [0, 1, 0, 1, 0, 1, 0, 1, 0])
+def test_code_string_reducer_matches_the_tuple_reducer(name, picks):
+    sys_ = _oracle_system(name)
+    gens = sys_.generators
+    word = Word(gens[k % len(gens)] for k in picks)
+    want = _tuple_word_nf(sys_, word)
+    assert list(sys_._word_nf(word).terms.items()) == list(want.terms.items())
+
+
+def test_generator_count_is_bounded_by_the_encoding():
+    grade = Grade((1,))
+    gens = tuple(Generator("x", i, grade) for i in range(MAX_GENERATORS + 1))
+    sys_ = ReductionSystem(gens[:-1], [])
+    codes = set(sys_._code.values())
+    assert len(codes) == MAX_GENERATORS
+    assert not any(0xD800 <= ord(c) <= 0xDFFF for c in codes)
+    word = Word((gens[0], gens[-2], gens[7]))
+    assert sys_.normalize(word) == Element.from_word(word)
+    with pytest.raises(ValueError, match=f"at most {MAX_GENERATORS} generators"):
+        ReductionSystem(gens, [])
+
+
+def test_foreign_letters_are_refused():
+    sys_ = build_noa("a", 1).system
+    stranger = Generator("z", None, sys_.generators[0].grade)
+    with pytest.raises(ValueError, match="foreign generator z"):
+        sys_.normalize(Word((sys_.generators[0], stranger)))
 
 
 # ------------------------------------------------------- finiteness of the basis
