@@ -9,8 +9,8 @@
 Unary minus binds below '*', so -a*b is -(a*b).  Reserved identifiers are
 h, I and r2; everything else resolves against the algebra's generator
 labels or the installed function table (comm, pb, J in the CLI).  An INT
-has at most `scalars.MAX_DIGITS` digits.  Errors carry byte offsets into the
-source text.
+is a run of the ASCII digits 0-9, at most `scalars.MAX_DIGITS` of them.
+Errors carry byte offsets into the source text.
 
 Parsing, printing and evaluation recurse once per nesting level and once per
 operator in a chain.  Each recursive step is a generator that yields its
@@ -44,6 +44,8 @@ class Token:
 
 
 _OPS = set("+-*/^(),")
+# str.isdigit() also holds for superscripts and other scripts' digits.
+_DIGITS = frozenset("0123456789")
 
 
 def tokenize(src: str):
@@ -54,9 +56,9 @@ def tokenize(src: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(f"integer literal with more than {MAX_DIGITS} digits", i)

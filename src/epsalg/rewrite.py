@@ -18,6 +18,11 @@ at position p leaves the letters before p alone, so a child word is
 searched from p - (m - 1), m the longest left side.  Words are encoded on
 entry and only irreducible ones are decoded.
 
+A system is built in one pass over its rules: each rule word is encoded
+once, and the checks the diamond lemma needs (every rule homogeneous and
+decreasing) read the code strings.  A right-side word with the left side's
+letters has its grade; the others sum the generators' coordinate tuples.
+
 Redexes, irreducible words and their number depend on the left sides
 alone; all three read the one pattern compiled from `left_sides`
 (letters -> rule).
@@ -29,7 +34,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .freealg import Element, Generator, Word, grade_of
+from .freealg import Element, Generator, Word
 from .grading import Grade
 from .scalars import H_ONE
 
@@ -91,6 +96,13 @@ class ReductionSystem:
     """
 
     def __init__(self, generators, rules, max_steps: int = 10**6):
+        """Check the generators, then check and encode the rules in one pass.
+
+        A rule is refused (ValueError) for an empty or duplicate left side, a
+        foreign generator, a right side that is inhomogeneous or of another
+        grade, or a right-side word not below the left side.  Every check runs
+        on every construction; nothing is kept between systems.
+        """
         self.generators = tuple(generators)
         if not self.generators:
             raise ValueError("a reduction system needs at least one generator")
@@ -106,47 +118,66 @@ class ReductionSystem:
         if len(self._prec) != len(self.generators):
             raise ValueError("duplicate generator in precedence list")
         self.rules = tuple(rules)
-        self._validate()
         self._compile()
         self._nf = {}
 
-    def _validate(self):
-        self.left_sides = {}
+    def _compile(self):
+        """Check every rule and encode it, in one pass over the rules.
+
+        Each word of a rule is encoded once; a letter outside the system is
+        refused.  The right side must be homogeneous of the left side's grade
+        and every word of it smaller than the left side.  A word with the
+        left side's letters, in any order, has its grade, so grades are
+        summed only for the words whose letters differ.  On code strings the
+        order is `len(s) < len(lhs)`, or equal lengths and `s > lhs`: the
+        encoding reverses the precedence of the letters.  Then the redex
+        pattern is compiled from the left sides.
+        """
+        self._code = code = {g: chr(_BASE - i) for g, i in self._prec.items()}
+        self._letter = {c: g for g, c in code.items()}
+        zero, moduli = self.zero_grade.coords, self.zero_grade.moduli
+        coords = {c: g.grade.coords for g, c in code.items()}
+
+        def grade(s):
+            sums = map(sum, zip(zero, *[coords[c] for c in s]))
+            return tuple(x % m if m else x for x, m in zip(sums, moduli))
+
+        self.left_sides = left_sides = {}
+        self._rewrites = rewrites = {}
         for rule in self.rules:
-            if len(rule.lhs) == 0:
+            letters = rule.lhs.letters
+            if not letters:
                 raise ValueError("rule with empty left side")
-            if rule.lhs.letters in self.left_sides:
+            if letters in left_sides:
                 raise ValueError(f"duplicate rule left side {rule.lhs}")
-            self.left_sides[rule.lhs.letters] = rule
-            for letter in itertools.chain(
-                rule.lhs, *(w for w in rule.rhs.terms)
-            ):
-                if letter not in self._prec:
-                    raise ValueError(f"rule uses foreign generator {letter}")
-            lhs_grade = rule.lhs.grade(self.zero_grade)
-            if not rule.rhs.is_zero():
-                g = grade_of(rule.rhs, self.zero_grade)
-                if g is None:
+            left_sides[letters] = rule
+            try:
+                lhs = "".join([code[g] for g in letters])
+                rhs = [("".join([code[g] for g in w.letters]), c)
+                       for w, c in rule.rhs.terms.items()]
+            except KeyError as exc:
+                raise ValueError(f"rule uses foreign generator {exc.args[0]}") from None
+            rewrites[lhs] = rhs
+            same = sorted(lhs)
+            other = [s for s, _ in rhs if len(s) != len(lhs) or sorted(s) != same]
+            if other:
+                want = grade(lhs)
+                got = {grade(s) for s in other}
+                if len(other) < len(rhs):
+                    got.add(want)
+                if len(got) > 1:
                     raise ValueError(f"rule {rule} has inhomogeneous right side")
-                if g != lhs_grade:
+                if want not in got:
                     raise ValueError(
-                        f"rule {rule} changes grade: {lhs_grade} -> {g}"
+                        f"rule {rule} changes grade: "
+                        f"{Grade(want, moduli)} -> {Grade(got.pop(), moduli)}"
                     )
-            for word in rule.rhs.terms:
-                if not self.word_lt(word, rule.lhs):
+            for word, (s, _) in zip(rule.rhs.terms, rhs):
+                if not (len(s) < len(lhs) or (len(s) == len(lhs) and s > lhs)):
                     raise ValueError(
                         f"rule {rule} does not decrease the termination order at {word}"
                     )
-
-    def _compile(self):
-        """Code strings of the letters and of every rule, and the redex pattern."""
-        self._code = {g: chr(_BASE - i) for g, i in self._prec.items()}
-        self._letter = {c: g for g, c in self._code.items()}
-        self._rewrites = {
-            self._encode(lhs): [(self._encode(w.letters), c) for w, c in rule.rhs.terms.items()]
-            for lhs, rule in self.left_sides.items()
-        }
-        lefts = sorted(self._rewrites, key=lambda s: (len(s), s))
+        lefts = sorted(rewrites, key=lambda s: (len(s), s))
         # "(?!)" never matches: without rules every word is irreducible.
         self._redex = re.compile("|".join(map(re.escape, lefts)) or "(?!)")
         self._reach = len(lefts[-1]) - 1 if lefts else 0
@@ -164,9 +195,6 @@ class ReductionSystem:
 
     def word_key(self, word: Word):
         return (len(word), tuple(self._prec[g] for g in word))
-
-    def word_lt(self, a: Word, b: Word) -> bool:
-        return self.word_key(a) < self.word_key(b)
 
     # -------------------------------------------------------------- reduction
 

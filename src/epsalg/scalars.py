@@ -381,15 +381,26 @@ class HPoly(_Arithmetic):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return H_ZERO
+        # One side x*h^k, every coefficient below its top zero: the other side
+        # p is scaled by x and shifted up k degrees.  Constants are tried first.
         if len(a) == 1 or len(b) == 1:
-            x, p = (a[0], other) if len(a) == 1 else (b[0], self)
-            if x == ONE:
+            x, k, p = (a[0], 0, other) if len(a) == 1 else (b[0], 0, self)
+        elif not any(a[:-1]):
+            x, k, p = a[-1], len(a) - 1, other
+        elif not any(b[:-1]):
+            x, k, p = b[-1], len(b) - 1, self
+        else:
+            return _hmake(_convolve(a, b))
+        if x == ONE:
+            if not k:
                 return p
-            if x == MINUS_ONE:
-                return -p
+            cs = p.coeffs
+        elif x == MINUS_ONE:
+            cs = tuple(-y for y in p.coeffs)
+        else:
             # A product of nonzero field elements is nonzero: no strip.
-            return _hmake(tuple(x * y if y else y for y in p.coeffs))
-        return _hmake(_convolve(a, b))
+            cs = tuple(x * y if y else y for y in p.coeffs)
+        return _hmake((ZERO,) * k + cs if k else cs)
 
     __rmul__ = __mul__
 

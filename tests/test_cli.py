@@ -288,6 +288,16 @@ def test_numbers_past_the_digit_limit_are_one_line_errors(capsys):
     assert out == f"{2**14000}*a1 + {'9' * 4300}"
 
 
+@pytest.mark.parametrize("digit", ["²", "٣"], ids=["superscript-two", "arabic-indic-three"])
+def test_digits_are_ascii_only(digit, capsys):
+    # Both are digits to str.isdigit(): the first used to end in int()'s own
+    # message, the second was read as 3.
+    assert run(["normalize", "--alg", "boson:n=1", f"{digit}*a1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unexpected character {digit!r} (offset 0)\n"
+
+
 def test_dim_maxlen_beyond_a_million_words_is_a_one_line_error():
     # boson:n=2 has about L^4/24 words up to length L; counting them instead
     # of listing them makes the refusal prompt.

@@ -9,6 +9,8 @@ import functools
 import heapq
 import itertools
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -30,6 +32,7 @@ from epsalg import (
     StepBudgetExceeded,
     Word,
     build_noa,
+    grade_of,
     parse_preset,
 )
 from epsalg.rewrite import MAX_GENERATORS
@@ -206,10 +209,15 @@ def test_rule_validation():
     with pytest.raises(ValueError, match="termination order"):
         # right side is longer than the left: not a decrease
         ReductionSystem(gens, [Rule(Word((a, ad)), Element.from_word(Word((ad, a, a, ad))))])
-    with pytest.raises(ValueError, match="changes grade"):
+    with pytest.raises(ValueError, match=r"changes grade: \(0\) -> \(-1\)$"):
         ReductionSystem(gens, [Rule(Word((a, ad)), Element.from_word(a))])
     with pytest.raises(ValueError, match="empty left side"):
         ReductionSystem(gens, [Rule(EMPTY_WORD, Element.zero())])
+    stranger = Generator("z", None, a.grade)
+    with pytest.raises(ValueError, match="rule uses foreign generator z"):
+        ReductionSystem(gens, [Rule(Word((a, ad)), Element.from_word(Word((stranger, a))))])
+    with pytest.raises(ValueError, match="rule uses foreign generator z"):
+        ReductionSystem(gens, [Rule(Word((stranger, a)), Element.zero())])
 
 
 def test_step_budget():
@@ -257,8 +265,144 @@ def test_memo_keeps_only_the_words_asked_for():
 def test_word_order_is_deglex():
     sys_ = build_noa("a", 2).system
     gens = sys_.generators
-    assert sys_.word_lt(Word((gens[3],)), Word((gens[0], gens[0])))
-    assert sys_.word_lt(Word((gens[0], gens[1])), Word((gens[1], gens[0])))
+    key = sys_.word_key
+    assert key(Word((gens[3],))) < key(Word((gens[0], gens[0])))
+    assert key(Word((gens[0], gens[1]))) < key(Word((gens[1], gens[0])))
+
+
+# ------------------------------------------- the per-Word build as an oracle
+#
+# The build the engine had before it checked rules on code strings, kept as
+# it was: a Grade per rule word through Word.grade, the termination order
+# through word_key, then a second walk over the rules that encodes them.
+# Both builds must accept and refuse the same rule sets, with the same
+# message, and encode the accepted ones identically.
+
+
+def _word_build(generators, rules):
+    """The refusal message of the per-Word build, or what it compiled."""
+    bare = ReductionSystem(generators, [])
+    zero = bare.zero_grade
+    left_sides = {}
+    try:
+        for rule in rules:
+            if len(rule.lhs) == 0:
+                raise ValueError("rule with empty left side")
+            if rule.lhs.letters in left_sides:
+                raise ValueError(f"duplicate rule left side {rule.lhs}")
+            left_sides[rule.lhs.letters] = rule
+            for letter in itertools.chain(rule.lhs, *(w for w in rule.rhs.terms)):
+                if letter not in bare._prec:
+                    raise ValueError(f"rule uses foreign generator {letter}")
+            lhs_grade = rule.lhs.grade(zero)
+            if not rule.rhs.is_zero():
+                g = grade_of(rule.rhs, zero)
+                if g is None:
+                    raise ValueError(f"rule {rule} has inhomogeneous right side")
+                if g != lhs_grade:
+                    raise ValueError(f"rule {rule} changes grade: {lhs_grade} -> {g}")
+            for word in rule.rhs.terms:
+                if not bare.word_key(word) < bare.word_key(rule.lhs):
+                    raise ValueError(
+                        f"rule {rule} does not decrease the termination order at {word}"
+                    )
+    except ValueError as exc:
+        return str(exc)
+    rewrites = {
+        bare._encode(lhs): [(bare._encode(w.letters), c) for w, c in rule.rhs.terms.items()]
+        for lhs, rule in left_sides.items()
+    }
+    lefts = sorted(rewrites, key=lambda s: (len(s), s))
+    pattern = "|".join(map(re.escape, lefts)) or "(?!)"
+    reach = len(lefts[-1]) - 1 if lefts else 0
+    return list(left_sides.items()), list(rewrites.items()), pattern, reach
+
+
+def _one_pass_build(generators, rules):
+    try:
+        sys_ = ReductionSystem(generators, rules)
+    except ValueError as exc:
+        return str(exc)
+    return (list(sys_.left_sides.items()), list(sys_._rewrites.items()),
+            sys_._redex.pattern, sys_._reach)
+
+
+_PARITY_PRESETS = [
+    f"{family}:n={n}{h}"
+    for family in ["fermion", "pseudo-fermion", "excl", "excl-dual", "boson", "pseudo-boson"]
+    for n in (1, 2, 3)
+    for h in ("", ",h=0")
+] + ["qplane:2", "cex", "ext:n=3"]  # cex's x*X -> 1 has grade 0 only mod (2, 2)
+
+
+def _mutants(gens, rules, rng, count):
+    """Rule sets that differ from `rules` in one right-side word of one rule.
+
+    The word gets two adjacent letters swapped, a letter dropped, a letter
+    added, a letter replaced by another of the same grade mod 2, or a pair of
+    equal letters inserted (longer, and of the same grade mod 2).
+    """
+    gens = list(gens)
+    for _ in range(count):
+        k = rng.randrange(len(rules))
+        rule = rules[k]
+        terms = list(rule.rhs.terms.items()) or [(EMPTY_WORD, H_ONE)]
+        t = rng.randrange(len(terms))
+        letters = list(terms[t][0].letters)
+        kind = rng.choice(["swap", "drop", "add", "mod2", "pair"])
+        at = rng.randrange(len(letters) + 1)
+        if kind == "swap" and len(letters) >= 2:
+            i = rng.randrange(len(letters) - 1)
+            letters[i], letters[i + 1] = letters[i + 1], letters[i]
+        elif kind == "drop" and letters:
+            del letters[min(at, len(letters) - 1)]
+        elif kind == "mod2" and letters:
+            i = min(at, len(letters) - 1)
+            g = letters[i]
+            same = [
+                u for u in gens
+                if u != g and all(
+                    (x - y) % 2 == 0 for x, y in zip(u.grade.coords, g.grade.coords)
+                )
+            ]
+            letters[i] = rng.choice(same or gens)
+        elif kind == "pair":
+            g = rng.choice(gens)
+            letters[at:at] = [g, g]
+        else:
+            letters.insert(at, rng.choice(gens))
+        terms[t] = (Word(letters), terms[t][1])
+        yield rules[:k] + [Rule(rule.lhs, Element(terms))] + rules[k + 1:]
+
+
+_REFUSALS = ("empty left side", "duplicate rule", "foreign generator",
+             "inhomogeneous", "changes grade", "termination order")
+
+
+def test_one_pass_build_matches_the_word_build():
+    refusals = set()
+    for name in _PARITY_PRESETS:
+        sys_ = parse_preset(name).system
+        gens, rules = sys_.generators, list(sys_.rules)
+        g0, g1 = gens[:2]
+        stranger = Generator("z", None, g0.grade)
+        cases = [
+            rules,
+            rules + [rules[0]],
+            rules + [Rule(EMPTY_WORD, Element.zero())],
+            rules[:-1] + [Rule(rules[-1].lhs, Element.from_word(Word((g0, stranger))))],
+            # the same letters, not the same number of each
+            rules + [Rule(Word((g1, g1, g0)), Element.from_word(Word((g0, g0, g1))))],
+        ]
+        cases.extend(_mutants(gens, rules, random.Random(name), 30))
+        for case in cases:
+            want = _word_build(gens, case)
+            assert _one_pass_build(gens, case) == want, name
+            if isinstance(want, str):
+                refusals.add(next(why for why in _REFUSALS if why in want))
+        assert not isinstance(_one_pass_build(gens, rules), str), name
+    # Every check refused some rule set.
+    assert refusals == set(_REFUSALS)
 
 
 # ------------------------------------------------ the tuple reducer as an oracle

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from epsalg import H, H_ONE, H_ZERO, HALF, I, MINUS_ONE, ONE, R2, ZERO, HPoly, Scalar
 from epsalg import scalar_from_text
+from epsalg.scalars import _convolve, _hmake
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 scalars = st.builds(Scalar, fracs, fracs, fracs, fracs)
@@ -196,6 +197,23 @@ def test_hpoly_mul_matches_sympy(a, b):
     want = hpoly_to_sympy(a) * hpoly_to_sympy(b)
     for got in (a * b, b * a):
         assert sympy.expand(hpoly_to_sympy(got) - want) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.sampled_from([ONE, MINUS_ONE]), nonzero_scalars),
+    st.integers(0, 3),
+    sparse_hpolys.filter(bool),
+)
+@example(ONE, 1, HPoly((ONE, ZERO, I)))
+@example(MINUS_ONE, 2, H)
+def test_hpoly_mul_by_a_monomial_is_the_convolution(x, k, p):
+    # x*h^k times p takes the shift-and-scale branch, not the convolution.
+    mono = HPoly((ZERO,) * k + (x,))
+    want = _hmake(_convolve(mono.coeffs, p.coeffs))
+    for got in (mono * p, p * mono):
+        assert got == want
+        assert got.coeffs[-1]
 
 
 @settings(max_examples=30, deadline=None)
