@@ -1,0 +1,5 @@
+"""`python -m epsalg` runs the command-line interface."""
+from .cli import console_entry
+
+if __name__ == "__main__":
+    console_entry()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .deformation import DeformationExpansion
@@ -22,17 +21,26 @@ from .scalars import I, MINUS_ONE, ONE, Scalar
 UNITS = (ONE, MINUS_ONE, I, -I)
 
 
-@dataclass
 class BracketContext:
     """Where products normalize and which factor weighs the swaps."""
 
-    algebra: Algebra
-    factor: CommutationFactor = None
-    expansion: DeformationExpansion = None
+    __slots__ = ("algebra", "factor", "expansion")
 
-    def __post_init__(self):
-        if self.factor is None:
-            self.factor = self.algebra.factor
+    def __init__(
+        self,
+        algebra: Algebra,
+        factor: CommutationFactor = None,
+        expansion: DeformationExpansion = None,
+    ):
+        self.algebra = algebra
+        self.factor = algebra.factor if factor is None else factor
+        self.expansion = expansion
+
+    def __repr__(self) -> str:
+        return (
+            f"BracketContext(algebra={self.algebra!r}, factor={self.factor!r}, "
+            f"expansion={self.expansion!r})"
+        )
 
     @staticmethod
     def quantum(algebra: Algebra, factor=None) -> BracketContext:
@@ -166,13 +174,18 @@ def sample_triples(alg: Algebra, count: int, seed: int, max_len: int = 3):
 # --------------------------------------------------------------- oscillators
 
 
-@dataclass
 class OscillatorSet:
     """Position, momentum, and energy elements for one mode."""
 
-    p: Element
-    q: Element
-    energy: Element
+    __slots__ = ("p", "q", "energy")
+
+    def __init__(self, p: Element, q: Element, energy: Element):
+        self.p = p
+        self.q = q
+        self.energy = energy
+
+    def __repr__(self) -> str:
+        return f"OscillatorSet(p={self.p!r}, q={self.q!r}, energy={self.energy!r})"
 
 
 def oscillator_set(alg: Algebra, i: int) -> OscillatorSet:
@@ -188,14 +201,31 @@ def oscillator_set(alg: Algebra, i: int) -> OscillatorSet:
     )
 
 
-@dataclass
 class OscillatorReport:
-    family: str
-    entries: dict
-    c: Scalar | None
-    c_prime: Scalar | None
-    pattern_ok: bool
-    notes: list
+    __slots__ = ("family", "entries", "c", "c_prime", "pattern_ok", "notes")
+
+    def __init__(
+        self,
+        family: str,
+        entries: dict,
+        c: Scalar | None,
+        c_prime: Scalar | None,
+        pattern_ok: bool,
+        notes: list,
+    ):
+        self.family = family
+        self.entries = entries
+        self.c = c
+        self.c_prime = c_prime
+        self.pattern_ok = pattern_ok
+        self.notes = notes
+
+    def __repr__(self) -> str:
+        return (
+            f"OscillatorReport(family={self.family!r}, entries={self.entries!r}, "
+            f"c={self.c!r}, c_prime={self.c_prime!r}, pattern_ok={self.pattern_ok!r}, "
+            f"notes={self.notes!r})"
+        )
 
     def constants_are_units(self) -> bool:
         return self.c in UNITS and self.c_prime in UNITS

@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 
 from .brackets import (
     BracketContext,
@@ -36,6 +35,7 @@ from .presets import (
     build_noa,
     check_modes,
     classical_limit,
+    parse_modes,
     parse_preset,
     with_h,
 )
@@ -62,23 +62,23 @@ MAX_BASIS_WORDS = 10**6
 # --------------------------------------------------------------------- output
 
 
-@dataclass
 class Check:
-    case: str
-    ok: bool
-    payload: str = ""
+    __slots__ = ("case", "ok", "payload")
+
+    def __init__(self, case: str, ok: bool, payload: str = ""):
+        self.case = case
+        self.ok = ok
+        self.payload = payload
 
 
-@dataclass
 class Report:
-    suite: str
-    fmt: str = "text"
-    out: object = None
-    checks: list = field(default_factory=list)
+    __slots__ = ("suite", "fmt", "out", "checks")
 
-    def __post_init__(self):
-        if self.out is None:
-            self.out = sys.stdout
+    def __init__(self, suite: str, fmt: str = "text", out=None):
+        self.suite = suite
+        self.fmt = fmt
+        self.out = sys.stdout if out is None else out
+        self.checks = []
 
     def add(self, case: str, ok: bool, payload: str = "") -> bool:
         self.checks.append(Check(case, ok, payload))
@@ -463,10 +463,17 @@ _SUITES = {
 # --------------------------------------------------------------------- parser
 
 
+def _modes_option(text: str) -> int:
+    try:
+        return parse_modes(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_algebra_options(sub):
     sub.add_argument("--alg", help="preset string, e.g. boson:n=2 or qplane:2")
     sub.add_argument("--family", choices=sorted(FAMILY_NAMES), help="NOA family name")
-    sub.add_argument("--n", type=int, help="number of modes for --family")
+    sub.add_argument("--n", type=_modes_option, help="number of modes for --family")
     sub.add_argument("--h", help="deformation constant for --family (default h)")
     sub.add_argument(
         "--format", choices=("text", "machine"), default="text", help="output style"
@@ -560,3 +567,7 @@ def run(argv=None) -> int:
 
 def console_entry() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    console_entry()

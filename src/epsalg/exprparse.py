@@ -18,8 +18,6 @@ sub-steps to `_trampoline`, so depth costs heap, not Python stack.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .freealg import EMPTY_WORD, Element
 from .scalars import MAX_DIGITS, H, I, R2, Scalar
 
@@ -36,11 +34,13 @@ class EvalError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
 
 
 _OPS = set("+-*/^(),")
@@ -81,44 +81,80 @@ def tokenize(src: str):
     return tokens
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    pos: int = field(compare=False, default=0)
+class _Node:
+    """A syntax node: equal, and hashed, by its own fields; `pos` only places errors.
+
+    The fields are the subclass's `__slots__`; `repr` lists them, then `pos`.
+    """
+
+    __slots__ = ("pos",)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        inner = "".join(f"{name}={getattr(self, name)!r}, " for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({inner}pos={self.pos!r})"
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
-    pos: int = field(compare=False, default=0)
+class Num(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int, pos: int = 0):
+        self.value = value
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-    pos: int = field(compare=False, default=0)
+class Sym(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str, pos: int = 0):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-    pos: int = field(compare=False, default=0)
+class Neg(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg, pos: int = 0):
+        self.arg = arg
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
-    pos: int = field(compare=False, default=0)
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right, pos: int = 0):
+        self.op = op
+        self.left = left
+        self.right = right
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
-    pos: int = field(compare=False, default=0)
+class Pow(_Node):
+    __slots__ = ("base", "exp")
+
+    def __init__(self, base, exp: int, pos: int = 0):
+        self.base = base
+        self.exp = exp
+        self.pos = pos
+
+
+class Call(_Node):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple, pos: int = 0):
+        self.name = name
+        self.args = args
+        self.pos = pos
 
 
 def _trampoline(step):

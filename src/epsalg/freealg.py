@@ -10,22 +10,30 @@ structure lives in the rewrite engine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .grading import Grade
 from .scalars import H_ONE, HPoly, Scalar, _Arithmetic
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    index: int | None
-    grade: Grade
+    __slots__ = ("name", "index", "grade", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, name: str, index: int | None, grade: Grade):
+        self.name = name
+        self.index = index
+        self.grade = grade
         # Letters are hashed in every word and redex lookup; equality stays by value.
-        object.__setattr__(self, "_hash", hash((self.name, self.index, self.grade)))
+        self._hash = hash((name, index, grade))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.name == other.name
+                and self.index == other.index
+                and self.grade == other.grade
+            )
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash

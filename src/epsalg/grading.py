@@ -9,29 +9,29 @@ odd parts according to the sign of eps(g,g).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .scalars import MINUS_ONE, ONE, Scalar
 
 
-@dataclass(frozen=True)
 class Grade:
     """Element of Z^n, reduced modulo the per-coordinate moduli (0 = free)."""
 
-    coords: tuple
-    moduli: tuple = None
+    __slots__ = ("coords", "moduli")
 
-    def __post_init__(self):
-        moduli = self.moduli
+    def __init__(self, coords: tuple, moduli: tuple = None):
         if moduli is None:
-            moduli = (0,) * len(self.coords)
-        if len(moduli) != len(self.coords):
+            moduli = (0,) * len(coords)
+        if len(moduli) != len(coords):
             raise ValueError("moduli shape does not match coordinates")
-        coords = tuple(
-            c % m if m else c for c, m in zip(self.coords, moduli)
-        )
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "moduli", tuple(moduli))
+        self.coords = tuple(c % m if m else c for c, m in zip(coords, moduli))
+        self.moduli = tuple(moduli)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords and self.moduli == other.moduli
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.moduli))
 
     @staticmethod
     def zero(dim: int, moduli=None) -> Grade:
@@ -82,22 +82,36 @@ class Grade:
         return f"Grade{self.coords!r}"
 
 
-@dataclass(frozen=True)
 class CommutationFactor:
-    """eps(g, k) = base ** B(g, k) for an integer matrix B."""
+    """eps(g, k) = base ** B(g, k) for an integer matrix B.
 
-    base: Scalar
-    form: tuple
-    label: str = field(default="", compare=False)
+    Two factors are equal when base and form are; the label only names one.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", Scalar.of(self.base))
-        object.__setattr__(self, "form", tuple(tuple(int(x) for x in row) for row in self.form))
+    __slots__ = ("base", "form", "label")
+
+    def __init__(self, base: Scalar, form: tuple, label: str = ""):
+        self.base = Scalar.of(base)
+        self.form = tuple(tuple(int(x) for x in row) for row in form)
+        self.label = label
         if self.base.is_zero():
             raise ValueError("commutation factor base must be invertible")
         for row in self.form:
             if len(row) != len(self.form):
                 raise ValueError("bilinear form matrix must be square")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.base == other.base and self.form == other.form
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.form))
+
+    def __repr__(self) -> str:
+        return (
+            f"CommutationFactor(base={self.base!r}, form={self.form!r}, label={self.label!r})"
+        )
 
     @property
     def dim(self) -> int:

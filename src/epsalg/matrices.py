@@ -9,7 +9,6 @@ rank profiles over the scalar field, where ranks are honest.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .freealg import Element
 from .grading import CommutationFactor, Grade
@@ -17,13 +16,26 @@ from .presets import Algebra
 from .scalars import H_ONE, H_ZERO, HPoly
 
 
-@dataclass(frozen=True)
 class RankProfile:
     """Multiplicity of each grade in a homogeneous basis, plus parity split."""
 
-    entries: tuple
-    even: int
-    odd: int
+    __slots__ = ("entries", "even", "odd")
+
+    def __init__(self, entries: tuple, even: int, odd: int):
+        self.entries = entries
+        self.even = even
+        self.odd = odd
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.entries, self.even, self.odd) == (other.entries, other.even, other.odd)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.even, self.odd))
+
+    def __repr__(self) -> str:
+        return f"RankProfile(entries={self.entries!r}, even={self.even!r}, odd={self.odd!r})"
 
     @property
     def total(self) -> int:
@@ -169,13 +181,23 @@ def augmentation_violations(alg: Algebra, max_len: int = 2) -> list:
     return violations
 
 
-@dataclass
 class IbnReport:
-    ok: bool
-    kind: str
-    reason: str
-    row_profile: RankProfile
-    col_profile: RankProfile
+    __slots__ = ("ok", "kind", "reason", "row_profile", "col_profile")
+
+    def __init__(
+        self, ok: bool, kind: str, reason: str, row_profile: RankProfile, col_profile: RankProfile
+    ):
+        self.ok = ok
+        self.kind = kind
+        self.reason = reason
+        self.row_profile = row_profile
+        self.col_profile = col_profile
+
+    def __repr__(self) -> str:
+        return (
+            f"IbnReport(ok={self.ok!r}, kind={self.kind!r}, reason={self.reason!r}, "
+            f"row_profile={self.row_profile!r}, col_profile={self.col_profile!r})"
+        )
 
     def __str__(self) -> str:
         status = "certified" if self.ok else "refused"

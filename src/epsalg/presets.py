@@ -50,6 +50,17 @@ def check_modes(n: int) -> int:
     return n
 
 
+def parse_modes(text: str) -> int:
+    """The number n of a preset string or of --n: ASCII digits 0-9 only.
+
+    int() would also take other scripts' digits, signs, underscores and
+    surrounding spaces.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"n must be written in the digits 0-9, got {text!r}")
+    return int(text)
+
+
 class Algebra:
     """A graded algebra given by generators, a factor, and a confluent system."""
 
@@ -350,7 +361,7 @@ def parse_preset(text: str) -> Algebra:
             else:
                 params[key] = value
     if name in FAMILY_NAMES:
-        n = check_modes(int(params.pop("n", order.pop(0) if order else 1)))
+        n = check_modes(parse_modes(params.pop("n", order.pop(0) if order else "1")))
         h = _scalar_param(params.pop("h", None))
         _reject_extras(name, params, order)
         return build_noa(name, n, H if h is None else h)
@@ -364,7 +375,7 @@ def parse_preset(text: str) -> Algebra:
         _reject_extras(name, params, order)
         return build_counterexample()
     if name == "ext":
-        n = check_modes(int(params.pop("n", order.pop(0) if order else 1)))
+        n = check_modes(parse_modes(params.pop("n", order.pop(0) if order else "1")))
         factor_name = params.pop("factor", "eps_c")
         _reject_extras(name, params, order)
         return build_exterior_preset(n, factor_name)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
-from dataclasses import dataclass, field
 
 from .freealg import Element, Generator, Word
 from .grading import Grade
@@ -53,7 +52,6 @@ class StepBudgetExceeded(RewriteError):
     pass
 
 
-@dataclass(frozen=True)
 class Rule:
     """Oriented graded relation lhs -> rhs.
 
@@ -61,22 +59,47 @@ class Rule:
     enforced by the owning ReductionSystem, which knows the generator order.
     """
 
-    lhs: Word
-    rhs: Element
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Word, rhs: Element):
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __repr__(self) -> str:
+        return f"Rule(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"
 
 
-@dataclass(frozen=True)
 class Ambiguity:
-    """One critical pair: a word reducible in two ways at overlapping spots."""
+    """One critical pair: a word reducible in two ways at overlapping spots.
 
-    word: Word
-    kind: str
-    left: Element = field(compare=False)
-    right: Element = field(compare=False)
-    residual: Element = field(compare=False)
+    Two are equal when word and kind are; left, right and residual follow from them.
+    """
+
+    __slots__ = ("word", "kind", "left", "right", "residual")
+
+    def __init__(self, word: Word, kind: str, left: Element, right: Element, residual: Element):
+        self.word = word
+        self.kind = kind
+        self.left = left
+        self.right = right
+        self.residual = residual
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.word == other.word and self.kind == other.kind
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.word, self.kind))
+
+    def __repr__(self) -> str:
+        return (
+            f"Ambiguity(word={self.word!r}, kind={self.kind!r}, left={self.left!r}, "
+            f"right={self.right!r}, residual={self.residual!r})"
+        )
 
     @property
     def resolvable(self) -> bool:

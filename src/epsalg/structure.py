@@ -8,8 +8,6 @@ defining relations through it and normalizing on the far side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .freealg import Element, Word
 from .presets import Algebra, with_h
 from .scalars import HPoly, Scalar
@@ -70,7 +68,6 @@ def verify_sigma(alg: Algebra, perm) -> list:
     return failures
 
 
-@dataclass(frozen=True)
 class RescalingMap:
     """a_i -> lam a_i, a+_i -> tau(lam) a+_i, from the lam*tau(lam)*h algebra
     onto the h algebra.
@@ -79,11 +76,12 @@ class RescalingMap:
     constructor rejects anything else.
     """
 
-    lam: Scalar
-    source: Algebra
-    target: Algebra
+    __slots__ = ("lam", "source", "target")
 
-    def __post_init__(self):
+    def __init__(self, lam: Scalar, source: Algebra, target: Algebra):
+        self.lam = lam
+        self.source = source
+        self.target = target
         if self.lam.is_zero():
             raise ValueError("rescaling parameter must be invertible")
         if (
@@ -96,6 +94,9 @@ class RescalingMap:
                 f"rescaling undefined: source h {self.source.h} != "
                 f"{self.norm} * target h {self.target.h}"
             )
+
+    def __repr__(self) -> str:
+        return f"RescalingMap(lam={self.lam!r}, source={self.source!r}, target={self.target!r})"
 
     @property
     def norm(self) -> Scalar:

@@ -298,6 +298,59 @@ def test_digits_are_ascii_only(digit, capsys):
     assert err == f"error: unexpected character {digit!r} (offset 0)\n"
 
 
+_NOT_ASCII_DIGITS = ["\u0663", "\u00b2", "1_0", "+2", "-1", "abc"]
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [(["--alg", f"boson:n={v}"], v) for v in _NOT_ASCII_DIGITS + [""]]
+    + [(["--alg", f"boson:{v}"], v) for v in _NOT_ASCII_DIGITS]
+    + [(["--alg", f"ext:n={v}"], v) for v in _NOT_ASCII_DIGITS]
+    + [(["--family", "boson", "--n", v], v) for v in _NOT_ASCII_DIGITS + ["", " 2"]],
+)
+def test_preset_numbers_are_ascii_digits(argv, value, capsys):
+    # int() reads an Arabic-Indic three as 3, takes 1_0, +2 and spaces, and
+    # refuses a superscript two with a message of its own.
+    assert run(["dim", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.endswith(f"n must be written in the digits 0-9, got {value!r}\n")
+
+
+def test_ascii_preset_numbers_still_read(capsys):
+    for argv in (["--alg", "excl:n=3"], ["--alg", "excl:3"], ["--alg", "excl: n = 3 "],
+                 ["--family", "excl", "--n", "3"], ["--family", "excl", "--n", "03"]):
+        assert run(["dim", *argv]) == 0
+        assert _lines(capsys) == ["16"]
+
+
+@pytest.mark.parametrize("module", ["epsalg", "epsalg.cli"])
+def test_python_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epsalg.__file__)))
+    argv = [sys.executable, "-m", module, "normalize", "--alg", "boson:n=1"]
+    proc = subprocess.run([*argv, "a1*ad1"], capture_output=True, text=True, timeout=10,
+                          env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ad1*a1 + h\n", "")
+    proc = subprocess.run([*argv, "a1*"], capture_output=True, text=True, timeout=10, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: unexpected token 'end' (offset 3)\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # Each command is a cold process; both modules cost start-up time.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epsalg.__file__)))
+    code = (
+        "import sys; before = set(sys.modules); import epsalg.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "epsalg.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_dim_maxlen_beyond_a_million_words_is_a_one_line_error():
     # boson:n=2 has about L^4/24 words up to length L; counting them instead
     # of listing them makes the refusal prompt.
