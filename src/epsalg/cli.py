@@ -40,7 +40,7 @@ from .presets import (
     with_h,
 )
 from .rewrite import RewriteError
-from .scalars import H, HPoly
+from .scalars import MAX_DIGITS, H, HPoly
 from .structure import (
     apply_J,
     number_operator_check,
@@ -57,6 +57,9 @@ class UsageError(ValueError):
 
 # Irreducible words that `dim --maxlen` and `verify --maxlen` may admit.
 MAX_BASIS_WORDS = 10**6
+
+# Samples that `verify --samples` may draw.
+MAX_SAMPLES = 10**4
 
 
 # --------------------------------------------------------------------- output
@@ -348,6 +351,8 @@ def cmd_presets(args) -> int:
 
 def cmd_verify(args) -> int:
     _at_least("--samples", args.samples, 1)
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     _at_least("--maxlen", args.maxlen, 1)
     alg = _algebra_from_args(args)
     _refuse_large_basis(sum(alg.system.basis_counts(args.maxlen, MAX_BASIS_WORDS)), args.maxlen)
@@ -470,6 +475,19 @@ def _modes_option(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _int_option(text: str) -> int:
+    """--maxlen, --order, --samples and --seed: an optional minus and the digits 0-9.
+
+    int() would also take other scripts' digits, underscores and spaces.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer in the digits 0-9, got {text!r}")
+    if len(digits) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _add_algebra_options(sub):
     sub.add_argument("--alg", help="preset string, e.g. boson:n=2 or qplane:2")
     sub.add_argument("--family", choices=sorted(FAMILY_NAMES), help="NOA family name")
@@ -515,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mu", help="one coefficient of the deformation expansion")
     _add_algebra_options(p)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_option, required=True)
     p.add_argument("x")
     p.add_argument("y")
     p.set_defaults(handler=cmd_mu)
@@ -526,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("dim", help="dimension or truncated basis count")
     _add_algebra_options(p)
-    p.add_argument("--maxlen", type=int, help="count words up to this length")
+    p.add_argument("--maxlen", type=_int_option, help="count words up to this length")
     p.set_defaults(handler=cmd_dim)
 
     p = subs.add_parser("rank", help="graded rank profiles and the IBN probe")
@@ -538,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run one verification suite")
     _add_algebra_options(p)
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--maxlen", type=int, default=3)
+    p.add_argument("--samples", type=_int_option, default=50)
+    p.add_argument("--seed", type=_int_option, default=0)
+    p.add_argument("--maxlen", type=_int_option, default=3)
     p.set_defaults(handler=cmd_verify)
 
     p = subs.add_parser("presets", help="list the built-in algebra presets")

@@ -8,7 +8,6 @@ satisfy the factor axioms over its whole grade group.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .freealg import Element, Generator, Word, grade_of, homogeneous_components
@@ -24,18 +23,27 @@ from .grading import (
     verify_factor_axioms,
 )
 from .rewrite import ReductionSystem, Rule
-from .scalars import H, H_ONE, H_ZERO, HPoly, Scalar
+from .scalars import MAX_DIGITS, H, H_ZERO, HPoly, Scalar
 
-NOA_FAMILIES = ("a", "a'", "b", "b'", "c", "c'")
+# The six number-operator families, one row each: preset name, family
+# letter, whether a-letters stand first in normal order, whether the
+# diagonal relation is collective, the diagonal sign alpha, whether squares
+# vanish, the mixed-mode sign s (s = 0 sends both orders of a mixed pair to
+# 0), and the commutation factor.  _noa_rules reads the middle five.
+_FAMILY_TABLE = (
+    ("fermion", "a", False, False, -1, True, -1, eps_a),
+    ("pseudo-fermion", "a'", False, False, -1, True, 1, eps_a_prime),
+    ("excl", "b", False, True, -1, True, 0, eps_c_prime),
+    ("excl-dual", "b'", True, True, -1, True, 0, eps_c_prime),
+    ("boson", "c", False, False, 1, False, 1, eps_c),
+    ("pseudo-boson", "c'", False, False, 1, False, -1, eps_c_prime),
+)
 
-FAMILY_NAMES = {
-    "fermion": "a",
-    "pseudo-fermion": "a'",
-    "excl": "b",
-    "excl-dual": "b'",
-    "boson": "c",
-    "pseudo-boson": "c'",
-}
+_FAMILY_ROWS = {row[1]: row for row in _FAMILY_TABLE}
+
+NOA_FAMILIES = tuple(_FAMILY_ROWS)
+
+FAMILY_NAMES = {row[0]: row[1] for row in _FAMILY_TABLE}
 
 FAMILY_LABELS = {v: k for k, v in FAMILY_NAMES.items()}
 
@@ -58,6 +66,8 @@ def parse_modes(text: str) -> int:
     """
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"n must be written in the digits 0-9, got {text!r}")
+    if len(text) > MAX_DIGITS:
+        raise ValueError(f"n has more than {MAX_DIGITS} digits")
     return int(text)
 
 
@@ -148,88 +158,59 @@ def _noa_generators(n: int):
     return creators, annihilators
 
 
-def _noa_rules(family: str, n: int, h: HPoly, ad, a):
-    """Oriented presentation of one family; indices in ad/a are 0-based."""
+def _noa_rules(a_first, collective, alpha, squares_vanish, s, h: HPoly, ad, a):
+    """Oriented presentation of one table row; indices in ad/a are 0-based.
+
+    first/second are the letters that stand left/right in normal order.
+    """
+    first, second = (a, ad) if a_first else (ad, a)
+    n = len(ad)
     one = Element.one()
     rules = []
 
-    def word(*gens) -> Word:
-        return Word(tuple(gens))
+    def pair(x, y) -> Element:
+        return Element.from_word(Word((x, y)))
 
-    def w_elem(*gens) -> Element:
-        return Element.from_word(word(*gens))
-
-    if family in ("a", "a'", "c", "c'"):
-        fermionic = family in ("a", "a'")
-        sign = -1 if family in ("a", "c'") else 1
-        for i in range(n):
-            if fermionic:
-                rules.append(Rule(word(a[i], a[i]), Element.zero()))
-                rules.append(Rule(word(ad[i], ad[i]), Element.zero()))
-                rules.append(Rule(word(a[i], ad[i]), one * h - w_elem(ad[i], a[i])))
-            else:
-                rules.append(Rule(word(a[i], ad[i]), w_elem(ad[i], a[i]) + one * h))
-        for i in range(n):
-            for j in range(i + 1, n):
-                rules.append(Rule(word(a[j], a[i]), w_elem(a[i], a[j]) * sign))
-                rules.append(Rule(word(ad[j], ad[i]), w_elem(ad[i], ad[j]) * sign))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    rules.append(Rule(word(a[i], ad[j]), w_elem(ad[j], a[i]) * sign))
-    elif family == "b":
-        for i in range(n):
-            for j in range(n):
-                rules.append(Rule(word(a[i], a[j]), Element.zero()))
-                rules.append(Rule(word(ad[i], ad[j]), Element.zero()))
-                if i != j:
-                    rules.append(Rule(word(a[i], ad[j]), Element.zero()))
-        total = Element.sum(w_elem(ad[k], a[k]) for k in range(n))
-        for i in range(n):
-            rules.append(Rule(word(a[i], ad[i]), one * h - total))
-    elif family == "b'":
-        for i in range(n):
-            for j in range(n):
-                rules.append(Rule(word(a[i], a[j]), Element.zero()))
-                rules.append(Rule(word(ad[i], ad[j]), Element.zero()))
-                if i != j:
-                    rules.append(Rule(word(ad[j], a[i]), Element.zero()))
-        total = Element.sum(w_elem(a[k], ad[k]) for k in range(n))
-        for i in range(n):
-            rules.append(Rule(word(ad[i], a[i]), one * h - total))
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    total = Element.sum(pair(first[k], second[k]) for k in range(n))
+    for i in range(n):
+        if squares_vanish:
+            rules.append(Rule(Word((a[i], a[i])), Element.zero()))
+            rules.append(Rule(Word((ad[i], ad[i])), Element.zero()))
+        diagonal = total if collective else pair(first[i], second[i])
+        rules.append(Rule(Word((second[i], first[i])), one * h + diagonal * alpha))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for g in (a, ad):
+                rules.append(Rule(Word((g[j], g[i])), pair(g[i], g[j]) * s))
+                if s == 0:
+                    rules.append(Rule(Word((g[i], g[j])), Element.zero()))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                rules.append(Rule(Word((second[i], first[j])), pair(first[j], second[i]) * s))
     return rules
 
 
 @lru_cache(maxsize=None)
 def _build_noa_cached(family: str, n: int, h: HPoly) -> Algebra:
+    tag, _, a_first, collective, alpha, squares_vanish, s, factor = _FAMILY_ROWS[family]
     ad, a = _noa_generators(n)
-    # Family b' normalizes a-letters to the left, everything else ad-first;
-    # the Sigma relation cannot decrease under the ad-first order.
-    generators = tuple(a) + tuple(ad) if family == "b'" else tuple(ad) + tuple(a)
-    rules = _noa_rules(family, n, h, ad, a)
+    # Generators in normal order: a collective diagonal with a-letters first
+    # cannot decrease under the ad-first order.
+    generators = tuple(a) + tuple(ad) if a_first else tuple(ad) + tuple(a)
+    rules = _noa_rules(a_first, collective, alpha, squares_vanish, s, h, ad, a)
     system = ReductionSystem(generators, rules)
-    factor = {
-        "a": eps_a,
-        "a'": eps_a_prime,
-        "c": eps_c,
-        "c'": eps_c_prime,
-        "b": eps_c_prime,
-        "b'": eps_c_prime,
-    }[family](n)
     involution = {}
     for x, y in zip(ad, a):
         involution[x] = y
         involution[y] = x
-    tag = FAMILY_LABELS[family]
     if h == H:
         label = f"{tag}:n={n}"
     elif h.is_zero():
         label = f"classical-{tag}:n={n}"
     else:
         label = f"{tag}:n={n},h={h}"
-    alg = Algebra(label, family, system, factor, h, involution, {"n": n})
+    alg = Algebra(label, family, system, factor(n), h, involution, {"n": n})
     return _certify(alg)
 
 
@@ -346,46 +327,53 @@ def build_exterior_preset(n: int, factor_name: str = "eps_c") -> Algebra:
     return build_epsilon_exterior(grades, factor, f"ext:n={n},factor={factor_name}")
 
 
+# The parameters each preset string takes; only the first may be given bare.
+_PRESET_PARAMS = {
+    **dict.fromkeys(FAMILY_NAMES, ("n", "h")),
+    "qplane": ("q",),
+    "cex": (),
+    "ext": ("n", "factor"),
+}
+
+PRESET_NAMES = tuple(_PRESET_PARAMS)
+
+
 def parse_preset(text: str) -> Algebra:
     """Build an algebra from a preset string like 'boson:n=2' or 'qplane:2'."""
     name, _, rest = text.partition(":")
     name = name.strip()
-    params = {}
-    order = []
-    if rest:
-        for chunk in rest.split(","):
-            key, eq, value = chunk.partition("=")
-            key, value = key.strip(), value.strip()
-            if not eq:
-                order.append(key)
-            else:
-                params[key] = value
+    if name not in _PRESET_PARAMS:
+        raise ValueError(f"unknown preset {name!r}")
+    params = _preset_params(name, rest)
     if name in FAMILY_NAMES:
-        n = check_modes(parse_modes(params.pop("n", order.pop(0) if order else "1")))
-        h = _scalar_param(params.pop("h", None))
-        _reject_extras(name, params, order)
+        n = check_modes(parse_modes(params.get("n", "1")))
+        h = _scalar_param(params.get("h"))
         return build_noa(name, n, H if h is None else h)
     if name == "qplane":
-        q = _scalar_param(params.pop("q", order.pop(0) if order else None))
+        q = _scalar_param(params.get("q"))
         if q is None:
             raise ValueError("qplane needs its parameter, e.g. qplane:2")
-        _reject_extras(name, params, order)
         return build_quantum_plane(q)
     if name == "cex":
-        _reject_extras(name, params, order)
         return build_counterexample()
-    if name == "ext":
-        n = check_modes(parse_modes(params.pop("n", order.pop(0) if order else "1")))
-        factor_name = params.pop("factor", "eps_c")
-        _reject_extras(name, params, order)
-        return build_exterior_preset(n, factor_name)
-    raise ValueError(f"unknown preset {name!r}")
+    n = check_modes(parse_modes(params.get("n", "1")))
+    return build_exterior_preset(n, params.get("factor", "eps_c"))
 
 
-def _reject_extras(name, params, order):
-    if params or order:
-        extras = ", ".join(list(params) + order)
-        raise ValueError(f"preset {name!r} does not take: {extras}")
+def _preset_params(name: str, rest: str) -> dict:
+    """Each parameter once, keyed, or bare in the first chunk for the first one."""
+    takes = _PRESET_PARAMS[name]
+    params = {}
+    for pos, chunk in enumerate(rest.split(",") if rest else ()):
+        key, eq, value = (part.strip() for part in chunk.partition("="))
+        if not eq and pos == 0 and takes and key:
+            key, value = takes[0], key
+        if key not in takes:
+            raise ValueError(f"preset {name!r} does not take {chunk.strip()!r}")
+        if key in params:
+            raise ValueError(f"preset {name!r} takes {key} once, got {chunk.strip()!r}")
+        params[key] = value
+    return params
 
 
 def _scalar_param(text):
@@ -393,7 +381,5 @@ def _scalar_param(text):
         return None
     from .exprparse import scalar_from_text
 
-    return scalar_from_text(str(text))
+    return scalar_from_text(text)
 
-
-PRESET_NAMES = tuple(FAMILY_NAMES) + ("qplane", "cex", "ext")

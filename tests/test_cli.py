@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import epsalg
 from epsalg import Element, H
-from epsalg.cli import run
+from epsalg.cli import MAX_SAMPLES, run
 
 
 def _lines(capsys):
@@ -322,6 +323,91 @@ def test_ascii_preset_numbers_still_read(capsys):
                  ["--family", "excl", "--n", "3"], ["--family", "excl", "--n", "03"]):
         assert run(["dim", *argv]) == 0
         assert _lines(capsys) == ["16"]
+
+
+@pytest.mark.parametrize(
+    "preset, chunk",
+    [
+        ("qplane:2,q=3", "q=3"),
+        ("boson:2,n=1", "n=1"),
+        ("boson:n=2,n=1", "n=1"),
+        ("boson:h=1,h=0", "h=0"),
+        ("ext:factor=eps_c,factor=eps_a", "factor=eps_a"),
+        ("boson:n=2,foo", "foo"),
+        ("boson:n=2,", ""),
+        ("boson:=2", "=2"),
+        ("boson:h=0,2", "2"),
+        ("cex:2", "2"),
+    ],
+)
+def test_preset_strings_take_each_parameter_once(preset, chunk, capsys):
+    # These used to drop a bare first value, keep the last of a repeated key
+    # or accept a stray chunk.
+    assert run(["normalize", "--alg", preset, "x"]) == 2
+    out, err = capsys.readouterr()
+    name = preset.partition(":")[0]
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: preset {name!r} ") and err.endswith(f"{chunk!r}\n")
+
+
+def test_preset_strings_still_read_bare_and_keyed_values(capsys):
+    for preset, want in [("qplane:2", "2*y*x"), ("qplane:q=3", "3*y*x"), ("qplane: 3 ", "3*y*x")]:
+        assert run(["normalize", "--alg", preset, "x*y"]) == 0
+        assert _lines(capsys) == [want]
+    for preset, want in [("boson:2,h=0", "ad1*a1"), ("boson:h=2,n=2", "ad1*a1 + 2")]:
+        assert run(["normalize", "--alg", preset, "a1*ad1"]) == 0
+        assert _lines(capsys) == [want]
+    assert run(["dim", "--alg", "ext:2,factor=eps_c"]) == 0
+    assert _lines(capsys) == ["4"]
+
+
+@pytest.mark.parametrize("value", ["\u0663", "\u00b9", "1_0", "+3", " 3", "3 ", "", "-"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--alg", "boson:n=1", "--maxlen"],
+        ["mu", "--alg", "boson:n=1", "a1", "ad1", "--order"],
+        ["verify", "--suite", "lie", "--alg", "fermion:n=1", "--samples"],
+        ["verify", "--suite", "lie", "--alg", "fermion:n=1", "--seed"],
+    ],
+    ids=["maxlen", "order", "samples", "seed"],
+)
+def test_numeric_flags_are_ascii_digits(argv, value, capsys):
+    # int() reads an Arabic-Indic three as 3, takes 1_0, +3 and spaces, and
+    # refuses a superscript one with argparse's own message.
+    assert run([*argv, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err == f"error: argument {argv[-1]}: expected an integer in the digits 0-9, got {value!r}\n"
+
+
+def test_numeric_flags_refuse_more_digits_than_can_be_read(capsys):
+    assert run(["dim", "--alg", "boson:n=1", "--maxlen", "9" * 5000]) == 2
+    assert capsys.readouterr().err == "error: argument --maxlen: more than 4300 digits\n"
+    assert run(["dim", "--family", "boson", "--n", "9" * 5000]) == 2
+    assert capsys.readouterr().err == "error: argument --n: n has more than 4300 digits\n"
+
+
+def test_ascii_numeric_flags_still_read(capsys):
+    assert run(["dim", "--alg", "boson:n=1", "--maxlen", "03"]) == 0
+    assert _lines(capsys) == ["10 words (truncated at length 3)"]
+    assert run(["verify", "--suite", "lie", "--alg", "fermion:n=1", "--samples", "2",
+                "--seed", "-3", "--maxlen", "1"]) == 0
+    assert _lines(capsys)[-1] == "verify-lie: 1/1 checks passed"
+    assert run(["mu", "--alg", "boson:n=1", "--order", "1", "a1", "ad1"]) == 0
+    assert _lines(capsys) == ["1"]
+
+
+def test_samples_beyond_the_budget_are_refused_at_once():
+    # Ten million samples used to run for minutes; the refusal comes before
+    # any algebra is built or sampled.
+    t0 = time.monotonic()
+    proc = _child("verify", "--suite", "lie", "--alg", "fermion:n=1", "--maxlen", "1",
+                  "--samples", "10000000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: --samples must be at most 10000, got 10000000\n"
+    assert time.monotonic() - t0 < 5
+    assert MAX_SAMPLES == 10**4
 
 
 @pytest.mark.parametrize("module", ["epsalg", "epsalg.cli"])
