@@ -116,8 +116,9 @@ def gm_mul(P: GradedMatrix, Q: GradedMatrix) -> GradedMatrix:
     for i in range(P.nrows):
         row = []
         for j in range(Q.ncols):
-            total = Element.sum(P.entries[i][k] * Q.entries[k][j] for k in range(P.ncols))
-            row.append(P.alg.normalize(total))
+            row.append(Element.sum(
+                P.alg.mul(P.entries[i][k], Q.entries[k][j]) for k in range(P.ncols)
+            ))
         entries.append(row)
     return GradedMatrix(
         P.alg, P.row_grades, Q.col_grades, entries, P.gamma + Q.gamma
@@ -172,7 +173,7 @@ def augmentation_violations(alg: Algebra, max_len: int = 2) -> list:
     violations = []
     basis = alg.basis(max_len)
     for u, v in itertools.product(basis, repeat=2):
-        lhs = unit_coefficient(alg.normalize(Element.from_word(u) * Element.from_word(v)))
+        lhs = unit_coefficient(alg.mul(Element.from_word(u), Element.from_word(v)))
         rhs = unit_coefficient(Element.from_word(u)) * unit_coefficient(
             Element.from_word(v)
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .freealg import Element, Generator, Word, grade_of, homogeneous_components
+from .freealg import Element, Generator, Word
 from .grading import (
     CommutationFactor,
     Grade,
@@ -85,6 +85,7 @@ class Algebra:
         self.generators = system.generators
         self._by_label = {g.label: g for g in self.generators}
         self._basis = {}
+        self._grades = {}  # word -> Grade, filled as words are met
 
     # ------------------------------------------------------------- structure
 
@@ -118,6 +119,10 @@ class Algebra:
     def normalize(self, x) -> Element:
         return self.system.normalize(x)
 
+    def mul(self, x: Element, y: Element) -> Element:
+        """The product in the quotient: normal form of x*y, free product unbuilt."""
+        return self.system.mul(x, y)
+
     def basis(self, max_len: int):
         got = self._basis.get(max_len)
         if got is None:
@@ -125,11 +130,30 @@ class Algebra:
             self._basis[max_len] = got
         return got
 
-    def grade_of(self, x: Element):
-        return grade_of(x, self.zero_grade)
+    def word_grade(self, word: Word) -> Grade:
+        grade = self._grades.get(word)
+        if grade is None:
+            grade = self._grades[word] = word.grade(self.zero_grade)
+        return grade
 
-    def components(self, x: Element):
-        return homogeneous_components(x, self.zero_grade)
+    def grade_of(self, x: Element):
+        """Common grade of the words of x, None if x is inhomogeneous; the
+        zero element reports the zero grade (as `freealg.grade_of`)."""
+        grades = set(map(self.word_grade, x.terms))
+        if len(grades) > 1:
+            return None
+        return grades.pop() if grades else self.zero_grade
+
+    def components(self, x: Element) -> dict:
+        """Split x by grade (as `freealg.homogeneous_components`); a
+        homogeneous x is its own single piece."""
+        grade = self.word_grade
+        pairs = {}
+        for word, coeff in x.terms.items():
+            pairs.setdefault(grade(word), []).append((word, coeff))
+        if len(pairs) == 1:
+            return {g: x for g in pairs}
+        return {g: Element(p) for g, p in pairs.items()}
 
     def parse(self, text: str) -> Element:
         from .exprparse import element_from_text
@@ -152,9 +176,15 @@ def _certify(alg: Algebra) -> Algebra:
     return alg
 
 
+@lru_cache(maxsize=None)
 def _noa_generators(n: int):
-    creators = [Generator("ad", i, Grade.unit(i, n)) for i in range(1, n + 1)]
-    annihilators = [Generator("a", i, -Grade.unit(i, n)) for i in range(1, n + 1)]
+    """Creators and annihilators on n modes, one set of objects per n.
+
+    Every build of n modes (quantum, classical limit, pinned h) shares them,
+    so a word of one build finds its equal in another's memo by identity.
+    """
+    creators = tuple(Generator("ad", i, Grade.unit(i, n)) for i in range(1, n + 1))
+    annihilators = tuple(Generator("a", i, -Grade.unit(i, n)) for i in range(1, n + 1))
     return creators, annihilators
 
 
@@ -197,7 +227,7 @@ def _build_noa_cached(family: str, n: int, h: HPoly) -> Algebra:
     ad, a = _noa_generators(n)
     # Generators in normal order: a collective diagonal with a-letters first
     # cannot decrease under the ad-first order.
-    generators = tuple(a) + tuple(ad) if a_first else tuple(ad) + tuple(a)
+    generators = a + ad if a_first else ad + a
     rules = _noa_rules(a_first, collective, alpha, squares_vanish, s, h, ad, a)
     system = ReductionSystem(generators, rules)
     involution = {}

@@ -6,7 +6,9 @@ reduction terminates.  Confluence is certified by resolving all overlap
 and inclusion ambiguities (the diamond lemma); once the unresolved list is
 empty, irreducible words form a basis of the quotient and `normalize`
 computes the canonical representative, in one pass per word over the words
-pending, largest first, each rewritten once at its leftmost redex.
+pending, largest first, each rewritten once at its leftmost redex.  `mul`
+multiplies in the quotient: it reads the normal form of each concatenated
+word pair from the same memo and never forms the free product.
 
 Inside a system a word is a code string, one character per letter: the
 generator of precedence i is `chr(_BASE - i)`, so the smallest
@@ -234,6 +236,22 @@ class ReductionSystem:
             (w, c * coeff)
             for word, coeff in x.terms.items()
             for w, c in self._cached_nf(word).terms.items()
+        )
+
+    def mul(self, x: Element, y: Element) -> Element:
+        """Normal form of x*y, for any x and y, without the free product.
+
+        The sum over word pairs of c1*c2 * nf(w1 w2): each coefficient
+        product is taken once and each concatenation is looked up in `_nf`.
+        Equal to `normalize(x * y)`, since normalizing is K[h]-linear.
+        """
+        nf, ys = self._cached_nf, y.terms.items()
+        return Element(
+            (w, c * coeff)
+            for w1, c1 in x.terms.items()
+            for w2, c2 in ys
+            for coeff in (c1 * c2,)
+            for w, c in nf(Word(w1.letters + w2.letters)).terms.items()
         )
 
     def _cached_nf(self, word: Word) -> Element:

@@ -154,9 +154,8 @@ def number_operator_check(alg: Algebra, i: int, j: int) -> list:
     delta = 1 if i == j else 0
     for name, sign in (("ad", 1), ("a", -1)):
         g = Element.from_word(alg.indexed_gen(name, j))
-        commutator = n_elem * g - g * n_elem
         expected = g * alg.h * (sign * delta)
-        residual = alg.normalize(commutator - expected)
+        residual = alg.mul(n_elem, g) - alg.mul(g, n_elem) - alg.normalize(expected)
         if not residual.is_zero():
             failures.append(
                 f"[hN_{i}, {name}{j}] residual {residual} (expected {expected})"

@@ -17,6 +17,8 @@ from epsalg import (
     build_noa,
     build_quantum_plane,
     classical_limit,
+    grade_of,
+    homogeneous_components,
     parse_preset,
     with_h,
 )
@@ -125,6 +127,17 @@ def test_grades_of_generators():
     assert alg.grade_of(alg.parse("ad1*a2")) == Grade((1, -1))
 
 
+def test_grades_read_the_word_memo_and_match_the_free_algebra():
+    alg = build_noa("c", 2)
+    zero = alg.zero_grade
+    for text in ("0", "1", "ad1*a2", "ad1*a2 + 3*a2*ad1", "a1 + ad1", "a1*ad2 + a2 - 2"):
+        x = alg.parse(text)
+        assert alg.grade_of(x) == grade_of(x, zero)
+        assert alg.components(x) == homogeneous_components(x, zero)
+    word = Word((alg.gen("ad1"), alg.gen("a2")))
+    assert alg.word_grade(word) is alg.word_grade(Word(word.letters))
+
+
 # ------------------------------------------------------- other preset blocks
 
 
@@ -198,6 +211,17 @@ def test_with_h():
     assert alg.label == "fermion:n=1,h=2"
     assert _nf(alg, "a1*ad1") == "-ad1*a1 + 2"
     assert not alg.is_classical()
+
+
+@pytest.mark.parametrize("family", presets.NOA_FAMILIES)
+def test_builds_of_one_family_share_generator_objects(family):
+    for n in (1, 2):
+        quantum = build_noa(family, n)
+        others = (classical_limit(quantum), with_h(quantum, 2), build_noa(family, n, 0))
+        for other in others:
+            assert other is not quantum
+            for i, g in enumerate(quantum.generators):
+                assert other.generators[i] is g
 
 
 # ------------------------------------------------------------ preset strings

@@ -1,0 +1,263 @@
+"""Products taken in the quotient: `Algebra.mul` and the laws built on it.
+
+`mul(x, y)` must equal `normalize(x * y)` for every pair of inputs.  The
+brackets, law checkers and deformation identities that now multiply in the
+quotient are compared against copies of their earlier free-product
+formulas, which normalized every sum once more; and a counter keeps such a
+second pass from coming back.
+"""
+import operator
+import random
+from fractions import Fraction
+
+import pytest
+
+from epsalg import (
+    BracketContext,
+    DeformationExpansion,
+    Element,
+    HPoly,
+    ReductionSystem,
+    Scalar,
+    Word,
+    build_counterexample,
+    build_exterior_preset,
+    build_noa,
+    build_quantum_plane,
+    check_deformation_identity,
+    classical_limit,
+    eps_c,
+    epsilon_commutator,
+    grade_of,
+    homogeneous_components,
+    poisson_bracket,
+    sample_triples,
+    verify_lie_axioms,
+    verify_poisson_axioms,
+)
+from epsalg.brackets import _lie_residuals
+
+FAMILIES = ["a", "a'", "b", "b'", "c", "c'"]
+
+ALGEBRAS = [(f"{family}:n={n}", lambda f=family, n=n: build_noa(f, n))
+            for family in FAMILIES for n in (1, 2)] + [
+    ("classical-b:n=2", lambda: classical_limit(build_noa("b", 2))),
+    ("qplane:q=3", lambda: build_quantum_plane(3)),
+    ("ext:n=3", lambda: build_exterior_preset(3)),
+    ("cex", build_counterexample),
+]
+
+
+def _random_scalar(rng):
+    while True:
+        s = Scalar(Fraction(rng.randint(-3, 3), rng.choice((1, 2))), rng.randint(-1, 1),
+                   rng.randint(-1, 1), 0)
+        if not s.is_zero():
+            return s
+
+
+def _random_element(rng, alg, h_degree):
+    """Up to three words of up to four letters in any order, most of them
+    reducible; coefficients polynomials in h of degree <= h_degree."""
+    return Element(
+        (
+            Word(rng.choice(alg.generators) for _ in range(rng.randint(0, 4))),
+            HPoly([_random_scalar(rng) for _ in range(rng.randint(1, h_degree + 1))]),
+        )
+        for _ in range(rng.randint(1, 3))
+    )
+
+
+@pytest.mark.parametrize("name,build", ALGEBRAS, ids=[name for name, _ in ALGEBRAS])
+def test_mul_is_the_normal_form_of_the_free_product(name, build):
+    alg = build()
+    rng = random.Random(name)
+    special = [Element.zero(), Element.one(), Element.from_word(alg.generators[-1])]
+    pairs = [(x, y) for x in special for y in special]
+    for _ in range(25):
+        x = _random_element(rng, alg, rng.randint(0, 2))
+        y = _random_element(rng, alg, rng.randint(0, 2))
+        pairs += [(x, y), (x, Element.zero()), (Element.one(), y), (alg.normalize(x), y)]
+    for x, y in pairs:
+        assert alg.mul(x, y) == alg.normalize(x * y), (x, y)
+
+
+def test_mul_reads_the_word_memo():
+    base = build_noa("c", 2)
+    system = ReductionSystem(base.system.generators, base.system.rules)
+    x, y = base.parse("a1^2 + ad2"), base.parse("ad1*a2 - 3")
+    assert system.mul(x, y) == base.normalize(x * y)
+    assert set(system._nf) == set((x * y).terms)
+
+
+# ------------------------------------------- the free-product formulas, kept
+
+
+def _old_components(alg, x):
+    return homogeneous_components(x, alg.zero_grade)
+
+
+def _old_eps_bracket(ctx, product, x, y):
+    alg, eps = ctx.algebra, ctx.factor.eval
+    ys = _old_components(alg, y).items()
+    return Element.sum(
+        term
+        for gx, u in _old_components(alg, x).items()
+        for gy, v in ys
+        for term in (product(u, v), product(v, u) * -eps(gx, gy))
+    )
+
+
+def _old_epsilon_commutator(ctx, x, y):
+    return ctx.algebra.normalize(_old_eps_bracket(ctx, operator.mul, x, y))
+
+
+def _old_poisson_bracket(ctx, x, y):
+    mu_n = ctx.expansion.mu_n
+    return _old_eps_bracket(ctx, lambda u, v: mu_n(u, v, 1), x, y)
+
+
+def _old_lie_residuals(ctx, bracket, x, y, z):
+    alg, eps = ctx.algebra, ctx.factor.eval
+    gx, gy, gz = (grade_of(e, alg.zero_grade) for e in (x, y, z))
+    xy = bracket(ctx, x, y)
+    anti = alg.normalize(xy + bracket(ctx, y, x) * eps(gx, gy))
+    jacobi = alg.normalize(
+        bracket(ctx, x, bracket(ctx, y, z)) * eps(gz, gx)
+        + bracket(ctx, z, xy) * eps(gy, gz)
+        + bracket(ctx, y, bracket(ctx, z, x)) * eps(gx, gy)
+    )
+    return anti, jacobi
+
+
+def _old_verify_poisson_axioms(ctx, triples):
+    failures = []
+    alg, eps = ctx.algebra, ctx.factor.eval
+    for k, (x, y, z) in enumerate(triples):
+        anti, jacobi = _old_lie_residuals(ctx, _old_poisson_bracket, x, y, z)
+        if not anti.is_zero():
+            failures.append(f"triple {k}: antisymmetry residual {anti}")
+        if not jacobi.is_zero():
+            failures.append(f"triple {k}: Jacobi residual {jacobi}")
+        gx, gy = grade_of(x, alg.zero_grade), grade_of(y, alg.zero_grade)
+        yz = alg.normalize(y * z)
+        leibniz = alg.normalize(
+            _old_poisson_bracket(ctx, x, yz)
+            - _old_poisson_bracket(ctx, x, y) * z
+            - y * _old_poisson_bracket(ctx, x, z) * eps(gx, gy)
+        )
+        if not leibniz.is_zero():
+            failures.append(f"triple {k}: Leibniz residual {leibniz}")
+    return failures
+
+
+def _old_verify_lie_axioms(ctx, triples):
+    failures = []
+    for k, (x, y, z) in enumerate(triples):
+        anti, jacobi = _old_lie_residuals(ctx, _old_epsilon_commutator, x, y, z)
+        if not anti.is_zero():
+            failures.append(f"triple {k}: antisymmetry residual {anti}")
+        if not jacobi.is_zero():
+            failures.append(f"triple {k}: Jacobi residual {jacobi}")
+    return failures
+
+
+def _old_check_deformation_identity(exp, x, y, z, n):
+    xy, yz = exp.mu(x, y), exp.mu(y, z)
+    return Element.sum(
+        term
+        for q in range(n + 1)
+        for term in (
+            exp.mu_n(xy.h_coefficient(q), z, n - q),
+            -exp.mu_n(x, yz.h_coefficient(q), n - q),
+        )
+    )
+
+
+def _old_mu_sums(exp, x, y, z, n):
+    """The two sides of order-n associativity, each summed order by order."""
+    xy, yz = exp.mu(x, y), exp.mu(y, z)
+    left = Element.sum(exp.mu_n(xy.h_coefficient(q), z, n - q) for q in range(n + 1))
+    right = Element.sum(exp.mu_n(x, yz.h_coefficient(q), n - q) for q in range(n + 1))
+    return left, right
+
+
+def _compare_laws(exp, qctx, cctx, triples):
+    """Every residual and failure list of the new code against the old
+    formulas; returns how many compared values were nonzero."""
+    nonzero = 0
+    for x, y, z in triples:
+        values = [
+            (epsilon_commutator(qctx, x, y), _old_epsilon_commutator(qctx, x, y)),
+            (poisson_bracket(cctx, x, y), _old_poisson_bracket(cctx, x, y)),
+            *zip(_lie_residuals(qctx, epsilon_commutator, x, y, z),
+                 _old_lie_residuals(qctx, _old_epsilon_commutator, x, y, z)),
+            *zip(_lie_residuals(cctx, poisson_bracket, x, y, z),
+                 _old_lie_residuals(cctx, _old_poisson_bracket, x, y, z)),
+        ]
+        # The residuals vanish by associativity; each side of the identity,
+        # N(N(xy)z) and N(xN(yz)) at h^n, is compared on its own as well.
+        q = exp.quantum
+        for n in range(4):
+            values.append((check_deformation_identity(exp, x, y, z, n),
+                           _old_check_deformation_identity(exp, x, y, z, n)))
+            values += zip(
+                (q.mul(exp.mu(x, y), z).h_coefficient(n), q.mul(x, exp.mu(y, z)).h_coefficient(n)),
+                _old_mu_sums(exp, x, y, z, n),
+            )
+        for new, old in values:
+            assert new == old, (x, y, z)
+            nonzero += not new.is_zero()
+    assert verify_poisson_axioms(cctx, triples) == _old_verify_poisson_axioms(cctx, triples)
+    assert verify_lie_axioms(qctx, triples) == _old_verify_lie_axioms(qctx, triples)
+    return nonzero
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_laws_match_the_free_product_formulas(family):
+    exp = DeformationExpansion(build_noa(family, 2))
+    qctx, cctx = BracketContext.quantum(exp.quantum), BracketContext.classical(exp)
+    triples = sample_triples(exp.classical, 6, seed=FAMILIES.index(family))
+    assert _compare_laws(exp, qctx, cctx, triples) > 0
+
+
+def test_laws_match_the_free_product_formulas_where_leibniz_fails():
+    # the cases of test_exclusion_limits_break_leibniz and
+    # test_wrong_factor_breaks_leibniz, whose residuals are nonzero
+    exp = DeformationExpansion(build_noa("b", 2))
+    triples = sample_triples(exp.classical, 40, seed=5, max_len=2)
+    cctx = BracketContext.classical(exp)
+    old = _old_verify_poisson_axioms(cctx, triples)
+    assert old and verify_poisson_axioms(cctx, triples) == old
+
+    exp = DeformationExpansion(build_noa("a", 1))
+    wrong = eps_c(1)
+    qctx = BracketContext.quantum(exp.quantum, factor=wrong)
+    cctx = BracketContext.classical(exp, factor=wrong)
+    a1, ad1 = exp.classical.parse("a1"), exp.classical.parse("ad1")
+    triples = [(a1, a1, ad1), (ad1, a1, a1 * ad1), (a1, ad1, ad1)]
+    assert _old_verify_poisson_axioms(cctx, triples)
+    assert _compare_laws(exp, qctx, cctx, triples) > 0
+
+
+# ---------------------------------------------------- no second normal pass
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_law_check_never_renormalizes(family, monkeypatch):
+    exp = DeformationExpansion(build_noa(family, 2))
+    x, y, z = sample_triples(exp.classical, 1, seed=11)[0]
+    qctx, cctx = BracketContext.quantum(exp.quantum), BracketContext.classical(exp)
+    calls = []
+    normalize = ReductionSystem.normalize
+
+    def counted(self, x):
+        calls.append(x)
+        return normalize(self, x)
+
+    monkeypatch.setattr(ReductionSystem, "normalize", counted)
+    verify_poisson_axioms(cctx, [(x, y, z)])
+    verify_lie_axioms(qctx, [(x, y, z)])
+    for n in range(4):
+        check_deformation_identity(exp, x, y, z, n)
+    assert calls == []

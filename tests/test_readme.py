@@ -47,7 +47,7 @@ def test_python_examples_give_the_commented_results():
             if comment:
                 assert str(value) == comment.split(", ")[0], line
                 checked += 1
-    assert checked == 5
+    assert checked == 6
 
 
 @pytest.mark.parametrize("example", _SHELL_EXAMPLES, ids=[ex[0][2:] for ex in _SHELL_EXAMPLES])
