@@ -47,8 +47,8 @@ FAMILY_NAMES = {row[0]: row[1] for row in _FAMILY_TABLE}
 
 FAMILY_LABELS = {v: k for k, v in FAMILY_NAMES.items()}
 
-# Certification grows fast with the modes (boson:n=40 took 39 s on a 2-core
-# machine), so preset strings and the CLI refuse more; build_noa does not.
+# Certification grows fast with the modes (boson:n=40 builds in 6-7 s on a 2-CPU
+# Xeon, Python 3.11), so preset strings and the CLI refuse more; build_noa does not.
 MAX_MODES = 16
 
 

@@ -2,13 +2,13 @@
 
 Rules replace a word by a strictly smaller graded element under the
 degree-lexicographic order induced by the generator list, so every
-reduction terminates.  Confluence is certified by resolving all overlap
-and inclusion ambiguities (the diamond lemma); once the unresolved list is
-empty, irreducible words form a basis of the quotient and `normalize`
-computes the canonical representative, in one pass per word over the words
-pending, largest first, each rewritten once at its leftmost redex.  `mul`
-multiplies in the quotient: it reads the normal form of each concatenated
-word pair from the same memo and never forms the free product.
+reduction terminates.  One reducer does all the reducing, in one pass over
+the pending words, largest first, each rewritten once at its leftmost
+redex: once per word for `normalize`, whose memo `mul` reads for each
+concatenated word pair instead of forming the free product, and once per
+ambiguity, overlap or inclusion, on the difference of its two rewrites.
+When none is unresolved the system is confluent (the diamond lemma), and
+irreducible words form a basis of the quotient.
 
 Inside a system a word is a code string, one character per letter: the
 generator of precedence i is `chr(_BASE - i)`, so the smallest
@@ -22,8 +22,8 @@ entry and only irreducible ones are decoded.
 
 A system is built in one pass over its rules: each rule word is encoded
 once, and the checks the diamond lemma needs (every rule homogeneous and
-decreasing) read the code strings.  A right-side word with the left side's
-letters has its grade; the others sum the generators' coordinate tuples.
+decreasing) read the code strings.  Critical pairs come from an index of
+the encoded left sides by their proper prefixes.
 
 Redexes, irreducible words and their number depend on the left sides
 alone; all three read the one pattern compiled from `left_sides`
@@ -32,7 +32,6 @@ alone; all three read the one pattern compiled from `left_sides`
 from __future__ import annotations
 
 import heapq
-import itertools
 import re
 
 from .freealg import Element, Generator, Word
@@ -77,16 +76,14 @@ class Rule:
 class Ambiguity:
     """One critical pair: a word reducible in two ways at overlapping spots.
 
-    Two are equal when word and kind are; left, right and residual follow from them.
+    Two are equal when word and kind are; the residual follows from them.
     """
 
-    __slots__ = ("word", "kind", "left", "right", "residual")
+    __slots__ = ("word", "kind", "residual")
 
-    def __init__(self, word: Word, kind: str, left: Element, right: Element, residual: Element):
+    def __init__(self, word: Word, kind: str, residual: Element):
         self.word = word
         self.kind = kind
-        self.left = left
-        self.right = right
         self.residual = residual
 
     def __eq__(self, other):
@@ -98,10 +95,7 @@ class Ambiguity:
         return hash((self.word, self.kind))
 
     def __repr__(self) -> str:
-        return (
-            f"Ambiguity(word={self.word!r}, kind={self.kind!r}, left={self.left!r}, "
-            f"right={self.right!r}, residual={self.residual!r})"
-        )
+        return f"Ambiguity(word={self.word!r}, kind={self.kind!r}, residual={self.residual!r})"
 
     @property
     def resolvable(self) -> bool:
@@ -261,22 +255,23 @@ class ReductionSystem:
         return nf
 
     def _word_nf(self, word: Word) -> Element:
-        """One pass over pending code strings and their coefficients, largest first.
+        return self._reduce({self._encode(word.letters): H_ONE}, word)
 
-        The word is encoded once.  Every rewrite yields smaller words, so a
-        word popped has its whole coefficient: it is rewritten once at its
-        leftmost redex (one step of `max_steps`) or, if irreducible, decoded
-        into the output.  A child gets `coeff * c` for each rule term c; the
-        HPoly product returns coeff itself, or its negation, for the common
-        rule coefficients 1 and -1.  A child's search starts `_reach` letters
-        before the rewrite, since no redex of its parent starts earlier; a
-        child reached from two parents keeps the smaller start.
+    def _reduce(self, pending: dict, word) -> Element:
+        """Normal form of `pending` (code string -> coefficient, consumed) in
+        one pass over the strings, largest first.
+
+        Rewrites only make smaller words, so a string popped has its whole
+        coefficient: it is rewritten once at its leftmost redex (one step of
+        `max_steps`) or decoded into the output.  A child gets `coeff * c`,
+        cheap in HPoly for c = 1 and -1.  Its search starts `_reach` letters
+        before the rewrite, as no redex of its parent starts earlier (the
+        smaller start, if two parents reach it).  The budget is per call:
+        per word of `normalize`, per critical pair of `iter_ambiguities`.
         """
         search, rewrites, reach = self._redex.search, self._rewrites, self._reach
-        top = self._encode(word.letters)
-        pending = {top: H_ONE}
-        starts = {top: 0}
-        heap = [(-len(top), top)]
+        starts = dict.fromkeys(pending, 0)
+        heap = sorted((-len(s), s) for s in pending)  # a sorted list is a heap
         irreducible = []
         steps = self.max_steps
         while heap:
@@ -313,28 +308,33 @@ class ReductionSystem:
     # -------------------------------------------------------------- ambiguity
 
     def iter_ambiguities(self):
-        """Every overlap and inclusion ambiguity among rule left sides."""
-        for r1, r2 in itertools.product(self.rules, repeat=2):
-            l1, l2 = r1.lhs.letters, r2.lhs.letters
-            for k in range(1, min(len(l1), len(l2))):
-                if l1[len(l1) - k :] != l2[:k]:
-                    continue
-                word = Word(l1 + l2[k:])
-                left = r1.rhs * Word(l2[k:])
-                right = Word(l1[: len(l1) - k]) * r2.rhs
-                yield self._resolve(word, "overlap", left, right)
-            if r1 is not r2 and len(l2) < len(l1):
-                for pos in range(len(l1) - len(l2) + 1):
-                    if l1[pos : pos + len(l2)] != l2:
-                        continue
-                    word = r1.lhs
-                    left = r1.rhs
-                    right = Word(l1[:pos]) * r2.rhs * Word(l1[pos + len(l2) :])
-                    yield self._resolve(word, "inclusion", left, right)
+        """Every overlap and inclusion ambiguity among rule left sides.
 
-    def _resolve(self, word, kind, left, right) -> Ambiguity:
-        residual = self.normalize(left) - self.normalize(right)
-        return Ambiguity(word=word, kind=kind, left=left, right=right, residual=residual)
+        For each left side l1, in rule order: an overlap l1 + l2[k:] with each
+        left side l2 indexed under l1's last k letters among the proper
+        prefixes, and an inclusion with each shorter l2 = l1[p:p + len(l2)];
+        by l2's rule, overlaps first, then by k or p.  The residual is one
+        `_reduce` of l1's rewrite minus l2's: words both share cancel unreduced.
+        """
+        rewrites = self._rewrites
+        rank = {s: i for i, s in enumerate(rewrites)}
+        prefixes = {}
+        for s in rewrites:
+            for k in range(1, len(s)):
+                prefixes.setdefault(s[:k], []).append(s)
+        for s1, rhs1 in rewrites.items():
+            n = len(s1)
+            pairs = [(rank[s2], 0, k, n - k, s2, s1 + s2[k:])
+                     for k in range(1, n) for s2 in prefixes.get(s1[-k:], ())]
+            pairs += [(rank[s2], 1, p, p, s2, s1) for m in range(1, n)
+                      for p in range(n - m + 1) if (s2 := s1[p:p + m]) in rank]
+            for _, kind, _, p, s2, s in sorted(pairs):
+                pending = {w + s[n:]: c for w, c in rhs1}
+                for w, c in rewrites[s2]:
+                    key = s[:p] + w + s[p + len(s2):]
+                    pending[key] = pending[key] - c if key in pending else -c
+                word = self._decode(s)
+                yield Ambiguity(word, ("overlap", "inclusion")[kind], self._reduce(pending, word))
 
     def check_confluence(self) -> list:
         """Unresolved ambiguities; an empty list certifies confluence."""

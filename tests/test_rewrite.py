@@ -494,6 +494,110 @@ def test_code_string_reducer_matches_the_tuple_reducer(name, picks):
     assert list(sys_._word_nf(word).terms.items()) == list(want.terms.items())
 
 
+# Certification as the engine did it before critical pairs were found on code
+# strings, kept word for word: every ordered pair of rules is scanned as
+# letter tuples, each side of an ambiguity is a free product and the two are
+# normalized apart.  Normalizing is K[h]-linear, so the one-pass residual must
+# equal the difference even where the system is not confluent.
+
+
+def _tuple_ambiguities(self):
+    for r1, r2 in itertools.product(self.rules, repeat=2):
+        l1, l2 = r1.lhs.letters, r2.lhs.letters
+        for k in range(1, min(len(l1), len(l2))):
+            if l1[len(l1) - k :] != l2[:k]:
+                continue
+            word = Word(l1 + l2[k:])
+            left = r1.rhs * Word(l2[k:])
+            right = Word(l1[: len(l1) - k]) * r2.rhs
+            yield _tuple_resolve(self, word, "overlap", left, right)
+        if r1 is not r2 and len(l2) < len(l1):
+            for pos in range(len(l1) - len(l2) + 1):
+                if l1[pos : pos + len(l2)] != l2:
+                    continue
+                word = r1.lhs
+                left = r1.rhs
+                right = Word(l1[:pos]) * r2.rhs * Word(l1[pos + len(l2) :])
+                yield _tuple_resolve(self, word, "inclusion", left, right)
+
+
+def _tuple_resolve(self, word, kind, left, right):
+    return str(word), kind, str(self.normalize(left) - self.normalize(right))
+
+
+def _overlap_and_inner_inclusion():
+    """Two-letter overlaps and an inclusion at an inner position, most unresolved."""
+    base = build_noa("boson", 1)
+    a, ad = base.gen("a1"), base.gen("ad1")
+    return ReductionSystem(
+        base.system.generators,
+        [
+            Rule(Word((a, ad)), Element.from_word(Word((ad, a))) + Element.scalar(H)),
+            Rule(Word((a, a, ad, a)), Element.from_word(Word((ad, a, a, a)))),
+            Rule(Word((ad, a, a, ad)), Element.zero()),
+        ],
+    )
+
+
+_CERTIFIED = [
+    f"{family}:n={n}{h}"
+    for family in ["fermion", "pseudo-fermion", "excl", "excl-dual", "boson", "pseudo-boson"]
+    for n in range(1, 5)
+    for h in ("", ",h=0")
+] + ["excl:n=3,h=2", "qplane:2", "qplane:I", "cex", "ext:n=3", "ext:n=3,factor=eps_a"]
+
+
+@pytest.mark.parametrize("name", _CERTIFIED + ["sign-mutated", "inclusion", "inner-inclusion"])
+def test_certification_matches_the_free_product_resolution(name):
+    if name == "inner-inclusion":
+        sys_ = _overlap_and_inner_inclusion()
+    else:
+        sys_ = _oracle_system(name)
+    fresh = ReductionSystem(sys_.generators, sys_.rules)
+    got = [(str(a.word), a.kind, str(a.residual)) for a in fresh.iter_ambiguities()]
+    assert got == list(_tuple_ambiguities(ReductionSystem(sys_.generators, sys_.rules)))
+    if name == "inner-inclusion":
+        assert len(got) == 8 and sum(r != "0" for _, _, r in got) == 7
+        assert ("ad1*a1^2*ad1", "inclusion", "-ad1^2*a1^2 - 2*h*ad1*a1") in got
+
+
+def test_certification_never_normalizes(monkeypatch):
+    base = build_noa("fermion", 8).system
+    sys_ = ReductionSystem(base.generators, base.rules)
+    calls, seen = [], []
+    normalize, iter_ambiguities = ReductionSystem.normalize, ReductionSystem.iter_ambiguities
+
+    def counted(self, x):
+        calls.append(x)
+        return normalize(self, x)
+
+    def listed(self):
+        for amb in iter_ambiguities(self):
+            seen.append(amb)
+            yield amb
+
+    monkeypatch.setattr(ReductionSystem, "normalize", counted)
+    monkeypatch.setattr(ReductionSystem, "iter_ambiguities", listed)
+    assert sys_.check_confluence() == []
+    assert len(seen) == 816
+    assert calls == [] and sys_._nf == {}
+
+
+def test_step_budget_applies_per_critical_pair():
+    base = build_noa("fermion", 2).system
+    words = [amb.word for amb in base.iter_ambiguities()]
+    tiny = ReductionSystem(base.generators, base.rules, max_steps=1)
+    with pytest.raises(StepBudgetExceeded) as err:
+        tiny.check_confluence()
+    seen = []
+    with pytest.raises(StepBudgetExceeded) as again:
+        for amb in tiny.iter_ambiguities():
+            seen.append(amb.word)
+    assert seen == words[: len(seen)]
+    assert str(err.value) == str(again.value)
+    assert str(err.value) == f"step budget 1 exhausted while reducing {words[len(seen)]}"
+
+
 def test_generator_count_is_bounded_by_the_encoding():
     grade = Grade((1,))
     gens = tuple(Generator("x", i, grade) for i in range(MAX_GENERATORS + 1))
