@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 from .grading import Grade
-from .scalars import H_ONE, HPoly, Scalar, _Arithmetic
+from .scalars import H_ONE, HPoly, Scalar, _Arithmetic, join_signed
 
 
 class Generator:
@@ -274,8 +274,6 @@ class Element(_Arithmetic):
                 parts.append(text)
             else:
                 parts.append(coeff.as_product_prefix() + str(word))
-        from .scalars import join_signed
-
         return join_signed(parts)
 
     def __repr__(self) -> str:

@@ -63,18 +63,27 @@ class GradedMatrix:
     """Rectangular array of homogeneous elements with prescribed grades."""
 
     def __init__(self, alg: Algebra, row_grades, col_grades, entries, gamma=None):
+        normal = [[alg.normalize(e) for e in row] for row in entries]
+        self._set(alg, row_grades, col_grades, normal, gamma)
+
+    @classmethod
+    def _of_normal(cls, alg: Algebra, row_grades, col_grades, entries, gamma=None):
+        """A matrix of entries already in normal form, taken as they are."""
+        self = cls.__new__(cls)
+        self._set(alg, row_grades, col_grades, entries, gamma)
+        return self
+
+    def _set(self, alg, row_grades, col_grades, entries, gamma):
         self.alg = alg
         self.row_grades = tuple(row_grades)
         self.col_grades = tuple(col_grades)
         self.gamma = gamma if gamma is not None else alg.zero_grade
-        rows = []
         if len(entries) != len(self.row_grades):
             raise ValueError("entry rows do not match row grades")
-        for i, row in enumerate(entries):
+        for row in entries:
             if len(row) != len(self.col_grades):
                 raise ValueError("entry row does not match column grades")
-            rows.append(tuple(alg.normalize(e) for e in row))
-        self.entries = tuple(rows)
+        self.entries = tuple(map(tuple, entries))
         self._check_grades()
 
     def _check_grades(self):
@@ -120,7 +129,7 @@ def gm_mul(P: GradedMatrix, Q: GradedMatrix) -> GradedMatrix:
                 P.alg.mul(P.entries[i][k], Q.entries[k][j]) for k in range(P.ncols)
             ))
         entries.append(row)
-    return GradedMatrix(
+    return GradedMatrix._of_normal(
         P.alg, P.row_grades, Q.col_grades, entries, P.gamma + Q.gamma
     )
 
@@ -131,7 +140,7 @@ def gm_identity(alg: Algebra, grades) -> GradedMatrix:
         [Element.one() if i == j else Element.zero() for j in range(len(grades))]
         for i in range(len(grades))
     ]
-    return GradedMatrix(alg, grades, grades, entries)
+    return GradedMatrix._of_normal(alg, grades, grades, entries)
 
 
 def is_identity(M: GradedMatrix) -> bool:

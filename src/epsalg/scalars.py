@@ -452,7 +452,7 @@ class HPoly(_Arithmetic):
         """Render as a 'coefficient*' prefix for a following word, '' for 1."""
         if self == H_ONE:
             return ""
-        if self == -H_ONE:
+        if self == H_MINUS_ONE:
             return "-"
         if sum(1 for c in self.coeffs if c) == 1:
             k = next(i for i, c in enumerate(self.coeffs) if c)
@@ -512,3 +512,4 @@ def _convolve(a: tuple, b: tuple) -> tuple:
 H = HPoly((ZERO, ONE))
 H_ZERO = HPoly()
 H_ONE = HPoly((ONE,))
+H_MINUS_ONE = HPoly((MINUS_ONE,))

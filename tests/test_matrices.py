@@ -17,6 +17,7 @@ from epsalg import (
     rank_profile,
     unit_coefficient,
 )
+from epsalg.rewrite import ReductionSystem
 
 
 def _matrix(alg, rows, cols, texts, gamma=None):
@@ -79,6 +80,26 @@ def test_gm_mul_and_identity():
     assert not invertible_pair(P, gm_identity(alg, [z, e1]))
     with pytest.raises(ValueError, match="inner grades"):
         gm_mul(P, _matrix(alg, [z], [z], [["1"]]))
+
+
+def test_products_take_their_normal_entries_as_they_are(monkeypatch):
+    # gm_mul builds each entry with Algebra.mul, already normal
+    alg = build_noa("a", 2, 0)
+    z, e1, e2 = Grade((0, 0)), Grade((1, 0)), Grade((0, 1))
+    P = _matrix(alg, [z, e1], [z, e1], [["1", "a1"], ["0", "1"]])
+    Q = _matrix(alg, [z, e1], [z, e1], [["1", "-a1"], ["0", "1"]])
+    R = _matrix(alg, [e1, e2], [e1, e2], [["1", "ad1*a2"], ["ad2*a1", "1"]])
+    calls = []
+    normalize = ReductionSystem.normalize
+
+    def counted(self, x):
+        calls.append(x)
+        return normalize(self, x)
+
+    monkeypatch.setattr(ReductionSystem, "normalize", counted)
+    assert str(gm_mul(R, R)) == "[ad1*ad2*a1*a2 + 1, 2*ad1*a2; 2*ad2*a1, ad1*ad2*a1*a2 + 1]"
+    assert invertible_pair(P, Q)
+    assert calls == []
 
 
 def test_probe_refuses_quantum_algebras_outright():

@@ -24,7 +24,7 @@ from epsalg import (
 )
 from epsalg import presets
 from epsalg.grading import eps_a, eps_a_prime, eps_c, eps_c_prime
-from epsalg.rewrite import Rule
+from epsalg.rewrite import ReductionSystem, Rule
 
 
 def _nf(alg, text):
@@ -222,6 +222,80 @@ def test_builds_of_one_family_share_generator_objects(family):
             assert other is not quantum
             for i, g in enumerate(quantum.generators):
                 assert other.generators[i] is g
+
+
+# ------------------------------------------------ certification by locality
+#
+# The local families on n > 3 modes are certified from n = 3 (the proof in
+# the presets docstring); resolving every critical pair is the oracle.
+
+_LOCAL_FAMILIES = ("a", "a'", "c", "c'")
+
+
+@pytest.mark.parametrize("family", _LOCAL_FAMILIES)
+def test_locality_certificates_agree_with_exhaustive_certification(family):
+    for n in range(1, 9):
+        for h in (H, 0, 2):
+            alg = build_noa(family, n, h)
+            assert alg.certified_by == (presets.LOCALITY if n > 3 else presets.EXHAUSTIVE)
+            assert alg.system.check_confluence() == [], (family, n, h)
+
+
+_table_rules = presets._noa_rules
+
+
+def _fermion_rules_with_a5_a4_flipped(*row_h_gens):
+    """The fermion rules, and on 5 modes a5*a4 -> +a4*a5 instead of -a4*a5."""
+    rules = _table_rules(*row_h_gens)
+    ad, a = row_h_gens[-2:]
+    if len(a) == 5:
+        k = next(k for k, r in enumerate(rules) if r.lhs.letters == (a[4], a[3]))
+        rules[k] = Rule(rules[k].lhs, -rules[k].rhs)
+    return rules
+
+
+def test_locality_refuses_a_flipped_rule_and_the_build_raises(monkeypatch):
+    row, h = presets._FAMILY_ROWS["a"][2:7], HPoly.of(13)
+    ad, a = presets._noa_generators(5)
+    pair_rules = _table_rules(*row, h, *presets._noa_generators(2))
+    good = ReductionSystem(ad + a, _table_rules(*row, h, ad, a))
+    bad = ReductionSystem(ad + a, _fermion_rules_with_a5_a4_flipped(*row, h, ad, a))
+    assert presets._is_local(good, ("ad", "a"), pair_rules)
+    assert not presets._is_local(bad, ("ad", "a"), pair_rules)  # (3)
+    assert not presets._is_local(good, ("a", "ad"), pair_rules)  # (4)
+    cubed = ReductionSystem(ad + a, good.rules + (Rule(Word((a[0],) * 3), Element.zero()),))
+    assert not presets._is_local(cubed, ("ad", "a"), pair_rules)  # (1)
+    excl_row = presets._FAMILY_ROWS["b"][2:7]
+    excl_pair_rules = _table_rules(*excl_row, h, *presets._noa_generators(2))
+    excl = ReductionSystem(ad + a, _table_rules(*excl_row, h, ad, a))
+    assert not presets._is_local(excl, ("ad", "a"), excl_pair_rules)  # (2), Sum_k
+    assert bad.check_confluence()
+    monkeypatch.setattr(presets, "_noa_rules", _fermion_rules_with_a5_a4_flipped)
+    # h = 13 is built by no other test, so the build is not cached
+    with pytest.raises(ValueError, match="fermion:n=5,h=13: reduction system not confluent"):
+        build_noa("a", 5, h)
+
+
+def test_local_families_resolve_only_the_three_mode_pairs(monkeypatch):
+    modes = []
+    iter_ambiguities = ReductionSystem.iter_ambiguities
+
+    def counted(self):
+        for amb in iter_ambiguities(self):
+            modes.append(len(self.generators) // 2)
+            yield amb
+
+    monkeypatch.setattr(ReductionSystem, "iter_ambiguities", counted)
+    # h = 17 is built by no other test, so every build below is new
+    alg = build_noa("a", 8, 17)
+    assert alg.certified_by == presets.LOCALITY
+    assert build_noa("a", 3, 17).certified_by == presets.EXHAUSTIVE
+    assert modes == [3] * 56
+    modes.clear()
+    assert build_noa("b", 4, 17).certified_by == presets.EXHAUSTIVE
+    assert modes == [4] * 256
+    with pytest.raises(AttributeError):
+        alg.certified_by = presets.EXHAUSTIVE
 
 
 # ------------------------------------------------------------ preset strings
