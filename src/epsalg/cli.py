@@ -160,8 +160,7 @@ def _algebra_from_args(args) -> Algebra:
 def _expansion_for(alg: Algebra) -> DeformationExpansion:
     if alg.family not in NOA_FAMILIES:
         raise UsageError(f"{alg.label} has no deformation expansion")
-    quantum = with_h(alg, H) if alg.is_classical() else alg
-    return DeformationExpansion(quantum)
+    return DeformationExpansion(with_h(alg, H))
 
 
 def _functions(alg: Algebra) -> dict:
@@ -300,7 +299,10 @@ def _matrix_from_json(alg: Algebra, data) -> GradedMatrix:
 
 def cmd_rank(args) -> int:
     with open(args.file) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise UsageError("--file nests its JSON too deeply to read") from None
     if not isinstance(data, dict):
         raise UsageError("--file must hold a JSON object")
     if ("P" in data) != ("Q" in data):

@@ -18,12 +18,20 @@ from .scalars import Scalar
 class DeformationExpansion:
     """A symbolic-parameter algebra together with its classical limit.
 
+    The deformation constant must vanish at h = 0 (h, 2*h, ...): a pinned
+    constant is no deformation, since mu_0 would not be the classical product.
+
     Irreducible words are the words avoiding every left side, so equal
     generators and left sides prove the basis shared at every length."""
 
     def __init__(self, quantum: Algebra):
         if quantum.is_classical():
             raise ValueError(f"{quantum.label} has no parameter left to expand in")
+        if not quantum.h.coefficient(0).is_zero():
+            raise ValueError(
+                f"{quantum.label}: h = {quantum.h} has a non-zero constant term, "
+                "so mu_0 would not be the classical product"
+            )
         self.quantum = quantum
         self.classical = classical_limit(quantum)
         q, c = quantum.system, self.classical.system

@@ -9,34 +9,36 @@ satisfy the factor axioms over its whole grade group.
 Confluence is certified by resolving every critical pair (`exhaustive`),
 except for the families whose diagonal relation is local (fermion,
 pseudo-fermion, boson, pseudo-boson) on n > 3 modes, which are certified
-from n = 3 (`locality`).  Write phi for the map of modes 1 -> i, 2 -> j,
-3 -> k (i < j < k), sending the letter of mode m to the letter of the same
-name and mode phi(m).  The n-mode system S_n is confluent when S_3 is and:
+from n = 3 (`locality`).  Rename each mode of a rule by its rank among the
+modes of its left side, so a rule on modes i < j reads as one on 1 < 2.
+The n-mode system S_n is confluent when S_3 is and:
 
   (1) every left side of S_n has two letters;
   (2) every word of a right side of S_n uses only the modes of its left side;
-  (3) the rules of S_n whose left side lies on modes {i, j}, i < j, are the
-      rules of S_2 under 1 -> i, 2 -> j, and the same holds for S_3;
+  (3) every mode of S_n carries the same renamed rules, and so does every
+      pair of modes, and these are the renamed rules of S_3;
   (4) the generators of S_n and of S_3 stand in precedence by name (in one
       order for both) and then by mode.
 
 By (1), and as left sides are distinct, every critical pair is an overlap
-of three letters, so it lies on at most three modes i < j < k.  By (3) the
+of three letters, so it lies on at most three modes i < j < k.  The map phi
+of modes 1 -> i, 2 -> j, 3 -> k, sending each letter to the letter of the
+same name, keeps the order of modes and so the renamed rules: by (3) the
 rules of S_n on those modes are the rules of S_3 under phi, and by (2) no
 reduction of a word on those modes leaves them.  phi keeps the positions
 of letters and, by (4), the precedence, so it keeps the termination order
 and the leftmost redex and commutes with the reducer: each critical pair
 of S_n and its resolution are the image under phi of one of S_3, and S_n
 is confluent exactly when S_3 is.  (1)-(4) are checked at every such build
-in time linear in the rules, and S_3 is certified exhaustively, once per
-family and h; if a check fails, the build resolves every critical pair of
-S_n instead.  The excl families (b, b') have the collective diagonal
-Sum_k, which breaks (2), so they, and every n <= 3, stay exhaustive.
+in one pass over the rules of S_n and of S_3, which is certified
+exhaustively once per family and h; if a check fails, the build resolves
+every critical pair of S_n instead.  The excl families (b, b') have the
+collective diagonal Sum_k, which breaks (2), so they, and every n <= 3,
+stay exhaustive.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from .freealg import Element, Generator, Word
 from .grading import (
@@ -205,23 +207,23 @@ class Algebra:
         return f"Algebra({self.label})"
 
 
-def _certify(alg: Algebra, local=None) -> Algebra:
+def _certify(alg: Algebra, three=None) -> Algebra:
     """Prove the factor axioms of `alg` in closed form, then certify its
     system confluent; a failure of either raises ValueError.
 
-    `local` is given for a family with a local diagonal on n > 3 modes:
-    (names, S_3, rules of S_2), with S_3 the certified 3-mode algebra of the
-    same row and h and names the generator names in precedence order.  When
-    hypotheses (1)-(4) of the module docstring hold for S_n and S_3, the
-    certificate of S_3 certifies S_n (LOCALITY).  Otherwise, and without
-    `local`, every critical pair of S_n is resolved (EXHAUSTIVE).
+    `three`, for a family with a local diagonal on n > 3 modes, is the
+    certified 3-mode algebra S_3 of the same row and h.  When `_local_shape`
+    finds one shape for S_n and S_3, hypotheses (1)-(4) of the module
+    docstring hold and the certificate of S_3 certifies S_n (LOCALITY).
+    Otherwise, and without `three`, every critical pair is resolved
+    (EXHAUSTIVE).
     """
     bad = verify_factor_axioms(alg.factor, [alg.zero_grade])
     if bad:
         raise ValueError(f"{alg.label}: commutation factor axioms fail: {bad}")
-    if local is not None:
-        names, three, pair_rules = local
-        if _is_local(alg.system, names, pair_rules) and _is_local(three.system, names, pair_rules):
+    if three is not None:
+        shape = _local_shape(alg.system)
+        if shape is not None and shape == _local_shape(three.system):
             alg._certified_by = LOCALITY
             return alg
     unresolved = alg.system.check_confluence()
@@ -233,35 +235,34 @@ def _certify(alg: Algebra, local=None) -> Algebra:
     return alg
 
 
-def _is_local(system: ReductionSystem, names, pair_rules) -> bool:
-    """Hypotheses (1)-(4) of the locality proof for a system on n >= 2 modes,
-    in one pass over its rules and one lookup of `pair_rules` (the 2-mode
-    system's) per pair of modes."""
+def _local_shape(system: ReductionSystem):
+    """(names, rules on one mode, rules on two modes), renamed by rank, when
+    (1), (2) and (4) of the module docstring hold and every mode, and every
+    pair of modes, carries the same renamed rules; else None.  One pass."""
     gens = system.generators
+    names = tuple(dict.fromkeys(g.name for g in gens))
     n = len(gens) // len(names)
     if [(g.name, g.index) for g in gens] != [(x, m) for x in names for m in range(1, n + 1)]:
-        return False  # (4)
+        return None  # (4)
     on_modes = {}
     for rule in system.rules:
         letters = rule.lhs.letters
-        modes = {g.index for g in letters}
-        if len(letters) != 2 or any({g.index for g in w} - modes for w in rule.rhs.terms):
-            return False  # (1), (2)
-        on_modes.setdefault(tuple(sorted(modes)), {})[letters] = rule.rhs.terms
-    by_mode = {(g.name, g.index): g for g in gens}
-    letters2 = {g for r in pair_rules for w in (r.lhs, *r.rhs.terms) for g in w}
-    for pair in combinations(range(1, n + 1), 2):
-        lift = {g: by_mode[g.name, pair[g.index - 1]] for g in letters2}.__getitem__
-        want = {
-            tuple(map(lift, r.lhs)): {Word(map(lift, w)): c for w, c in r.rhs.terms.items()}
-            for r in pair_rules
-        }
-        got = {}
-        for modes in ((pair[0],), (pair[1],), pair):
-            got.update(on_modes.get(modes, {}))
-        if got != want:
-            return False  # (3)
-    return True
+        if len(letters) != 2:
+            return None  # (1)
+        modes = tuple(sorted({g.index for g in letters}))
+        rank = {m: r for r, m in enumerate(modes, 1)}
+        try:
+            rhs = {tuple((g.name, rank[g.index]) for g in w): c for w, c in rule.rhs.terms.items()}
+        except KeyError:
+            return None  # (2)
+        on_modes.setdefault(modes, {})[tuple((g.name, rank[g.index]) for g in letters)] = rhs
+    shape = {}
+    for modes, rules in on_modes.items():
+        if shape.setdefault(len(modes), rules) != rules:
+            return None  # (3)
+    if len(on_modes) != n * (n + 1) // 2:
+        return None  # a mode or a pair of modes carries no rule
+    return names, shape.get(1), shape.get(2)
 
 
 @lru_cache(maxsize=None)
@@ -331,9 +332,7 @@ def _build_noa_cached(family: str, n: int, h: HPoly) -> Algebra:
         label = f"{tag}:n={n},h={h}"
     alg = Algebra(label, family, system, factor(n), h, involution, {"n": n})
     if n > 3 and not collective:
-        names = tuple(g.name for g in generators[::n])
-        pair_rules = _noa_rules(*row[2:7], h, *_noa_generators(2))
-        return _certify(alg, (names, _build_noa_cached(family, 3, h), pair_rules))
+        return _certify(alg, _build_noa_cached(family, 3, h))
     return _certify(alg)
 
 

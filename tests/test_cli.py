@@ -52,6 +52,19 @@ def test_mu(capsys):
     assert _lines(capsys) == ["ad1*a1"]
 
 
+def test_pinned_h_presets_expand_their_symbolic_h_algebra(capsys):
+    assert run(["mu", "--alg", "boson:n=1,h=2", "--order", "0", "a1", "ad1"]) == 0
+    assert _lines(capsys) == ["ad1*a1"]
+    assert run(["bracket", "--kind", "poisson", "--alg", "boson:n=1,h=2", "a1", "ad1"]) == 0
+    assert _lines(capsys) == ["1"]
+    assert run(["verify", "--suite", "poisson", "--alg", "boson:n=1,h=2", "--samples", "8"]) == 0
+    pinned = _lines(capsys)
+    assert run(["verify", "--suite", "poisson", "--alg", "boson:n=1", "--samples", "8"]) == 0
+    assert pinned == _lines(capsys)
+    assert run(["verify", "--suite", "oscillator", "--alg", "boson:n=1,h=2"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_confluence(capsys):
     assert run(["confluence", "--alg", "excl:n=2"]) == 0
     out = _lines(capsys)
@@ -107,6 +120,15 @@ def test_rank_needs_an_algebra(tmp_path, capsys):
     path.write_text(json.dumps({"rows": [], "cols": [], "entries": []}))
     assert run(["rank", "--file", str(path)]) == 2
     assert "no algebra" in capsys.readouterr().err
+
+
+def test_rank_refuses_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert run(["rank", "--alg", "cex", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --file nests its JSON too deeply to read\n"
 
 
 def test_presets_listing(capsys):

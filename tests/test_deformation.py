@@ -13,6 +13,7 @@ from epsalg import (
     build_noa,
     fix_parameter,
     mu_n,
+    with_h,
 )
 
 FAMILIES = ["a", "a'", "b", "b'", "c", "c'"]
@@ -21,6 +22,13 @@ FAMILIES = ["a", "a'", "b", "b'", "c", "c'"]
 def test_rejects_classical_input():
     with pytest.raises(ValueError, match="no parameter left"):
         DeformationExpansion(classical_limit(build_noa("c", 1)))
+
+
+def test_rejects_a_parameter_with_a_constant_term():
+    for h in (2, H + 2):
+        with pytest.raises(ValueError, match="non-zero constant term"):
+            DeformationExpansion(with_h(build_noa("c", 1), h))
+    assert DeformationExpansion(with_h(build_noa("c", 1), H * 2)).quantum.h == H * 2
 
 
 def test_requires_h_free_arguments():

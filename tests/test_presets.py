@@ -257,23 +257,46 @@ def _fermion_rules_with_a5_a4_flipped(*row_h_gens):
 def test_locality_refuses_a_flipped_rule_and_the_build_raises(monkeypatch):
     row, h = presets._FAMILY_ROWS["a"][2:7], HPoly.of(13)
     ad, a = presets._noa_generators(5)
-    pair_rules = _table_rules(*row, h, *presets._noa_generators(2))
     good = ReductionSystem(ad + a, _table_rules(*row, h, ad, a))
-    bad = ReductionSystem(ad + a, _fermion_rules_with_a5_a4_flipped(*row, h, ad, a))
-    assert presets._is_local(good, ("ad", "a"), pair_rules)
-    assert not presets._is_local(bad, ("ad", "a"), pair_rules)  # (3)
-    assert not presets._is_local(good, ("a", "ad"), pair_rules)  # (4)
+    ad3, a3 = presets._noa_generators(3)
+    three = ReductionSystem(ad3 + a3, _table_rules(*row, h, ad3, a3))
+    assert presets._local_shape(good) == presets._local_shape(three) is not None
     cubed = ReductionSystem(ad + a, good.rules + (Rule(Word((a[0],) * 3), Element.zero()),))
-    assert not presets._is_local(cubed, ("ad", "a"), pair_rules)  # (1)
-    excl_row = presets._FAMILY_ROWS["b"][2:7]
-    excl_pair_rules = _table_rules(*excl_row, h, *presets._noa_generators(2))
-    excl = ReductionSystem(ad + a, _table_rules(*excl_row, h, ad, a))
-    assert not presets._is_local(excl, ("ad", "a"), excl_pair_rules)  # (2), Sum_k
+    assert presets._local_shape(cubed) is None  # (1)
+    excl = ReductionSystem(ad + a, _table_rules(*presets._FAMILY_ROWS["b"][2:7], h, ad, a))
+    assert presets._local_shape(excl) is None  # (2), Sum_k
+    bad = ReductionSystem(ad + a, _fermion_rules_with_a5_a4_flipped(*row, h, ad, a))
+    assert presets._local_shape(bad) is None  # (3)
+    ad6, a6 = presets._noa_generators(6)
+    ad_gap, a_gap = ad6[:4] + ad6[5:], a6[:4] + a6[5:]
+    gap = ReductionSystem(ad_gap + a_gap, _table_rules(*row, h, ad_gap, a_gap))
+    assert presets._local_shape(gap) is None  # (4), modes 1-4 and 6
     assert bad.check_confluence()
     monkeypatch.setattr(presets, "_noa_rules", _fermion_rules_with_a5_a4_flipped)
     # h = 13 is built by no other test, so the build is not cached
     with pytest.raises(ValueError, match="fermion:n=5,h=13: reduction system not confluent"):
         build_noa("a", 5, h)
+
+
+def test_local_shape_refuses_a_pair_of_modes_without_rules():
+    ad, a = presets._noa_generators(5)
+    rules = _table_rules(*presets._FAMILY_ROWS["a"][2:7], H, ad, a)
+    kept = [r for r in rules if {g.index for g in r.lhs} != {4, 5}]
+    assert len(kept) < len(rules)
+    assert presets._local_shape(ReductionSystem(ad + a, kept)) is None
+
+
+def test_a_local_build_makes_rules_for_n_and_three_modes_only(monkeypatch):
+    modes = []
+
+    def counted(*row_h_gens):
+        modes.append(len(row_h_gens[-1]))
+        return _table_rules(*row_h_gens)
+
+    monkeypatch.setattr(presets, "_noa_rules", counted)
+    # h = 19 is built by no other test, so both builds below are new
+    assert build_noa("a", 9, 19).certified_by == presets.LOCALITY
+    assert modes == [9, 3]
 
 
 def test_local_families_resolve_only_the_three_mode_pairs(monkeypatch):
