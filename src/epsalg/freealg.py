@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from .grading import Grade
 from .scalars import H_ONE, HPoly, Scalar, _Arithmetic, join_signed
 
 
 class Generator:
-    __slots__ = ("name", "index", "grade", "_hash")
+    __slots__ = ("name", "index", "grade", "_hash", "_key")
 
     def __init__(self, name: str, index: int | None, grade: Grade):
         self.name = name
@@ -25,6 +26,7 @@ class Generator:
         self.grade = grade
         # Letters are hashed in every word and redex lookup; equality stays by value.
         self._hash = hash((name, index, grade))
+        self._key = (name, index if index is not None else 0)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -43,7 +45,7 @@ class Generator:
         return self.name if self.index is None else f"{self.name}{self.index}"
 
     def sort_key(self):
-        return (self.name, self.index if self.index is not None else 0)
+        return self._key
 
     def __str__(self) -> str:
         return self.label
@@ -98,7 +100,7 @@ class Word:
         return Grade(tuple(map(sum, zip(zero.coords, *(g.coords for g in grades)))), zero.moduli)
 
     def sort_key(self):
-        return (len(self.letters), tuple(g.sort_key() for g in self.letters))
+        return (len(self.letters), tuple([g._key for g in self.letters]))
 
     def __str__(self) -> str:
         if not self.letters:
@@ -106,7 +108,7 @@ class Word:
         parts = []
         run, count = self.letters[0], 1
         for letter in self.letters[1:]:
-            if letter == run:
+            if letter is run or letter == run:
                 count += 1
                 continue
             parts.append(run.label if count == 1 else f"{run.label}^{count}")
@@ -172,9 +174,6 @@ class Element(_Arithmetic):
     def scalar(value) -> Element:
         return Element({EMPTY_WORD: value})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -231,11 +230,15 @@ class Element(_Arithmetic):
             degree = self.h_degree()
             if degree * n > 10**6:
                 raise ValueError(f"(h-degree {degree})^{n} exceeds h-degree 10**6")
-            scalars = [s for c in self.terms.values() for s in c.coeffs]
-            bits = max((max(s.d, *map(abs, s.n)).bit_length() for s in scalars), default=0)
+            cs = self.terms.values()
+            # Each h-coefficient in its own lowest terms, as its Scalar has it.
+            groups = [(c.n[k:k + 4], c.d) for c in cs for k in range(0, len(c.n), 4)]
+            largest = max((max(d, *map(abs, g)) // gcd(d, *g) for g, d in groups), default=0)
+            bits = largest.bit_length()
             if bits * n > 10**6:
                 raise ValueError(f"({bits}-bit coefficient)^{n} exceeds 10**6 bits")
-            dense = max((sum(1 for s in c.coeffs if s) for c in self.terms.values()), default=0)
+            dense = max((sum(any(c.n[k:k + 4]) for k in range(0, len(c.n), 4)) for c in cs),
+                        default=0)
             if n > 1 and _power_work(k, dense, degree, bits, n) > 10**6:
                 raise ValueError(
                     f"({k} terms of h-degree {degree})^{n} exceeds 10**6 units of coefficient work"

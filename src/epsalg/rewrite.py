@@ -7,6 +7,8 @@ the pending words, largest first, each rewritten once at its leftmost
 redex: once per word for `normalize`, whose memo `mul` reads for each
 concatenated word pair instead of forming the free product, and once per
 ambiguity, overlap or inclusion, on the difference of its two rewrites.
+The child of a sign-only rule that would be popped next skips the heap and
+is reduced in place.
 When none is unresolved the system is confluent (the diamond lemma), and
 irreducible words form a basis of the quotient.
 
@@ -36,7 +38,7 @@ import re
 
 from .freealg import Element, Generator, Word
 from .grading import Grade
-from .scalars import H_ONE
+from .scalars import H_MINUS_ONE, H_ONE
 
 
 # The highest code point below the surrogates: precedences 0 .. _BASE map to
@@ -163,6 +165,7 @@ class ReductionSystem:
 
         self.left_sides = left_sides = {}
         self._rewrites = rewrites = {}
+        self._signed = signed = {}  # lhs -> (rhs, 1 or -1) of a sign-only rule
         for rule in self.rules:
             letters = rule.lhs.letters
             if not letters:
@@ -177,6 +180,8 @@ class ReductionSystem:
             except KeyError as exc:
                 raise ValueError(f"rule uses foreign generator {exc.args[0]}") from None
             rewrites[lhs] = rhs
+            if len(rhs) == 1 and rhs[0][1] in (H_ONE, H_MINUS_ONE):
+                signed[lhs] = (rhs[0][0], 1 if rhs[0][1] == H_ONE else -1)
             same = sorted(lhs)
             other = [s for s, _ in rhs if len(s) != len(lhs) or sorted(s) != same]
             if other:
@@ -263,13 +268,16 @@ class ReductionSystem:
 
         Rewrites only make smaller words, so a string popped has its whole
         coefficient: it is rewritten once at its leftmost redex (one step of
-        `max_steps`) or decoded into the output.  A child gets `coeff * c`,
-        cheap in HPoly for c = 1 and -1.  Its search starts `_reach` letters
-        before the rewrite, as no redex of its parent starts earlier (the
-        smaller start, if two parents reach it).  The budget is per call:
-        per word of `normalize`, per critical pair of `iter_ambiguities`.
+        `max_steps`) or decoded into the output.  A child gets `coeff * c`.
+        Its search starts `_reach` letters before the rewrite, as no redex
+        of its parent starts earlier (the smaller start, if two parents
+        reach it).  A child of a sign-only rule (`_signed`) above every
+        pending string is new and would be popped next, so it is reduced in
+        place and its sign kept as an int.  The budget is per call: per word
+        of `normalize`, per critical pair of `iter_ambiguities`.
         """
-        search, rewrites, reach = self._redex.search, self._rewrites, self._reach
+        search, rewrites, signed = self._redex.search, self._rewrites, self._signed
+        reach = self._reach
         starts = dict.fromkeys(pending, 0)
         heap = sorted((-len(s), s) for s in pending)  # a sorted list is a heap
         irreducible = []
@@ -280,29 +288,39 @@ class ReductionSystem:
             start = starts.pop(top)
             if not coeff:
                 continue
-            match = search(top, start)
-            if match is None:
-                irreducible.append((self._decode(top), coeff))
-                continue
-            steps -= 1
-            if steps < 0:
-                raise StepBudgetExceeded(
-                    f"step budget {self.max_steps} exhausted while reducing {word}"
-                )
-            pos, end = match.span()
-            head, tail = top[:pos], top[end:]
-            start = max(0, pos - reach)
-            for w, c in rewrites[match.group()]:
-                child = head + w + tail
-                prev = pending.get(child)
-                term = coeff * c
-                if prev is None:
-                    heapq.heappush(heap, (-len(child), child))
-                    pending[child] = term
-                    starts[child] = start
-                else:
-                    pending[child] = prev + term
-                    starts[child] = min(starts[child], start)
+            sign = 1
+            while (match := search(top, start)) is not None:
+                steps -= 1
+                if steps < 0:
+                    raise StepBudgetExceeded(
+                        f"step budget {self.max_steps} exhausted while reducing {word}"
+                    )
+                pos, end = match.span()
+                head, tail = top[:pos], top[end:]
+                start = max(0, pos - reach)
+                lhs = match.group()
+                if lhs in signed:
+                    w, flip = signed[lhs]
+                    child = head + w + tail
+                    if not heap or (-len(child), child) < heap[0]:
+                        top, sign = child, sign * flip
+                        continue
+                if sign < 0:
+                    coeff = -coeff
+                for w, c in rewrites[lhs]:
+                    child = head + w + tail
+                    prev = pending.get(child)
+                    term = coeff * c
+                    if prev is None:
+                        heapq.heappush(heap, (-len(child), child))
+                        pending[child] = term
+                        starts[child] = start
+                    else:
+                        pending[child] = prev + term
+                        starts[child] = min(starts[child], start)
+                break
+            else:
+                irreducible.append((self._decode(top), -coeff if sign < 0 else coeff))
         return Element(irreducible)
 
     # -------------------------------------------------------------- ambiguity

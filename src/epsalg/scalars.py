@@ -10,25 +10,31 @@ conjugation tau fixes rationals and r2 and sends I to -I; its fixed subfield
 Q(r2) is where the deformation constant h and every rescaling norm
 lambda*tau(lambda) live.
 
-The public constructors `Scalar(c0, c1, c2, c3)` and `HPoly(coeffs)` coerce
-ints and Fractions; the arithmetic builds its results through the private
-`Scalar._make` and `HPoly._make`, which trust their arguments.  An HPoly
-product convolves the integer numerators of both sides over a common
-denominator and makes one Scalar per degree.
+An HPoly is stored the same way: the numerators of all its degrees, four
+per degree, in one int tuple over one positive denominator, reduced by
+their gcd and with no trailing zero group, so zero is ()/1.  Its sums,
+products, negation and conjugation run on those integers; `coeffs`,
+`coefficient(k)` and `constant()` make Scalars for readers.  The public
+constructors `Scalar(c0, c1, c2, c3)` and `HPoly(coeffs)` coerce ints and
+Fractions; the arithmetic builds its results through the private `_make`,
+which trusts its arguments.  Both render from the integers.
 
 Scalar, HPoly and freealg.Element share `_Arithmetic`: each gives `_coerce`
-(None for a foreign operand), `__add__`, `__neg__` and `__mul__`; the base
-derives `of` (a TypeError for a foreign operand), subtraction, division by a
-constant and square-and-multiply powers with unit `_coerce(1)`.  Units and
-zeros are absorbed in `HPoly.__mul__` alone: it skips zero coefficients on
-both sides and returns the other factor, or its negation, for a factor 1 or
--1, so callers need not test for them.  A coordinate is printed only up to
-`MAX_DIGITS` decimal digits; a longer one is a ValueError.
+(None for a foreign operand), `__bool__`, `__add__`, `__neg__` and
+`__mul__`; the base derives `of` (a TypeError for a foreign operand),
+`is_zero`, subtraction, division by a constant and square-and-multiply
+powers with unit `_coerce(1)`.  Scalar and HPoly also share `_Reduced`, the
+integer storage with its `_make`, equality, hash, negation and tau.  Units
+and zeros are absorbed in `HPoly.__mul__` alone: it skips zero coefficients
+of the shorter side and returns the other factor, or its negation, for a
+factor 1 or -1, so callers need not test for them.  A coordinate is printed
+only up to `MAX_DIGITS` decimal digits; a longer one is a ValueError.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add as _add, neg as _neg
 
 ScalarLike = "Scalar | int | Fraction"
 
@@ -47,9 +53,13 @@ def _frac(x) -> Fraction:
 
 
 class _Arithmetic:
-    """`of`, subtraction, division and powers from `_coerce`, `+`, unary `-`, `*`."""
+    """`of`, `is_zero`, subtraction, division and powers from `_coerce`,
+    `bool`, `+`, unary `-` and `*`."""
 
     __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self
 
     @classmethod
     def of(cls, value):
@@ -93,15 +103,56 @@ class _Arithmetic:
             base = base * base
 
 
-class Scalar(_Arithmetic):
-    """(n0 + n1*I + n2*r2 + n3*I*r2) / d with integer numerators n and d > 0.
+class _Reduced(_Arithmetic):
+    """Integer numerators `n` over one positive denominator `d`, gcd 1.
 
-    The form is canonical, gcd(d, *n) == 1 and zero is (0, 0, 0, 0)/1, so
-    equality and hash are structural.  Scalars are immutable by convention:
-    nothing writes `n` or `d` after `_make`.
+    The form is canonical, so equality and hash are structural.  Values are
+    immutable by convention: nothing writes `n` or `d` after `_make`.
     """
 
     __slots__ = ("n", "d")
+
+    @classmethod
+    def _make(cls, n: tuple, d: int):
+        """n/d, reduced; d > 0 and no coercion of the arguments."""
+        g = gcd(d, *n)
+        if g != 1:
+            n = tuple(x // g for x in n)
+            d //= g
+        s = _new(cls)
+        s.n = n
+        s.d = d
+        return s
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.n == other.n and self.d == other.d
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.d))
+
+    def __neg__(self):
+        s = _new(type(self))
+        s.n = tuple(map(_neg, self.n))
+        s.d = self.d
+        return s
+
+    def tau(self):
+        """The conjugation I -> -I, coordinatewise; h itself is tau-fixed."""
+        s = _new(type(self))
+        s.n = tuple(-x if k & 1 else x for k, x in enumerate(self.n))
+        s.d = self.d
+        return s
+
+
+class Scalar(_Reduced):
+    """(n0 + n1*I + n2*r2 + n3*I*r2) / d; zero is (0, 0, 0, 0)/1.
+
+    The conjugation tau is an involutive field automorphism.
+    """
+
+    __slots__ = ()
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
         cs = (_frac(c0), _frac(c1), _frac(c2), _frac(c3))
@@ -110,36 +161,13 @@ class Scalar(_Arithmetic):
         self.n = tuple(c.numerator * (d // c.denominator) for c in cs)
         self.d = d
 
-    @staticmethod
-    def _make(n: tuple, d: int) -> Scalar:
-        """The Scalar n/d, reduced; d > 0 and no coercion of the arguments."""
-        g = gcd(d, *n)
-        if g != 1:
-            n = tuple(x // g for x in n)
-            d //= g
-        s = _new(Scalar)
-        s.n = n
-        s.d = d
-        return s
-
     c0 = property(lambda self: Fraction(self.n[0], self.d))
     c1 = property(lambda self: Fraction(self.n[1], self.d))
     c2 = property(lambda self: Fraction(self.n[2], self.d))
     c3 = property(lambda self: Fraction(self.n[3], self.d))
 
-    def __eq__(self, other):
-        if type(other) is Scalar:
-            return self.n == other.n and self.d == other.d
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.d))
-
     def __bool__(self) -> bool:
         return self.n != _ZERO_N
-
-    def is_zero(self) -> bool:
-        return self.n == _ZERO_N
 
     def is_rational(self) -> bool:
         n = self.n
@@ -181,43 +209,14 @@ class Scalar(_Arithmetic):
 
     __radd__ = __add__
 
-    def __neg__(self) -> Scalar:
-        a0, a1, a2, a3 = self.n
-        s = _new(Scalar)
-        s.n = (-a0, -a1, -a2, -a3)
-        s.d = self.d
-        return s
-
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a0, a1, a2, a3 = self.n
-        b0, b1, b2, b3 = other.n
-        if not (a1 or a2 or a3):  # a rational factor: 4 products, not 16
-            n = (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
-        elif not (b1 or b2 or b3):
-            n = (b0 * a0, b0 * a1, b0 * a2, b0 * a3)
-        else:
-            # Multiplication table of the basis: I*r2 = (I*r2), (I*r2)^2 = -2.
-            n = (
-                a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
-                a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
-                a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
-                a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
-            )
-        return _make(n, self.d * other.d)
+        return _make(_times(self.n, other.n), self.d * other.d)
 
     __rmul__ = __mul__
-
-    def tau(self) -> Scalar:
-        """The conjugation i -> -i; an involutive field automorphism."""
-        a0, a1, a2, a3 = self.n
-        s = _new(Scalar)
-        s.n = (a0, -a1, a2, -a3)
-        s.d = self.d
-        return s
 
     def inverse(self) -> Scalar:
         """Exact inverse via the product of the three nontrivial conjugates.
@@ -250,34 +249,56 @@ class Scalar(_Arithmetic):
         return super().__pow__(n)
 
     def __str__(self) -> str:
-        parts = []
-        for coeff, unit in ((self.c0, ""), (self.c1, "I"), (self.c2, "r2"), (self.c3, "I*r2")):
-            if not coeff:
-                continue
-            if abs(coeff.numerator) >= _DIGIT_BOUND or coeff.denominator >= _DIGIT_BOUND:
-                raise ValueError(f"a coefficient has more than {MAX_DIGITS} digits to print")
-            if not unit:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(unit)
-            elif coeff == -1:
-                parts.append("-" + unit)
-            else:
-                parts.append(f"{coeff}*{unit}")
-        if not parts:
-            return "0"
-        return join_signed(parts)
+        return _render(self.n, self.d)
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-    def term_count(self) -> int:
-        return sum(1 for c in self.n if c)
 
 
 _new = object.__new__
 _make = Scalar._make
 _ZERO_N = (0, 0, 0, 0)
+_SIGNS = ((1, 0, 0, 0), (-1, 0, 0, 0))
+_UNITS = ("", "I", "r2", "I*r2")
+
+
+def _render(n: tuple, d: int) -> str:
+    """The text of the Scalar n/d; each coordinate is reduced on its own."""
+    parts = []
+    for x, unit in zip(n, _UNITS):
+        if not x:
+            continue
+        g = gcd(x, d)
+        p, q = x // g, d // g
+        if abs(p) >= _DIGIT_BOUND or q >= _DIGIT_BOUND:
+            raise ValueError(f"a coefficient has more than {MAX_DIGITS} digits to print")
+        text = str(p) if q == 1 else f"{p}/{q}"
+        if not unit:
+            parts.append(text)
+        elif q == 1 and p in (1, -1):
+            parts.append(unit if p == 1 else "-" + unit)
+        else:
+            parts.append(f"{text}*{unit}")
+    if not parts:
+        return "0"
+    return join_signed(parts)
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The numerators of a product of Scalars from the numerators a and b."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    if not (a1 or a2 or a3):  # a rational factor: 4 products, not 16
+        return (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+    if not (b1 or b2 or b3):
+        return (b0 * a0, b0 * a1, b0 * a2, b0 * a3)
+    # Multiplication table of the basis: I*r2 = (I*r2), (I*r2)^2 = -2.
+    return (
+        a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
+        a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
+        a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
+        a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+    )
 
 
 def join_signed(parts: list[str]) -> str:
@@ -299,61 +320,54 @@ R2 = Scalar(0, 0, 1)
 HALF = Scalar(Fraction(1, 2))
 
 
-class HPoly(_Arithmetic):
+class HPoly(_Reduced):
     """Polynomial in the deformation parameter h over Scalar.
 
-    coeffs[k] multiplies h**k; trailing zeros are never stored, so the zero
-    polynomial is the empty tuple and equality is structural.
+    The numerators of h**k are n[4k:4k + 4], all over one denominator d;
+    no trailing group of four is zero, so the zero polynomial is ()/1.
+    `coeffs`, `coefficient(k)` and `constant()` read Scalars out of it.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        self.coeffs = _strip(tuple(Scalar.of(c) for c in coeffs))
+        cs = [Scalar.of(c) for c in coeffs]
+        d = lcm(*(c.d for c in cs))
+        # Over the lcm of reduced denominators the form is already reduced.
+        self.n = _strip(tuple(x * (d // c.d) for c in cs for x in c.n))
+        self.d = d
 
-    @staticmethod
-    def _make(cs: tuple) -> HPoly:
-        """The HPoly of a tuple of Scalars without trailing zeros."""
-        p = _new(HPoly)
-        p.coeffs = cs
-        return p
-
-    def __eq__(self, other):
-        if type(other) is HPoly:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+    @property
+    def coeffs(self) -> tuple:
+        """coeffs[k] multiplies h**k, nonzero on top."""
+        n, d = self.n, self.d
+        return tuple(_make(n[k:k + 4], d) for k in range(0, len(n), 4))
 
     @staticmethod
     def _coerce(value):
         if type(value) is HPoly:
             return value
         c = Scalar._coerce(value)
-        return None if c is None else _hmake((c,) if c else ())
+        return None if c is None else _hmake(c.n if c else (), c.d)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return len(self.n) // 4 - 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.n)
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.n) <= 4
 
     def constant(self) -> Scalar:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant in h")
-        return self.coeffs[0] if self.coeffs else ZERO
+        return _make(self.n, self.d) if self.n else ZERO
 
     def coefficient(self, k: int) -> Scalar:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k and 4 * k < len(self.n):
+            return _make(self.n[4 * k:4 * k + 4], self.d)
         return ZERO
 
     def __add__(self, other):
@@ -361,52 +375,37 @@ class HPoly(_Arithmetic):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, d = self.n, other.n, self.d
+        if d != other.d:
+            g = gcd(d, other.d)
+            sa, sb = other.d // g, d // g
+            a = tuple(x * sa for x in a)
+            b = tuple(x * sb for x in b)
+            d *= sa
         if len(a) < len(b):
             a, b = b, a
         if len(a) > len(b):
-            return _hmake(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-        return _hmake(_strip(tuple(x + y for x, y in zip(a, b))))
+            return _hmake(tuple(map(_add, a, b)) + a[len(b):], d)
+        return _hmake(_strip(tuple(map(_add, a, b))), d)
 
     __radd__ = __add__
-
-    def __neg__(self) -> HPoly:
-        return _hmake(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if type(other) is not HPoly:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.n, other.n
         if not a or not b:
             return H_ZERO
-        # One side x*h^k, every coefficient below its top zero: the other side
-        # p is scaled by x and shifted up k degrees.  Constants are tried first.
-        if len(a) == 1 or len(b) == 1:
-            x, k, p = (a[0], 0, other) if len(a) == 1 else (b[0], 0, self)
-        elif not any(a[:-1]):
-            x, k, p = a[-1], len(a) - 1, other
-        elif not any(b[:-1]):
-            x, k, p = b[-1], len(b) - 1, self
-        else:
-            return _hmake(_convolve(a, b))
-        if x == ONE:
-            if not k:
-                return p
-            cs = p.coeffs
-        elif x == MINUS_ONE:
-            cs = tuple(-y for y in p.coeffs)
-        else:
-            # A product of nonzero field elements is nonzero: no strip.
-            cs = tuple(x * y if y else y for y in p.coeffs)
-        return _hmake((ZERO,) * k + cs if k else cs)
+        if other.d == 1 and b in _SIGNS:
+            return self if b[0] == 1 else -self
+        if self.d == 1 and a in _SIGNS:
+            return other if a[0] == 1 else -other
+        # A product of nonzero polynomials has a nonzero top: no strip.
+        return _hmake(_convolve(a, b), self.d * other.d)
 
     __rmul__ = __mul__
-
-    def tau(self) -> HPoly:
-        """Coefficientwise conjugation; h itself is tau-fixed."""
-        return _hmake(tuple(c.tau() for c in self.coeffs))
 
     def substitute_h(self, value) -> Scalar:
         v = Scalar.of(value)
@@ -416,97 +415,74 @@ class HPoly(_Arithmetic):
         return out
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
+        n, d = self.n, self.d
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            if k == 0:
-                parts.append(str(c))
-                continue
-            power = "h" if k == 1 else f"h^{k}"
-            if c == ONE:
-                parts.append(power)
-            elif c == MINUS_ONE:
-                parts.append("-" + power)
-            elif c.term_count() == 1:
-                parts.append(f"{c}*{power}")
-            else:
-                parts.append(f"({c})*{power}")
-        return join_signed(parts)
+        for k in range(len(n) - 4, -1, -4):
+            c = n[k:k + 4]
+            if c != _ZERO_N:
+                text = _render(c, d)
+                power = "h" if k == 4 else f"h^{k // 4}"
+                parts.append(_prefix(c, d, text) + power if k else text)
+        return join_signed(parts) if parts else "0"
 
     def __repr__(self) -> str:
         return f"HPoly({self})"
 
     def term_count(self) -> int:
         """Summands in the rendered form; the constant spreads into its units."""
-        return sum(
-            c.term_count() if k == 0 else 1
-            for k, c in enumerate(self.coeffs)
-            if c
-        )
+        n = self.n
+        return sum(1 for x in n[:4] if x) + sum(n[k:k + 4] != _ZERO_N for k in range(4, len(n), 4))
 
     def as_product_prefix(self) -> str:
         """Render as a 'coefficient*' prefix for a following word, '' for 1."""
-        if self == H_ONE:
-            return ""
-        if self == H_MINUS_ONE:
-            return "-"
-        if sum(1 for c in self.coeffs if c) == 1:
-            k = next(i for i, c in enumerate(self.coeffs) if c)
-            c = self.coeffs[k]
-            if c.term_count() == 1:
-                return f"{self}*"
-        return f"({self})*"
+        return _prefix(self.n, self.d, self)
 
 
 _hmake = HPoly._make
 
 
-def _strip(cs: tuple) -> tuple:
-    """cs without its trailing zero Scalars."""
-    k = len(cs)
-    while k and not cs[k - 1]:
-        k -= 1
-    return cs if k == len(cs) else cs[:k]
+def _prefix(n: tuple, d: int, x) -> str:
+    """x as a factor of what follows: '' for 1, '-' for -1, and bracketed
+    unless the numerators n over d have one nonzero coordinate."""
+    if n == (d, 0, 0, 0):
+        return ""
+    if n == (-d, 0, 0, 0):
+        return "-"
+    return f"{x}*" if sum(1 for v in n if v) == 1 else f"({x})*"
 
 
-def _over_lcm(cs: tuple):
-    """(d, [(k, numerators of cs[k] over d)]) for the nonzero cs[k], d their lcm."""
-    d = lcm(*(c.d for c in cs))
-    return d, [(k, c.n if c.d == d else tuple(d // c.d * x for x in c.n))
-               for k, c in enumerate(cs) if c]
+def _strip(n: tuple) -> tuple:
+    """Flat numerators n without their trailing zero groups of four."""
+    k = len(n)
+    while k and not (n[k - 1] or n[k - 2] or n[k - 3] or n[k - 4]):
+        k -= 4
+    return n if k == len(n) else n[:k]
 
 
 def _convolve(a: tuple, b: tuple) -> tuple:
-    """Coefficients of the product of two h-polynomials, nonzero on top.
+    """Flat numerators of the product of two nonzero flat h-polynomials.
 
-    Each side is written over the lcm of its denominators, so the products
-    and sums run on integer numerators and one Scalar is made per degree.
+    Each nonzero group of the shorter factor a makes one row of products
+    with all of b, which is added in at its degree: an integer times b if
+    the group has no I or r2 part, else a table product per group of b.
     """
-    da, xs = _over_lcm(a)
-    db, ys = _over_lcm(b)
-    out = [[0, 0, 0, 0] for _ in range(len(a) + len(b) - 1)]
-    for j, (a0, a1, a2, a3) in xs:
-        if not (a1 or a2 or a3):
-            for k, (b0, b1, b2, b3) in ys:
-                acc = out[j + k]
-                acc[0] += a0 * b0
-                acc[1] += a0 * b1
-                acc[2] += a0 * b2
-                acc[3] += a0 * b3
+    if len(b) < len(a):
+        a, b = b, a
+    m = len(b)
+    if m == 4:
+        return _times(a, b)
+    out = [0] * (len(a) + m - 4)
+    for j in range(0, len(a), 4):
+        x = a[j:j + 4]
+        if x[1] or x[2] or x[3]:
+            row = [v for k in range(0, m, 4) for v in _times(x, b[k:k + 4])]
+        elif x[0]:
+            x0 = x[0]
+            row = [x0 * y for y in b]
+        else:
             continue
-        for k, (b0, b1, b2, b3) in ys:
-            # The multiplication table of Scalar.__mul__.
-            acc = out[j + k]
-            acc[0] += a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3)
-            acc[1] += a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2)
-            acc[2] += a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1
-            acc[3] += a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1
-    d = da * db
-    return tuple(_make(tuple(acc), d) if any(acc) else ZERO for acc in out)
+        out[j:j + m] = map(_add, out[j:j + m], row)
+    return tuple(out)
 
 
 H = HPoly((ZERO, ONE))

@@ -3,7 +3,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epsalg import (
@@ -20,6 +20,7 @@ from epsalg import (
     homogeneous_components,
     parse_preset,
 )
+from epsalg.freealg import _power_work
 
 X = Generator("x", None, Grade((1, 0)))
 Y = Generator("y", None, Grade((0, 1)))
@@ -168,6 +169,44 @@ def test_power_refuses_coefficients_beyond_a_million_bits_or_degrees():
     with pytest.raises(ValueError, match="10\\*\\*6 bits"):
         Element.scalar(Fraction(1, 3)) ** (5 * 10**5 + 1)
     assert len((Element.scalar(3) ** (5 * 10**5)).terms) == 1
+
+
+def _scalar_read_refusal(e: Element, n: int):
+    """The refusal of `e ** n` with every coefficient read as Scalars, one per
+    h-degree, as the checks were written before HPoly was stored flat."""
+    k = len(e.terms)
+    if k > 1 and (n >= 20 or k**n > 10**6):
+        return f"({k} terms)^{n} would expand to more than 10**6 words"
+    longest = max(map(len, e.terms), default=0)
+    if longest * n > 10**6:
+        return f"({longest}-letter word)^{n} exceeds 10**6 letters"
+    degree = e.h_degree()
+    if degree * n > 10**6:
+        return f"(h-degree {degree})^{n} exceeds h-degree 10**6"
+    scalars = [s for c in e.terms.values() for s in c.coeffs]
+    bits = max((max(s.d, *map(abs, s.n)).bit_length() for s in scalars), default=0)
+    if bits * n > 10**6:
+        return f"({bits}-bit coefficient)^{n} exceeds 10**6 bits"
+    dense = max((sum(1 for s in c.coeffs if s) for c in e.terms.values()), default=0)
+    if n > 1 and _power_work(k, dense, degree, bits, n) > 10**6:
+        return f"({k} terms of h-degree {degree})^{n} exceeds 10**6 units of coefficient work"
+    return None
+
+
+big_fracs = st.fractions(max_denominator=2**40).map(lambda f: f * 2 ** (f.denominator % 50))
+sparse_hpolys = st.lists(st.one_of(st.just(0), big_fracs), max_size=5).map(HPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(words, sparse_hpolys, max_size=3).map(Element), st.integers(2, 10**6))
+@example(Element.scalar(HPoly((Fraction(1, 2), Fraction(1, 3)))), 5 * 10**5)
+@example(Element.scalar(HPoly((Fraction(1, 6), 0, Fraction(5, 4)))), 340_000)
+def test_power_refusals_read_each_h_coefficient_in_lowest_terms(e, n):
+    want = _scalar_read_refusal(e, n)
+    assume(want is not None)
+    with pytest.raises(ValueError) as err:
+        e**n
+    assert str(err.value) == want
 
 
 def test_h_coefficient_extraction():

@@ -598,6 +598,163 @@ def test_step_budget_applies_per_critical_pair():
     assert str(err.value) == f"step budget 1 exhausted while reducing {words[len(seen)]}"
 
 
+# ------------------------------------------------ the heap reducer as an oracle
+#
+# The code-string reducer before sign-only rewrites were followed in place,
+# kept word for word: every child goes through the heap and the pending
+# dict.  The engine must meet the same strings with the same coefficients
+# and search starts in the same order, so normal forms (term order too),
+# residuals, budget errors and the number of rewrites all agree, also on
+# systems that are not confluent.
+
+
+def _heap_reduce(self, pending: dict, word) -> Element:
+    search, rewrites, reach = self._redex.search, self._rewrites, self._reach
+    starts = dict.fromkeys(pending, 0)
+    heap = sorted((-len(s), s) for s in pending)  # a sorted list is a heap
+    irreducible = []
+    steps = self.max_steps
+    while heap:
+        top = heapq.heappop(heap)[1]
+        coeff = pending.pop(top)
+        start = starts.pop(top)
+        if not coeff:
+            continue
+        match = search(top, start)
+        if match is None:
+            irreducible.append((self._decode(top), coeff))
+            continue
+        steps -= 1
+        if steps < 0:
+            raise StepBudgetExceeded(
+                f"step budget {self.max_steps} exhausted while reducing {word}"
+            )
+        pos, end = match.span()
+        head, tail = top[:pos], top[end:]
+        start = max(0, pos - reach)
+        for w, c in rewrites[match.group()]:
+            child = head + w + tail
+            prev = pending.get(child)
+            term = coeff * c
+            if prev is None:
+                heapq.heappush(heap, (-len(child), child))
+                pending[child] = term
+                starts[child] = start
+            else:
+                pending[child] = prev + term
+                starts[child] = min(starts[child], start)
+    return Element(irreducible)
+
+
+class _HeapSystem(ReductionSystem):
+    _reduce = _heap_reduce
+
+
+class _CountingSearch:
+    """The redex pattern of a system, counting the searches that find one."""
+
+    def __init__(self, pattern):
+        self.pattern, self.found = pattern, 0
+
+    def search(self, s, start):
+        match = self.pattern.search(s, start)
+        self.found += match is not None
+        return match
+
+
+def _both(sys_, max_steps=None):
+    steps = sys_.max_steps if max_steps is None else max_steps
+    return [cls(sys_.generators, sys_.rules, steps) for cls in (ReductionSystem, _HeapSystem)]
+
+
+def _outcome(sys_, word):
+    """The terms of the normal form of word, in order, and the rewrites
+    made; or the message of the budget error."""
+    sys_._redex = counting = _CountingSearch(sys_._redex)
+    try:
+        return list(sys_._word_nf(word).terms.items()), counting.found
+    except StepBudgetExceeded as exc:
+        return str(exc)
+
+
+_HEAP_ORACLE = _ORACLE_PRESETS + [
+    f"{family}:n={n}" for family in ["fermion", "pseudo-fermion", "boson", "pseudo-boson"]
+    for n in (3, 4)
+] + ["excl:n=3", "excl-dual:n=3", "ext:n=3,factor=eps_a", "sign-mutated", "inclusion"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_HEAP_ORACLE), st.lists(st.integers(0, 10**6), max_size=12))
+@example("fermion:n=3", [1, 4, 0, 3, 2, 5])
+@example("pseudo-boson:n=2", [0, 0, 0, 2, 1, 3, 3, 1, 2, 2])
+@example("sign-mutated", [0, 0, 1, 1, 0, 1])
+def test_sign_following_reducer_matches_the_heap_reducer(name, picks):
+    sys_ = _oracle_system(name)
+    gens = sys_.generators
+    word = Word(gens[k % len(gens)] for k in picks)
+    new, old = _both(sys_)
+    assert _outcome(new, word) == _outcome(old, word)
+
+
+@pytest.mark.parametrize("name", _CERTIFIED + ["sign-mutated", "inclusion", "inner-inclusion"])
+def test_sign_following_resolves_every_critical_pair_as_the_heap_reducer(name):
+    if name == "inner-inclusion":
+        sys_ = _overlap_and_inner_inclusion()
+    else:
+        sys_ = _oracle_system(name)
+    new, old = _both(sys_)
+    got = [(a.word, a.kind, list(a.residual.terms.items())) for a in new.iter_ambiguities()]
+    want = [(a.word, a.kind, list(a.residual.terms.items())) for a in old.iter_ambiguities()]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("fermion:n=3", "a1*a2*a3*ad3*ad2*ad1"),
+        ("pseudo-fermion:n=3", "a3*ad1*a2*ad3*a1*ad2"),
+        ("boson:n=2", "a1^2*a2^2*ad2^2*ad1^2"),
+        ("pseudo-boson:n=2", "a2^2*a1*ad2*ad1^2"),
+        ("excl:n=3", "ad1*a1*ad1*a3*ad3^2"),
+        ("excl-dual:n=2", "ad1*a1*ad2*a2^2*ad1"),
+    ],
+)
+def test_sign_following_spends_the_budget_as_the_heap_reducer(name, text):
+    alg = parse_preset(name)
+    (word,) = alg.parse(text).terms
+    for budget in range(60):
+        new, old = _both(alg.system, budget)
+        got = _outcome(new, word)
+        assert got == _outcome(old, word)
+        if not isinstance(got, str):
+            break
+    else:
+        pytest.fail(f"{text} needs more than 60 rewrites")
+    assert budget > 3
+
+
+def test_sign_following_makes_no_more_rewrites_on_the_normal_order_workload():
+    # Seed 1 of the benchmark's normal-order workload: 180 cold normal forms.
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    ops = workloads.normal_order_ops(random.Random("normal-order/1"), 180)
+    outputs, rewrites = {}, {}
+    for cls in (ReductionSystem, _HeapSystem):
+        outputs[cls], rewrites[cls] = [], 0
+        for op in ops:
+            alg = parse_preset(op["preset"])
+            sys_ = cls(alg.system.generators, alg.system.rules)
+            sys_._redex = counting = _CountingSearch(sys_._redex)
+            outputs[cls].append(str(sys_.normalize(alg.parse(op["text"]))))
+            rewrites[cls] += counting.found
+    assert outputs[ReductionSystem] == outputs[_HeapSystem]
+    assert 10**4 < rewrites[ReductionSystem] <= rewrites[_HeapSystem]
+
+
 def test_generator_count_is_bounded_by_the_encoding():
     grade = Grade((1,))
     gens = tuple(Generator("x", i, grade) for i in range(MAX_GENERATORS + 1))

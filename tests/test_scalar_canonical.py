@@ -2,7 +2,8 @@
 
 Every Scalar, whether built by the public constructor or returned by the
 arithmetic, has d > 0 and gcd(d, *n) == 1, so equal values are equal
-structures with equal hashes.  HPoly results never end in a zero.
+structures with equal hashes.  An HPoly is stored the same way, four
+numerators per degree over one denominator, and never ends in a zero group.
 """
 from fractions import Fraction
 from math import gcd
@@ -74,12 +75,24 @@ def test_a_scalar_is_never_equal_to_a_rational(x):
     assert s == Scalar.of(x)
 
 
-@settings(max_examples=50, deadline=None)
-@given(hpolys, hpolys)
-def test_hpoly_results_carry_no_trailing_zero(a, b):
-    for p in (a + b, a - b, -a, a * b, a.tau()):
+def assert_flat(p: HPoly):
+    assert type(p.d) is int and p.d > 0
+    assert all(type(x) is int for x in p.n) and len(p.n) % 4 == 0
+    assert gcd(p.d, *p.n) == 1
+    assert not p.n or any(p.n[-4:])
+    assert p.coeffs == tuple(Scalar._make(p.n[k:k + 4], p.d) for k in range(0, len(p.n), 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hpolys, hpolys, scalars)
+def test_hpoly_results_carry_no_trailing_zero(a, b, c):
+    results = [a, b, a + b, a - b, -a, a * b, a * a, a.tau(), a * c, a + c, HPoly.of(c)]
+    for p in results + ([a / c] if c else []):
+        assert_flat(p)
         assert not p.coeffs or p.coeffs[-1]
         assert p == HPoly(p.coeffs) and hash(p) == hash(HPoly(p.coeffs))
+        assert all(p.coefficient(k) == s for k, s in enumerate(p.coeffs))
+    assert (HPoly().n, HPoly().d) == ((), 1) and ((a - a).n, (a - a).d) == ((), 1)
 
 
 def test_equal_qplane_parameters_share_one_cache_entry():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from epsalg import H, H_ONE, H_ZERO, HALF, I, MINUS_ONE, ONE, R2, ZERO, HPoly, Scalar
 from epsalg import scalar_from_text
-from epsalg.scalars import _convolve, _hmake
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 scalars = st.builds(Scalar, fracs, fracs, fracs, fracs)
@@ -208,12 +207,15 @@ def test_hpoly_mul_matches_sympy(a, b):
 @example(ONE, 1, HPoly((ONE, ZERO, I)))
 @example(MINUS_ONE, 2, H)
 def test_hpoly_mul_by_a_monomial_is_the_convolution(x, k, p):
-    # x*h^k times p takes the shift-and-scale branch, not the convolution.
+    # x*h^k times p is p scaled by x and shifted up k degrees, built here
+    # through the public constructor from Scalar products, and agrees with sympy.
     mono = HPoly((ZERO,) * k + (x,))
-    want = _hmake(_convolve(mono.coeffs, p.coeffs))
+    want = HPoly((ZERO,) * k + tuple(x * c for c in p.coeffs))
+    exact = hpoly_to_sympy(mono) * hpoly_to_sympy(p)
     for got in (mono * p, p * mono):
-        assert got == want
+        assert got == want and hash(got) == hash(want)
         assert got.coeffs[-1]
+        assert sympy.expand(hpoly_to_sympy(got) - exact) == 0
 
 
 @settings(max_examples=30, deadline=None)
