@@ -1,4 +1,4 @@
-"""Expression grammar shared by the CLI and the spec-file loader.
+"""Expression grammar of the CLI and of `Algebra.parse`.
 
     expr    := term (('+' | '-') term)*
     term    := '-' term | product

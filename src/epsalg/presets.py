@@ -353,11 +353,7 @@ def build_noa(family: str, n: int, h=H) -> Algebra:
 
 def classical_limit(alg: Algebra) -> Algebra:
     """The same presentation with the deformation constant sent to zero."""
-    if alg.family not in NOA_FAMILIES:
-        raise ValueError(f"{alg.label} has no deformation parameter")
-    if alg.is_classical():
-        return alg
-    return build_noa(alg.family, alg.params["n"], H_ZERO)
+    return with_h(alg, H_ZERO)
 
 
 def with_h(alg: Algebra, h) -> Algebra:

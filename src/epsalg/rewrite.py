@@ -4,8 +4,9 @@ Rules replace a word by a strictly smaller graded element under the
 degree-lexicographic order induced by the generator list, so every
 reduction terminates.  One reducer does all the reducing, in one pass over
 the pending words, largest first, each rewritten once at its leftmost
-redex: once per word for `normalize`, whose memo `mul` reads for each
-concatenated word pair instead of forming the free product, and once per
+redex: once per element for `normalize`, so words that share a rewrite
+share it; once per concatenated word pair for `mul`, whose memo keeps
+those normal forms instead of forming the free product; and once per
 ambiguity, overlap or inclusion, on the difference of its two rewrites.
 The child of a sign-only rule that would be popped next skips the heap and
 is reduced in place.
@@ -225,17 +226,16 @@ class ReductionSystem:
     def normalize(self, x) -> Element:
         """Canonical representative of x in the quotient; K[h]-linear.
 
-        One pass over the pairs of the normal forms of the words of x, so the
-        cost is linear in their size.  `_nf` keeps the normal forms of the
-        words of x, not of those met on the way.
+        The words of x, with their coefficients, are reduced in one `_reduce`
+        pass, so a string that several of them reach is rewritten once.
+        `_nf` is neither read nor written.
         """
         if isinstance(x, (Word, Generator)):
             x = Element.from_word(x)
-        return Element(
-            (w, c * coeff)
-            for word, coeff in x.terms.items()
-            for w, c in self._cached_nf(word).terms.items()
-        )
+        terms = x.terms
+        pending = {self._encode(w.letters): c for w, c in terms.items()}
+        return self._reduce(pending, next(iter(terms)) if len(terms) == 1
+                            else f"a sum of {len(terms)} words")
 
     def mul(self, x: Element, y: Element) -> Element:
         """Normal form of x*y, for any x and y, without the free product.
@@ -273,8 +273,9 @@ class ReductionSystem:
         of its parent starts earlier (the smaller start, if two parents
         reach it).  A child of a sign-only rule (`_signed`) above every
         pending string is new and would be popped next, so it is reduced in
-        place and its sign kept as an int.  The budget is per call: per word
-        of `normalize`, per critical pair of `iter_ambiguities`.
+        place and its sign kept as an int.  The budget is per call: per
+        element of `normalize`, per word of `mul`, per critical pair of
+        `iter_ambiguities`.
         """
         search, rewrites, signed = self._redex.search, self._rewrites, self._signed
         reach = self._reach

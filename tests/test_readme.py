@@ -69,4 +69,4 @@ def test_shell_examples_print_what_they_show(example):
 
 def test_every_shell_example_is_collected():
     assert [ex[0].split()[2] for ex in _SHELL_EXAMPLES] == [
-        "normalize", "bracket", "mu", "mu", "dim", "confluence"]
+        "normalize", "normalize", "bracket", "mu", "mu", "dim", "confluence"]
