@@ -3,12 +3,12 @@
 Both brackets are defined on homogeneous pieces and extended bilinearly:
 the commutator [x,y] = xy - eps(x|,y|) yx inside one algebra, the Poisson
 bracket {x,y} = mu_1(x,y) - eps(x|,y|) mu_1(y,x) on a classical limit
-through its deformation expansion, that is the h^1 coefficient of the
-epsilon-commutator of the quantum product.  Every product is taken in the
-quotient (`Algebra.mul`), so a bracket is a sum of normal forms, supported
-on irreducible words, and a sum of brackets needs no second pass.  The
-verifiers draw seeded random homogeneous elements and report every
-violated instance exactly.
+through its deformation expansion, the epsilon-bracket of mu_1 read from
+the h^1 parts of the quantum normal forms alone.  Every bracket is one
+`ReductionSystem.mul_sum` over the pairs of pieces, so it is a sum of
+normal forms, supported on irreducible words, and a sum of brackets needs
+no second pass.  The verifiers draw seeded random homogeneous elements and
+report every violated instance exactly.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .deformation import DeformationExpansion
 from .freealg import Element, Word
 from .grading import CommutationFactor
 from .presets import Algebra
-from .scalars import I, MINUS_ONE, ONE, Scalar
+from .scalars import H_MINUS_ONE, H_ONE, I, MINUS_ONE, ONE, Scalar
 
 UNITS = (ONE, MINUS_ONE, I, -I)
 
@@ -56,24 +56,19 @@ class BracketContext:
 
 def commutator(ctx: BracketContext, x: Element, y: Element) -> Element:
     """Plain [x,y] = xy - yx, normalized."""
-    alg = ctx.algebra
-    return alg.mul(x, y) - alg.mul(y, x)
+    return ctx.algebra.system.mul_sum(((H_ONE, x, y), (H_MINUS_ONE, y, x)))
 
 
-def _eps_bracket(ctx: BracketContext, product, x: Element, y: Element) -> Element:
-    """Sum of product(u, v) - eps(u|, v|) product(v, u) over homogeneous pieces."""
+def _eps_bracket(ctx: BracketContext, system, x: Element, y: Element, degree=None) -> Element:
+    """uv - eps(u|, v|) vu over homogeneous pieces u, v: one `system.mul_sum`."""
     alg, eps = ctx.algebra, ctx.factor.eval
     ys = alg.components(y).items()
-    return Element.sum(
-        term
-        for gx, u in alg.components(x).items()
-        for gy, v in ys
-        for term in (product(u, v), product(v, u) * -eps(gx, gy))
-    )
+    return system.mul_sum([t for gx, u in alg.components(x).items() for gy, v in ys
+                           for t in ((H_ONE, u, v), (-eps(gx, gy), v, u))], degree)
 
 
 def epsilon_commutator(ctx: BracketContext, x: Element, y: Element) -> Element:
-    return _eps_bracket(ctx, ctx.algebra.mul, x, y)
+    return _eps_bracket(ctx, ctx.algebra.system, x, y)
 
 
 def in_epsilon_center(ctx: BracketContext, x: Element) -> bool:
@@ -87,7 +82,7 @@ def in_epsilon_center(ctx: BracketContext, x: Element) -> bool:
 def poisson_bracket(ctx: BracketContext, x: Element, y: Element) -> Element:
     if ctx.expansion is None:
         raise ValueError("Poisson bracket needs a deformation expansion")
-    return _eps_bracket(ctx, ctx.expansion.mu, x, y).h_coefficient(1)
+    return _eps_bracket(ctx, ctx.expansion.quantum.system, x, y, 1)
 
 
 def _lie_residuals(ctx, bracket, x, y, z):
@@ -100,41 +95,32 @@ def _lie_residuals(ctx, bracket, x, y, z):
         + bracket(ctx, z, xy) * eps(gy, gz)
         + bracket(ctx, y, bracket(ctx, z, x)) * eps(gx, gy)
     )
-    return anti, jacobi
+    return anti, jacobi, xy
+
+
+def _law_failures(ctx: BracketContext, bracket, triples, leibniz: bool) -> list:
+    """A line per nonzero antisymmetry, epsilon-Jacobi (and Leibniz) residual."""
+    failures = []
+    alg, eps = ctx.algebra, ctx.factor.eval
+    for k, (x, y, z) in enumerate(triples):
+        anti, jacobi, xy = _lie_residuals(ctx, bracket, x, y, z)
+        laws = [("antisymmetry", anti), ("Jacobi", jacobi)]
+        if leibniz:
+            eps_xy = eps(alg.grade_of(x), alg.grade_of(y))
+            terms = ((H_ONE, xy, z), (eps_xy, y, bracket(ctx, x, z)))
+            laws.append(("Leibniz", bracket(ctx, x, alg.mul(y, z)) - alg.system.mul_sum(terms)))
+        failures += [f"triple {k}: {law} residual {r}" for law, r in laws if not r.is_zero()]
+    return failures
 
 
 def verify_lie_axioms(ctx: BracketContext, triples) -> list:
     """Antisymmetry and the epsilon-Jacobi identity for the commutator."""
-    failures = []
-    for k, (x, y, z) in enumerate(triples):
-        anti, jacobi = _lie_residuals(ctx, epsilon_commutator, x, y, z)
-        if not anti.is_zero():
-            failures.append(f"triple {k}: antisymmetry residual {anti}")
-        if not jacobi.is_zero():
-            failures.append(f"triple {k}: Jacobi residual {jacobi}")
-    return failures
+    return _law_failures(ctx, epsilon_commutator, triples, False)
 
 
 def verify_poisson_axioms(ctx: BracketContext, triples) -> list:
     """Lie axioms plus the graded Leibniz rule for the Poisson bracket."""
-    failures = []
-    alg, eps = ctx.algebra, ctx.factor.eval
-    for k, (x, y, z) in enumerate(triples):
-        anti, jacobi = _lie_residuals(ctx, poisson_bracket, x, y, z)
-        if not anti.is_zero():
-            failures.append(f"triple {k}: antisymmetry residual {anti}")
-        if not jacobi.is_zero():
-            failures.append(f"triple {k}: Jacobi residual {jacobi}")
-        gx, gy = alg.grade_of(x), alg.grade_of(y)
-        yz = alg.mul(y, z)
-        leibniz = (
-            poisson_bracket(ctx, x, yz)
-            - alg.mul(poisson_bracket(ctx, x, y), z)
-            - alg.mul(y, poisson_bracket(ctx, x, z)) * eps(gx, gy)
-        )
-        if not leibniz.is_zero():
-            failures.append(f"triple {k}: Leibniz residual {leibniz}")
-    return failures
+    return _law_failures(ctx, poisson_bracket, triples, True)
 
 
 # ----------------------------------------------------------------- sampling

@@ -3,16 +3,18 @@
 Quantum and classical normal forms share one irreducible-word basis, so the
 h-degree parts of the quantum product of two classical basis elements are
 themselves classical elements: mu_n(x, y) is the h^n coefficient of the
-quantum normal form N(xy).  Associativity of the quantum product then
-splits into one identity per order of h: since N is K[h]-linear, order n
-is the h^n coefficient of N(N(xy)z) - N(xN(yz)), which is
+quantum normal form N(xy), read off the h^n parts of word normal forms.
+Associativity of the quantum product then splits into one identity per
+order of h: since N is K[h]-linear, order n is the h^n coefficient of
+N(N(xy)z) - N(xN(yz)), which is
 sum over p+q=n of mu_p(mu_q(x,y), z) - mu_p(x, mu_q(y,z)).
 """
 from __future__ import annotations
 
 from .freealg import Element
 from .presets import Algebra, classical_limit, with_h
-from .scalars import Scalar
+from .rewrite import require_h_free
+from .scalars import H_MINUS_ONE, H_ONE, Scalar
 
 
 class DeformationExpansion:
@@ -43,19 +45,13 @@ class DeformationExpansion:
 
     def mu(self, x: Element, y: Element) -> Element:
         """Quantum normal form of x*y, coefficients polynomial in h."""
-        _require_h_free(x)
-        _require_h_free(y)
+        require_h_free(x, y)
         return self.quantum.mul(x, y)
 
     def mu_n(self, x: Element, y: Element, n: int) -> Element:
-        return self.mu(x, y).h_coefficient(n)
-
-
-def _require_h_free(x: Element):
-    if x.h_degree() > 0:
-        raise ValueError(
-            f"deformation inputs live over the base field, got h in {x}"
-        )
+        """The h^n coefficient of `mu`, zero for n < 0, computed alone."""
+        require_h_free(x, y)
+        return self.quantum.system.mul_sum(((H_ONE, x, y),), n)
 
 
 def mu_n(exp: DeformationExpansion, x: Element, y: Element, n: int) -> Element:
@@ -67,11 +63,12 @@ def check_deformation_identity(
 ) -> Element:
     """Residual of order-n associativity; zero iff the identity holds.
 
-    sum over p+q=n of mu_p(mu_q(x,y), z) - mu_p(x, mu_q(y,z)), read as the
-    h^n coefficient of N(N(xy)z) - N(xN(yz)) with N the quantum normal form.
+    sum over p+q=n of mu_p(mu_q(x,y), z) - mu_p(x, mu_q(y,z)), the two
+    outer products of each q in one call; for n < 0 it checks q = 0 only.
     """
-    q = exp.quantum
-    return (q.mul(exp.mu(x, y), z) - q.mul(x, exp.mu(y, z))).h_coefficient(n)
+    mu, outer = exp.mu_n, exp.quantum.system.mul_sum
+    return Element.sum(outer(((H_ONE, mu(x, y, q), z), (H_MINUS_ONE, x, mu(y, z, q))), n - q)
+                       for q in range(max(n, 0) + 1))
 
 
 def fix_parameter(exp: DeformationExpansion, value) -> Algebra:

@@ -257,7 +257,7 @@ class Element(_Arithmetic):
 
     def h_coefficient(self, k: int) -> Element:
         """The element of h-degree k, with constant coefficients."""
-        return Element((w, c.coefficient(k)) for w, c in self.terms.items())
+        return Element((w, c.part(k)) for w, c in self.terms.items())
 
     def h_degree(self) -> int:
         return max((c.degree for c in self.terms.values()), default=-1)

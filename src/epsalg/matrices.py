@@ -121,14 +121,9 @@ def gm_mul(P: GradedMatrix, Q: GradedMatrix) -> GradedMatrix:
         raise ValueError("matrices live over different algebras")
     if P.col_grades != Q.row_grades:
         raise ValueError("inner grades do not match")
-    entries = []
-    for i in range(P.nrows):
-        row = []
-        for j in range(Q.ncols):
-            row.append(Element.sum(
-                P.alg.mul(P.entries[i][k], Q.entries[k][j]) for k in range(P.ncols)
-            ))
-        entries.append(row)
+    mul_sum, inner = P.alg.system.mul_sum, range(P.ncols)
+    entries = [[mul_sum([(1, p[k], Q.entries[k][j]) for k in inner]) for j in range(Q.ncols)]
+               for p in P.entries]
     return GradedMatrix._of_normal(
         P.alg, P.row_grades, Q.col_grades, entries, P.gamma + Q.gamma
     )

@@ -5,9 +5,10 @@ degree-lexicographic order induced by the generator list, so every
 reduction terminates.  One reducer does all the reducing, in one pass over
 the pending words, largest first, each rewritten once at its leftmost
 redex: once per element for `normalize`, so words that share a rewrite
-share it; once per concatenated word pair for `mul`, whose memo keeps
-those normal forms instead of forming the free product; and once per
-ambiguity, overlap or inclusion, on the difference of its two rewrites.
+share it; once per concatenated word pair for `mul_sum` (a sum of products
+s*x*y, or its h^k part alone; `mul` is one product), whose memo keeps those
+normal forms instead of forming the free products; and once per ambiguity,
+overlap or inclusion, on the difference of its two rewrites.
 The child of a sign-only rule that would be popped next skips the heap and
 is reduced in place.
 When none is unresolved the system is confluent (the diamond lemma), and
@@ -39,13 +40,20 @@ import re
 
 from .freealg import Element, Generator, Word
 from .grading import Grade
-from .scalars import H_MINUS_ONE, H_ONE
+from .scalars import H_MINUS_ONE, H_ONE, HPoly
 
 
 # The highest code point below the surrogates: precedences 0 .. _BASE map to
 # distinct characters chr(_BASE) .. chr(0).
 _BASE = 0xD7FF
 MAX_GENERATORS = _BASE + 1
+
+
+def require_h_free(*elements):
+    """Refuse an element with h in a coefficient: an input of an h^k part."""
+    for x in elements:
+        if not all(map(HPoly.is_constant, x.terms.values())):
+            raise ValueError(f"deformation inputs live over the base field, got h in {x}")
 
 
 class RewriteError(Exception):
@@ -238,20 +246,28 @@ class ReductionSystem:
                             else f"a sum of {len(terms)} words")
 
     def mul(self, x: Element, y: Element) -> Element:
-        """Normal form of x*y, for any x and y, without the free product.
+        """Normal form of x*y: the one-term case of `mul_sum`."""
+        return self.mul_sum(((H_ONE, x, y),))
 
-        The sum over word pairs of c1*c2 * nf(w1 w2): each coefficient
-        product is taken once and each concatenation is looked up in `_nf`.
-        Equal to `normalize(x * y)`, since normalizing is K[h]-linear.
-        """
-        nf, ys = self._cached_nf, y.terms.items()
-        return Element(
-            (w, c * coeff)
-            for w1, c1 in x.terms.items()
-            for w2, c2 in ys
-            for coeff in (c1 * c2,)
-            for w, c in nf(Word(w1.letters + w2.letters)).terms.items()
-        )
+    def mul_sum(self, terms, degree: int | None = None) -> Element:
+        """Normal form of the sum of s*x*y over (s, x, y) in terms, or with
+        `degree=k` its h^k part (zero for k < 0), with no free product: each
+        word pair's normal form comes from `_nf` and all terms go to one
+        `Element` call.  The h^k part reads the h^k coefficient of each normal
+        form alone, so every s*c1*c2 must be free of h (else ValueError)."""
+        nf, out = self._cached_nf, []
+        for s, x, y in terms:
+            s, ys = HPoly.of(s), y.terms.items()
+            for w1, c1 in x.terms.items():
+                c1 = s * c1
+                for w2, c2 in ys:
+                    coeff = c1 * c2
+                    if degree is not None and not coeff.is_constant():
+                        require_h_free(x, y, Element.scalar(s))
+                    for w, c in nf(Word(w1.letters + w2.letters)).terms.items():
+                        if degree is None or (c := c.part(degree)):
+                            out.append((w, c * coeff))
+        return Element(out)
 
     def _cached_nf(self, word: Word) -> Element:
         nf = self._nf.get(word)
@@ -274,7 +290,7 @@ class ReductionSystem:
         reach it).  A child of a sign-only rule (`_signed`) above every
         pending string is new and would be popped next, so it is reduced in
         place and its sign kept as an int.  The budget is per call: per
-        element of `normalize`, per word of `mul`, per critical pair of
+        element of `normalize`, per word of `mul_sum`, per critical pair of
         `iter_ambiguities`.
         """
         search, rewrites, signed = self._redex.search, self._rewrites, self._signed

@@ -366,9 +366,14 @@ class HPoly(_Reduced):
         return _make(self.n, self.d) if self.n else ZERO
 
     def coefficient(self, k: int) -> Scalar:
-        if 0 <= k and 4 * k < len(self.n):
-            return _make(self.n[4 * k:4 * k + 4], self.d)
-        return ZERO
+        return self.part(k).constant()
+
+    def part(self, k: int) -> HPoly:
+        """The h^k coefficient as a constant polynomial (zero for k < 0)."""
+        if k == 0 and len(self.n) <= 4:
+            return self
+        n = self.n[4 * k:4 * k + 4] if k >= 0 else ()
+        return _hmake(n, self.d) if n and n != _ZERO_N else H_ZERO
 
     def __add__(self, other):
         if type(other) is not HPoly:

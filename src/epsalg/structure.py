@@ -152,10 +152,11 @@ def number_operator_check(alg: Algebra, i: int, j: int) -> list:
     n_elem = number_operator_element(alg, i)
     failures = []
     delta = 1 if i == j else 0
+    one = Element.one()
     for name, sign in (("ad", 1), ("a", -1)):
         g = Element.from_word(alg.indexed_gen(name, j))
         expected = g * alg.h * (sign * delta)
-        residual = alg.mul(n_elem, g) - alg.mul(g, n_elem) - alg.normalize(expected)
+        residual = alg.system.mul_sum(((1, n_elem, g), (-1, g, n_elem), (-1, expected, one)))
         if not residual.is_zero():
             failures.append(
                 f"[hN_{i}, {name}{j}] residual {residual} (expected {expected})"

@@ -117,7 +117,7 @@ def test_antisymmetry_weighs_the_swap_by_eps_x_y():
     ctx = BracketContext.quantum(alg)
     X, Y = Element.from_word(x), Element.from_word(y)
     assert verify_lie_axioms(ctx, [(X, Y, X)]) == []
-    anti, _ = _lie_residuals(ctx, commutator, X, Y, X)
+    anti, _, _ = _lie_residuals(ctx, commutator, X, Y, X)
     assert not anti.is_zero()
 
 

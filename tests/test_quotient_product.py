@@ -1,10 +1,13 @@
-"""Products taken in the quotient: `Algebra.mul` and the laws built on it.
+"""Products taken in the quotient: `Algebra.mul`, `ReductionSystem.mul_sum`
+and the laws built on them.
 
-`mul(x, y)` must equal `normalize(x * y)` for every pair of inputs.  The
-brackets, law checkers and deformation identities that now multiply in the
-quotient are compared against copies of their earlier free-product
-formulas, which normalized every sum once more; and a counter keeps such a
-second pass from coming back.
+`mul(x, y)` must equal `normalize(x * y)` for every pair of inputs, and
+`mul_sum` the sum of its products, or with a degree that sum's h^k
+coefficient.  The brackets, law checkers and deformation identities that
+now multiply in the quotient, and read mu_n and the Poisson bracket off
+h^n parts, are compared against copies of their earlier formulas, which
+formed every product in full (some in the free algebra) and sliced it
+afterwards; and a counter keeps a second normal pass from coming back.
 """
 import operator
 import random
@@ -13,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from epsalg import (
+    H,
     BracketContext,
     DeformationExpansion,
     Element,
@@ -30,18 +34,22 @@ from epsalg import (
     epsilon_commutator,
     grade_of,
     homogeneous_components,
+    mu_n,
+    parse_preset,
     poisson_bracket,
     sample_triples,
     verify_lie_axioms,
     verify_poisson_axioms,
 )
 from epsalg.brackets import _lie_residuals
+from epsalg.cli import run
 
 FAMILIES = ["a", "a'", "b", "b'", "c", "c'"]
 
 ALGEBRAS = [(f"{family}:n={n}", lambda f=family, n=n: build_noa(f, n))
             for family in FAMILIES for n in (1, 2)] + [
     ("classical-b:n=2", lambda: classical_limit(build_noa("b", 2))),
+    ("excl:n=2", lambda: parse_preset("excl:n=2")),
     ("qplane:q=3", lambda: build_quantum_plane(3)),
     ("ext:n=3", lambda: build_exterior_preset(3)),
     ("cex", build_counterexample),
@@ -112,9 +120,12 @@ def _old_epsilon_commutator(ctx, x, y):
     return ctx.algebra.normalize(_old_eps_bracket(ctx, operator.mul, x, y))
 
 
+def _old_mu_n(exp, x, y, n):
+    return exp.mu(x, y).h_coefficient(n)
+
+
 def _old_poisson_bracket(ctx, x, y):
-    mu_n = ctx.expansion.mu_n
-    return _old_eps_bracket(ctx, lambda u, v: mu_n(u, v, 1), x, y)
+    return _old_eps_bracket(ctx, lambda u, v: _old_mu_n(ctx.expansion, u, v, 1), x, y)
 
 
 def _old_lie_residuals(ctx, bracket, x, y, z):
@@ -168,17 +179,23 @@ def _old_check_deformation_identity(exp, x, y, z, n):
         term
         for q in range(n + 1)
         for term in (
-            exp.mu_n(xy.h_coefficient(q), z, n - q),
-            -exp.mu_n(x, yz.h_coefficient(q), n - q),
+            _old_mu_n(exp, xy.h_coefficient(q), z, n - q),
+            -_old_mu_n(exp, x, yz.h_coefficient(q), n - q),
         )
     )
+
+
+def _old_full_residual(exp, x, y, z, n):
+    """h^n of N(N(xy)z) - N(xN(yz)), every order formed and then sliced."""
+    q = exp.quantum
+    return (q.mul(exp.mu(x, y), z) - q.mul(x, exp.mu(y, z))).h_coefficient(n)
 
 
 def _old_mu_sums(exp, x, y, z, n):
     """The two sides of order-n associativity, each summed order by order."""
     xy, yz = exp.mu(x, y), exp.mu(y, z)
-    left = Element.sum(exp.mu_n(xy.h_coefficient(q), z, n - q) for q in range(n + 1))
-    right = Element.sum(exp.mu_n(x, yz.h_coefficient(q), n - q) for q in range(n + 1))
+    left = Element.sum(_old_mu_n(exp, xy.h_coefficient(q), z, n - q) for q in range(n + 1))
+    right = Element.sum(_old_mu_n(exp, x, yz.h_coefficient(q), n - q) for q in range(n + 1))
     return left, right
 
 
@@ -194,6 +211,8 @@ def _compare_laws(exp, qctx, cctx, triples):
                  _old_lie_residuals(qctx, _old_epsilon_commutator, x, y, z)),
             *zip(_lie_residuals(cctx, poisson_bracket, x, y, z),
                  _old_lie_residuals(cctx, _old_poisson_bracket, x, y, z)),
+            *((exp.mu_n(u, v, n), _old_mu_n(exp, u, v, n))
+              for u, v in ((x, y), (y, z), (x, z)) for n in range(-1, 4)),
         ]
         # The residuals vanish by associativity; each side of the identity,
         # N(N(xy)z) and N(xN(yz)) at h^n, is compared on its own as well.
@@ -201,6 +220,8 @@ def _compare_laws(exp, qctx, cctx, triples):
         for n in range(4):
             values.append((check_deformation_identity(exp, x, y, z, n),
                            _old_check_deformation_identity(exp, x, y, z, n)))
+            values.append((check_deformation_identity(exp, x, y, z, n),
+                           _old_full_residual(exp, x, y, z, n)))
             values += zip(
                 (q.mul(exp.mu(x, y), z).h_coefficient(n), q.mul(x, exp.mu(y, z)).h_coefficient(n)),
                 _old_mu_sums(exp, x, y, z, n),
@@ -261,3 +282,129 @@ def test_law_check_never_renormalizes(family, monkeypatch):
     for n in range(4):
         check_deformation_identity(exp, x, y, z, n)
     assert calls == []
+
+
+# ------------------------------------------------- sums of products, h^k parts
+
+
+def _h_free_element(rng, alg):
+    return Element((Word(rng.choice(alg.generators) for _ in range(rng.randint(0, 4))),
+                    _random_scalar(rng)) for _ in range(rng.randint(1, 3)))
+
+
+def _product_terms(rng, alg, element, scale):
+    """Seeded (scale, x, y) triples with the zero, the unit and repeated pairs."""
+    special = [Element.zero(), Element.one(), Element.from_word(alg.generators[0])]
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        x = rng.choice(special) if rng.random() < 0.3 else element()
+        y = rng.choice(special) if rng.random() < 0.3 else element()
+        terms.append((scale(), x, y))
+        if rng.random() < 0.3:
+            terms.append((scale(), x, y))  # the same pair again
+    return terms
+
+
+def _scale(rng, with_h):
+    pick = rng.randrange(4 if with_h else 3)
+    return (rng.randint(-2, 2), _random_scalar(rng), HPoly.of(_random_scalar(rng)),
+            HPoly([_random_scalar(rng), _random_scalar(rng)]))[pick]
+
+
+@pytest.mark.parametrize("name,build", ALGEBRAS, ids=[name for name, _ in ALGEBRAS])
+def test_mul_sum_is_the_sum_of_its_products(name, build):
+    alg = build()
+    rng = random.Random(f"sum {name}")
+    for _ in range(20):
+        terms = _product_terms(rng, alg, lambda: _random_element(rng, alg, rng.randint(0, 2)),
+                               lambda: _scale(rng, True))
+        want = Element.sum(alg.mul(x, y) * s for s, x, y in terms)
+        assert alg.system.mul_sum(terms) == want, terms
+        assert want == alg.normalize(Element.sum(x * y * s for s, x, y in terms))
+
+
+@pytest.mark.parametrize("name,build", ALGEBRAS, ids=[name for name, _ in ALGEBRAS])
+def test_mul_sum_slice_is_the_h_coefficient_of_the_sum(name, build):
+    alg = build()
+    rng = random.Random(f"slice {name}")
+    for _ in range(20):
+        terms = _product_terms(rng, alg, lambda: _h_free_element(rng, alg),
+                               lambda: _scale(rng, False))
+        full = alg.system.mul_sum(terms)
+        for k in range(-2, 5):
+            assert alg.system.mul_sum(terms, k) == full.h_coefficient(k), (terms, k)
+
+
+def test_hpoly_part_is_the_coefficient_as_a_polynomial():
+    rng = random.Random("part")
+    for _ in range(200):
+        p = HPoly([_random_scalar(rng) if rng.random() < 0.7 else 0
+                   for _ in range(rng.randint(0, 5))])
+        coeffs = p.coeffs
+        for k in range(-2, len(coeffs) + 2):
+            want = HPoly.of(coeffs[k] if 0 <= k < len(coeffs) else 0)
+            assert p.part(k) == want and p.coefficient(k) == want.constant()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mu_n_is_the_h_coefficient_of_mu(family):
+    exp = DeformationExpansion(build_noa(family, 2))
+    for x, y, z in sample_triples(exp.classical, 8, seed=21):
+        for u, v in ((x, y), (y, z), (z, x), (x, Element.one()), (Element.zero(), y)):
+            for n in range(-2, 5):
+                assert exp.mu_n(u, v, n) == _old_mu_n(exp, u, v, n)
+                assert mu_n(exp, u, v, n) == _old_mu_n(exp, u, v, n)
+
+
+# ------------------------------------------------------------- refusing h
+
+
+def _refusal(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def _h_message(element):
+    return f"deformation inputs live over the base field, got h in {element}"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_deformation_laws_refuse_h_as_before(family):
+    exp = DeformationExpansion(build_noa(family, 1))
+    cctx = BracketContext.classical(exp)
+    a, ad = exp.classical.parse("a1"), exp.classical.parse("ad1")
+    ha, had = a * H, ad * (H * 2 + 1)
+    zero = Element.zero()
+    for x, y, bad in ((ha, ad, ha), (a, had, had), (ha, had, ha), (ha, zero, ha),
+                      (zero, had, had)):
+        for n in (-1, 0, 1, 3):
+            assert _refusal(lambda: exp.mu_n(x, y, n)) == _h_message(bad)
+            assert _refusal(lambda: _old_mu_n(exp, x, y, n)) == _h_message(bad)
+        if x and y:
+            assert _refusal(lambda: poisson_bracket(cctx, x, y)) == _h_message(bad)
+    for x, y, z, bad in ((ha, ad, a, ha), (a, had, a, had), (a, ad, ha, ha),
+                         (ha, had, ha, ha), (zero, zero, ha, ha)):
+        for n in (-1, 0, 2):
+            assert _refusal(lambda: check_deformation_identity(exp, x, y, z, n)) == _h_message(bad)
+            assert _refusal(lambda: _old_full_residual(exp, x, y, z, n)) == _h_message(bad)
+
+
+def test_mul_sum_slice_refuses_h_instead_of_a_wrong_slice():
+    alg = build_noa("b", 1)
+    a, ad = alg.parse("a1"), alg.parse("ad1")
+    system = alg.system
+    # a1*ad1 = ad1*a1 + h: with h in an input the h^1 part would need a
+    # convolution, so the slice path refuses what the exact path sums.
+    for terms, bad in ((((1, a * H, ad),), a * H), (((1, a, ad * H),), ad * H),
+                       (((1, a, ad), (H, a, ad)), H), (((-1, a, ad), (1, ad * H, a)), ad * H)):
+        assert _refusal(lambda: system.mul_sum(terms, 1)) == _h_message(bad)
+        assert system.mul_sum(terms) == Element.sum(alg.mul(x, y) * s for s, x, y in terms)
+    # Nothing to refuse where no product is formed.
+    assert system.mul_sum(((1, a * H, Element.zero()), (0, a, ad * H)), 1) == Element.zero()
+
+
+def test_cli_poisson_bracket_refuses_h_in_one_line(capsys):
+    assert run(["bracket", "--kind", "poisson", "--alg", "boson:n=1", "h*a1", "ad1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: deformation inputs live over the base field, got h in h*a1\n"
