@@ -63,12 +63,17 @@ def check_deformation_identity(
 ) -> Element:
     """Residual of order-n associativity; zero iff the identity holds.
 
-    sum over p+q=n of mu_p(mu_q(x,y), z) - mu_p(x, mu_q(y,z)), the two
-    outer products of each q in one call; for n < 0 it checks q = 0 only.
+    sum over p+q=n of mu_p(mu_q(x,y), z) - mu_p(x, mu_q(y,z)).  The inner
+    slices mu_q are the h^q parts of one exact product mu(x,y) and one
+    mu(y,z), which also refuse h in x, y or z, in that order; the two outer
+    products of each q are one h^(n-q) call.  For n < 0 it checks the
+    inputs and returns zero.
     """
-    mu, outer = exp.mu_n, exp.quantum.system.mul_sum
-    return Element.sum(outer(((H_ONE, mu(x, y, q), z), (H_MINUS_ONE, x, mu(y, z, q))), n - q)
-                       for q in range(max(n, 0) + 1))
+    xy, yz, outer = exp.mu(x, y), exp.mu(y, z), exp.quantum.system.mul_sum
+    return Element.sum(
+        outer(((H_ONE, xy.h_coefficient(q), z), (H_MINUS_ONE, x, yz.h_coefficient(q))), n - q)
+        for q in range(max(n, 0) + 1)
+    )
 
 
 def fix_parameter(exp: DeformationExpansion, value) -> Algebra:

@@ -15,7 +15,7 @@ from .scalars import MINUS_ONE, ONE, Scalar
 class Grade:
     """Element of Z^n, reduced modulo the per-coordinate moduli (0 = free)."""
 
-    __slots__ = ("coords", "moduli")
+    __slots__ = ("coords", "moduli", "_hash")
 
     def __init__(self, coords: tuple, moduli: tuple = None):
         if moduli is None:
@@ -24,6 +24,8 @@ class Grade:
             raise ValueError("moduli shape does not match coordinates")
         self.coords = tuple(c % m if m else c for c, m in zip(coords, moduli))
         self.moduli = tuple(moduli)
+        # Grades key the word-grade and commutation-factor memos; equality stays by value.
+        self._hash = hash((self.coords, self.moduli))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -31,7 +33,7 @@ class Grade:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.coords, self.moduli))
+        return self._hash
 
     @staticmethod
     def zero(dim: int, moduli=None) -> Grade:
@@ -86,14 +88,16 @@ class CommutationFactor:
     """eps(g, k) = base ** B(g, k) for an integer matrix B.
 
     Two factors are equal when base and form are; the label only names one.
+    `eval` keeps each value it computes, keyed by the grade pair.
     """
 
-    __slots__ = ("base", "form", "label")
+    __slots__ = ("base", "form", "label", "_values")
 
     def __init__(self, base: Scalar, form: tuple, label: str = ""):
         self.base = Scalar.of(base)
         self.form = tuple(tuple(int(x) for x in row) for row in form)
         self.label = label
+        self._values = {}
         if self.base.is_zero():
             raise ValueError("commutation factor base must be invertible")
         for row in self.form:
@@ -131,12 +135,17 @@ class CommutationFactor:
         return total
 
     def eval(self, g: Grade, k: Grade) -> Scalar:
-        e = self.exponent(g, k)
-        if self.base == MINUS_ONE:
-            return MINUS_ONE if e % 2 else ONE
-        if self.base == ONE:
-            return ONE
-        return self.base ** e
+        value = self._values.get((g, k))
+        if value is None:
+            e = self.exponent(g, k)
+            if self.base == MINUS_ONE:
+                value = MINUS_ONE if e % 2 else ONE
+            elif self.base == ONE:
+                value = ONE
+            else:
+                value = self.base ** e
+            self._values[g, k] = value
+        return value
 
     def parity(self, g: Grade) -> int:
         """0 for even (eps(g,g) = 1), 1 for odd (eps(g,g) = -1)."""

@@ -189,13 +189,13 @@ class Algebra:
 
     def components(self, x: Element) -> dict:
         """Split x by grade (as `freealg.homogeneous_components`); a
-        homogeneous x is its own single piece."""
-        grade = self.word_grade
+        homogeneous x is its own single piece, split no further."""
+        grades = list(map(self.word_grade, x.terms))
+        if grades and grades.count(grades[0]) == len(grades):
+            return {grades[0]: x}
         pairs = {}
-        for word, coeff in x.terms.items():
-            pairs.setdefault(grade(word), []).append((word, coeff))
-        if len(pairs) == 1:
-            return {g: x for g in pairs}
+        for term, g in zip(x.terms.items(), grades):
+            pairs.setdefault(g, []).append(term)
         return {g: Element(p) for g, p in pairs.items()}
 
     def parse(self, text: str) -> Element:

@@ -5,10 +5,11 @@ degree-lexicographic order induced by the generator list, so every
 reduction terminates.  One reducer does all the reducing, in one pass over
 the pending words, largest first, each rewritten once at its leftmost
 redex: once per element for `normalize`, so words that share a rewrite
-share it; once per concatenated word pair for `mul_sum` (a sum of products
-s*x*y, or its h^k part alone; `mul` is one product), whose memo keeps those
-normal forms instead of forming the free products; and once per ambiguity,
-overlap or inclusion, on the difference of its two rewrites.
+share it; once per word pair (w1, w2) for `mul_sum` (a sum of products
+s*x*y, or its h^k part alone; `mul` is one product), whose memo keeps the
+normal form of w1*w2 under the pair itself, so neither the free products
+nor the concatenated words are formed; and once per ambiguity, overlap or
+inclusion, on the difference of its two rewrites.
 The child of a sign-only rule that would be popped next skips the heap and
 is reduced in place.
 When none is unresolved the system is confluent (the diamond lemma), and
@@ -38,7 +39,7 @@ from __future__ import annotations
 import heapq
 import re
 
-from .freealg import Element, Generator, Word
+from .freealg import EMPTY_WORD, Element, Generator, Word
 from .grading import Grade
 from .scalars import H_MINUS_ONE, H_ONE, HPoly
 
@@ -251,28 +252,35 @@ class ReductionSystem:
 
     def mul_sum(self, terms, degree: int | None = None) -> Element:
         """Normal form of the sum of s*x*y over (s, x, y) in terms, or with
-        `degree=k` its h^k part (zero for k < 0), with no free product: each
-        word pair's normal form comes from `_nf` and all terms go to one
-        `Element` call.  The h^k part reads the h^k coefficient of each normal
-        form alone, so every s*c1*c2 must be free of h (else ValueError)."""
-        nf, out = self._cached_nf, []
+        `degree=k` its h^k part (zero for k < 0), with no free product: the
+        normal form of each word pair is looked up in `_nf` under the pair
+        (w1, w2), so a hit builds and hashes no concatenated word, and all
+        terms go to one `Element` call.  The h^k part reads the h^k
+        coefficient of each normal form alone, so every s*c1*c2 must be free
+        of h (else ValueError)."""
+        memo, reduce_pair, out = self._nf, self._cached_nf, []
         for s, x, y in terms:
             s, ys = HPoly.of(s), y.terms.items()
             for w1, c1 in x.terms.items():
-                c1 = s * c1
+                if s is not H_ONE:
+                    c1 = s * c1
                 for w2, c2 in ys:
                     coeff = c1 * c2
                     if degree is not None and not coeff.is_constant():
                         require_h_free(x, y, Element.scalar(s))
-                    for w, c in nf(Word(w1.letters + w2.letters)).terms.items():
+                    nf = memo.get((w1, w2))
+                    if nf is None:
+                        nf = reduce_pair(w1, w2)
+                    for w, c in nf.terms.items():
                         if degree is None or (c := c.part(degree)):
                             out.append((w, c * coeff))
         return Element(out)
 
-    def _cached_nf(self, word: Word) -> Element:
-        nf = self._nf.get(word)
-        if nf is None:
-            nf = self._nf[word] = self._word_nf(word)
+    def _cached_nf(self, w1: Word, w2: Word = EMPTY_WORD) -> Element:
+        """Normal form of the word w1*w2, memoized under the pair (w1, w2)."""
+        nf = self._nf.get((w1, w2))
+        if nf is None:  # a zero normal form is a falsy Element, and memoized too
+            nf = self._nf[w1, w2] = self._word_nf(Word(w1.letters + w2.letters))
         return nf
 
     def _word_nf(self, word: Word) -> Element:

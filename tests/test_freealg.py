@@ -21,15 +21,7 @@ from epsalg import (
     parse_preset,
 )
 from epsalg.freealg import _power_work
-
-X = Generator("x", None, Grade((1, 0)))
-Y = Generator("y", None, Grade((0, 1)))
-Z = Generator("z", None, Grade((1, 1)))
-
-letters = st.sampled_from([X, Y, Z])
-words = st.lists(letters, max_size=4).map(lambda ls: Word(tuple(ls)))
-coeffs = st.integers(-3, 3).map(HPoly.of)
-elements = st.dictionaries(words, coeffs, max_size=4).map(Element)
+from value_strategies import ELEMENTS, X, Y, Z, big_fractions, elements, specials, words
 
 
 def test_word_basics():
@@ -88,6 +80,7 @@ def test_deglex_order():
 
 
 @given(elements, elements, elements)
+@specials(ELEMENTS, ELEMENTS, ELEMENTS)
 def test_element_ring_axioms(a, b, c):
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
@@ -99,6 +92,7 @@ def test_element_ring_axioms(a, b, c):
 
 
 @given(elements)
+@specials(ELEMENTS)
 def test_scalar_action(a):
     assert a * 2 + a == a * 3
     assert a * H * H == a * (H * H)
@@ -193,8 +187,7 @@ def _scalar_read_refusal(e: Element, n: int):
     return None
 
 
-big_fracs = st.fractions(max_denominator=2**40).map(lambda f: f * 2 ** (f.denominator % 50))
-sparse_hpolys = st.lists(st.one_of(st.just(0), big_fracs), max_size=5).map(HPoly)
+sparse_hpolys = st.lists(st.one_of(st.just(0), big_fractions), max_size=5).map(HPoly)
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,6 +245,7 @@ def test_grade_of():
 
 
 @given(elements)
+@specials(ELEMENTS)
 def test_components_partition(a):
     zero = Grade.zero(2)
     parts = homogeneous_components(a, zero)

@@ -130,7 +130,8 @@ def test_grades_of_generators():
 def test_grades_read_the_word_memo_and_match_the_free_algebra():
     alg = build_noa("c", 2)
     zero = alg.zero_grade
-    for text in ("0", "1", "ad1*a2", "ad1*a2 + 3*a2*ad1", "a1 + ad1", "a1*ad2 + a2 - 2"):
+    for text in ("0", "1", "ad1*a2", "ad1*a2 + 3*a2*ad1", "a1 + ad1", "a1*ad2 + a2 - 2",
+                 "a1 + ad1 + a2*a1*ad2"):
         x = alg.parse(text)
         assert alg.grade_of(x) == grade_of(x, zero)
         assert alg.components(x) == homogeneous_components(x, zero)

@@ -9,6 +9,7 @@ h^n parts, are compared against copies of their earlier formulas, which
 formed every product in full (some in the free algebra) and sliced it
 afterwards; and a counter keeps a second normal pass from coming back.
 """
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -16,12 +17,19 @@ from fractions import Fraction
 import pytest
 
 from epsalg import (
+    FACTOR_PRESETS,
+    FAMILY_NAMES,
     H,
+    I,
+    Algebra,
     BracketContext,
+    CommutationFactor,
     DeformationExpansion,
     Element,
+    Grade,
     HPoly,
     ReductionSystem,
+    Rule,
     Scalar,
     Word,
     build_counterexample,
@@ -31,6 +39,7 @@ from epsalg import (
     check_deformation_identity,
     classical_limit,
     eps_c,
+    eps_q,
     epsilon_commutator,
     grade_of,
     homogeneous_components,
@@ -94,8 +103,51 @@ def test_mul_reads_the_word_memo():
     base = build_noa("c", 2)
     system = ReductionSystem(base.system.generators, base.system.rules)
     x, y = base.parse("a1^2 + ad2"), base.parse("ad1*a2 - 3")
+    assert system.normalize(x * y) == base.normalize(x * y)
+    assert system._nf == {}
     assert system.mul(x, y) == base.normalize(x * y)
-    assert set(system._nf) == set((x * y).terms)
+    assert set(system._nf) == {(u, v) for u in x.terms for v in y.terms}
+    assert len(system._nf) == len((x * y).terms) == 4
+    for (u, v), nf in system._nf.items():
+        assert nf == base.normalize(Element.from_word(u) * Element.from_word(v))
+
+
+def test_a_zero_product_is_reduced_once(monkeypatch):
+    base = parse_preset("fermion:n=1")
+    system = ReductionSystem(base.system.generators, base.system.rules)
+    calls = []
+    word_nf = ReductionSystem._word_nf
+
+    def counted(self, word):
+        calls.append(word)
+        return word_nf(self, word)
+
+    monkeypatch.setattr(ReductionSystem, "_word_nf", counted)
+    a1, ad1 = base.parse("a1"), base.parse("ad1")
+    for _ in range(3):
+        assert system.mul(a1, a1) == Element.zero()
+        assert system.mul_sum(((2, a1, a1), (H, a1, a1))) == Element.zero()
+        assert system.mul_sum(((2, a1, a1), (1, ad1, a1)), 1) == Element.zero()
+    assert system._nf[next(iter(a1.terms)), next(iter(a1.terms))] == Element.zero()
+    assert calls == [next(iter((a1 * a1).terms)), next(iter((ad1 * a1).terms))]
+
+
+@pytest.mark.parametrize("name,build", ALGEBRAS, ids=[name for name, _ in ALGEBRAS])
+def test_pairs_with_one_concatenation_have_one_product(name, build):
+    alg = build()
+    system = ReductionSystem(alg.system.generators, alg.system.rules)
+    rng = random.Random(f"splits {name}")
+    for _ in range(15):
+        word = Word(rng.choice(alg.generators) for _ in range(rng.randint(0, 5)))
+        want = alg.normalize(word)
+        for k in range(len(word) + 1):
+            u, v = Element.from_word(word[:k]), Element.from_word(word[k:])
+            assert system.mul(u, v) == want, (word, k)
+            assert system._nf[word[:k], word[k:]] == want
+    if "ad1" in {g.label for g in alg.generators}:
+        a1, ad1 = alg.parse("a1"), alg.parse("ad1")
+        left, right = system.mul(a1, alg.parse("a1*ad1")), system.mul(alg.parse("a1*a1"), ad1)
+        assert left == right == alg.normalize(alg.parse("a1*a1*ad1"))
 
 
 # ------------------------------------------- the free-product formulas, kept
@@ -259,6 +311,87 @@ def test_laws_match_the_free_product_formulas_where_leibniz_fails():
     triples = [(a1, a1, ad1), (ad1, a1, a1 * ad1), (a1, ad1, ad1)]
     assert _old_verify_poisson_axioms(cctx, triples)
     assert _compare_laws(exp, qctx, cctx, triples) > 0
+
+
+def _sign_mutated_expansion():
+    """The fermion on one mode with the sign of a1*ad1 -> -ad1*a1 + h
+    flipped: not confluent, so its product is not associative and the
+    order-n residuals are not all zero."""
+    base = build_noa("a", 1)
+    a, ad = base.gen("a1"), base.gen("ad1")
+    rules = [Rule(Word((a, a)), Element.zero()), Rule(Word((ad, ad)), Element.zero()),
+             Rule(Word((a, ad)), Element.from_word(Word((ad, a))) + Element.scalar(H))]
+    system = ReductionSystem(base.system.generators, rules)
+    assert system.check_confluence()
+    return DeformationExpansion(Algebra("sign-mutated", base.family, system, base.factor, H,
+                                        params=base.params))
+
+
+def _expansions():
+    """The expansions of `ALGEBRAS` (those with h left to expand in), and
+    one of a product that is not associative."""
+    got = []
+    for name, build in ALGEBRAS:
+        alg = build()
+        if not alg.is_classical():
+            got.append((name, DeformationExpansion(alg)))
+    return got + [("sign-mutated", _sign_mutated_expansion())]
+
+
+def test_deformation_identity_matches_the_sliced_formula(monkeypatch):
+    expansions = _expansions()
+    assert len(expansions) >= len(FAMILIES) * 2
+    calls = []
+    mul_sum = ReductionSystem.mul_sum
+
+    def counted(self, terms, degree=None):
+        calls.append(degree)
+        return mul_sum(self, terms, degree)
+
+    monkeypatch.setattr(ReductionSystem, "mul_sum", counted)
+    nonzero = 0
+    for name, exp in expansions:
+        for x, y, z in sample_triples(exp.classical, 4, seed=name):
+            for n in range(-1, 5):
+                calls.clear()
+                got = check_deformation_identity(exp, x, y, z, n)
+                made = list(calls)
+                assert got == _old_check_deformation_identity(exp, x, y, z, n), (name, n)
+                if n >= 0:
+                    # one exact mu(x, y), one mu(y, z), one outer sum per q
+                    assert made == [None, None] + [n - q for q in range(n + 1)]
+                nonzero += not got.is_zero()
+    assert nonzero > 0
+
+
+def _preset_factors():
+    """The factor of every preset at one and two modes, eps_q(2) (whose
+    exponents go negative) and a factor on the modular group Z/4."""
+    specs = [f"{family}:n={n}" for family in FAMILY_NAMES for n in (1, 2)]
+    specs += ["qplane:2", "qplane:q=3", "cex"] + [
+        f"ext:n=2,factor={name}" for name in FACTOR_PRESETS]
+    factors = []
+    for spec in specs:
+        alg = parse_preset(spec)
+        factors.append((spec, alg.factor, alg.zero_grade.dim, alg.zero_grade.moduli))
+    return factors + [("eps_q(2)", eps_q(2), 2, (0, 0)),
+                      ("i on Z/4", CommutationFactor(I, ((1,),)), 1, (4,))]
+
+
+def test_memoized_eval_is_the_power_of_the_base():
+    factors = _preset_factors()
+    assert {moduli for *_, moduli in factors} > {(0,), (0, 0)}
+    for label, factor, dim, moduli in factors:
+        fresh = CommutationFactor(factor.base, factor.form, factor.label)
+        grades = [Grade(c, moduli) for c in itertools.product(range(-2, 3), repeat=dim)]
+        for g, k in itertools.product(grades, repeat=2):
+            want = factor.base ** factor.exponent(g, k)
+            first = fresh.eval(g, k)
+            assert first == want, (label, g, k)
+            # a second call, with equal but distinct grades, is the memo's
+            assert fresh.eval(Grade(g.coords, moduli), Grade(k.coords, moduli)) is first
+            assert factor.eval(g, k) == want
+        assert len(fresh._values) == len({(g, k) for g in grades for k in grades})
 
 
 # ---------------------------------------------------- no second normal pass

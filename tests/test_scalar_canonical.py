@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from epsalg import ONE, HPoly, Scalar, parse_preset
 from epsalg.presets import _build_qplane_cached
+from value_strategies import FRACTIONS, HPOLYS, INTEGERS, SCALARS, UNITS, bounded_fractions
+from value_strategies import hpolys_of, scalars_of, specials
 
-fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
-scalars = st.builds(Scalar, fracs, fracs, fracs, fracs)
+fracs = bounded_fractions(4, 12)
+scalars = scalars_of(fracs)
 nonzero_scalars = scalars.filter(bool)
-hpolys = st.lists(scalars, max_size=4).map(lambda cs: HPoly(tuple(cs)))
+hpolys = hpolys_of(scalars, 4)
 
 
 def assert_canonical(s: Scalar):
@@ -40,6 +42,7 @@ def test_equal_values_are_equal_structures():
 
 @settings(max_examples=50)
 @given(scalars, st.integers(-50, 50))
+@specials(SCALARS, INTEGERS)
 def test_public_constructor_is_canonical(a, k):
     assert_canonical(a)
     s = Scalar(k, 0, k, 1)
@@ -49,6 +52,7 @@ def test_public_constructor_is_canonical(a, k):
 
 @settings(max_examples=50, deadline=None)
 @given(scalars, scalars, nonzero_scalars)
+@specials(SCALARS, SCALARS, UNITS)
 def test_every_operation_returns_the_canonical_form(a, b, c):
     for s in (a + b, a - b, -a, a * b, a.tau(), c.inverse(), a / c, 3 / c, c**-2,
               a**3, a * Fraction(2, 3), Fraction(2, 3) * a, a + 1, 1 - a):
@@ -57,6 +61,7 @@ def test_every_operation_returns_the_canonical_form(a, b, c):
 
 @settings(max_examples=50, deadline=None)
 @given(scalars, scalars, nonzero_scalars)
+@specials(SCALARS, SCALARS, UNITS)
 def test_a_product_computed_two_ways_is_one_structure(a, b, c):
     for left, right in (
         (a * b, b * a),
@@ -68,6 +73,7 @@ def test_a_product_computed_two_ways_is_one_structure(a, b, c):
 
 
 @given(fracs)
+@specials(FRACTIONS)
 def test_a_scalar_is_never_equal_to_a_rational(x):
     s = Scalar(x)
     assert s != x and x != s
@@ -85,6 +91,7 @@ def assert_flat(p: HPoly):
 
 @settings(max_examples=100, deadline=None)
 @given(hpolys, hpolys, scalars)
+@specials(HPOLYS, HPOLYS, SCALARS)
 def test_hpoly_results_carry_no_trailing_zero(a, b, c):
     results = [a, b, a + b, a - b, -a, a * b, a * a, a.tau(), a * c, a + c, HPoly.of(c)]
     for p in results + ([a / c] if c else []):

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from epsalg import H, H_ONE, H_ZERO, HALF, I, MINUS_ONE, ONE, R2, ZERO, HPoly, Scalar
 from epsalg import scalar_from_text
+from value_strategies import HPOLYS, SCALARS, UNITS, bounded_fractions, hpolys_of, scalars_of
+from value_strategies import specials
 
-fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-scalars = st.builds(Scalar, fracs, fracs, fracs, fracs)
+fracs = bounded_fractions(4, 6)
+scalars = scalars_of(fracs)
 nonzero_scalars = scalars.filter(bool)
 
 
@@ -44,11 +46,13 @@ def from_sympy(expr) -> Scalar:
 
 @settings(max_examples=60, deadline=None)
 @given(scalars, scalars)
+@specials(SCALARS, SCALARS)
 def test_mul_matches_sympy(a, b):
     assert a * b == from_sympy(to_sympy(a) * to_sympy(b))
 
 
 @given(scalars, scalars, scalars)
+@specials(SCALARS, SCALARS, SCALARS)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a
     assert a * b == b * a
@@ -60,6 +64,7 @@ def test_ring_axioms(a, b, c):
 
 
 @given(nonzero_scalars)
+@specials(UNITS)
 def test_inverse(a):
     assert a * a.inverse() == ONE
     assert a.inverse().inverse() == a
@@ -71,6 +76,7 @@ def test_inverse_of_zero_raises():
 
 
 @given(scalars, scalars)
+@specials(SCALARS, SCALARS)
 def test_tau_is_an_automorphism(a, b):
     assert (a * b).tau() == a.tau() * b.tau()
     assert (a + b).tau() == a.tau() + b.tau()
@@ -89,6 +95,7 @@ def test_tau_fixed_subfield():
 
 
 @given(scalars)
+@specials(SCALARS)
 def test_norm_is_tau_fixed(a):
     assert (a * a.tau()).is_tau_fixed()
 
@@ -101,6 +108,7 @@ def test_defining_relations():
 
 
 @given(nonzero_scalars)
+@specials(UNITS)
 def test_powers(a):
     assert a**3 == a * a * a
     assert a**0 == ONE
@@ -108,6 +116,7 @@ def test_powers(a):
 
 
 @given(scalars)
+@specials(SCALARS)
 def test_str_parse_roundtrip(a):
     assert scalar_from_text(str(a)) == a
 
@@ -121,7 +130,7 @@ def test_str_frozen_forms():
 
 # ----------------------------------------------------------------- h-polys
 
-hpolys = st.lists(scalars, max_size=3).map(lambda cs: HPoly(tuple(cs)))
+hpolys = hpolys_of(scalars, 3)
 
 
 def test_hpoly_frozen():
@@ -140,6 +149,7 @@ def test_hpoly_trims_trailing_zeros():
 
 
 @given(hpolys, hpolys, hpolys)
+@specials(HPOLYS, HPOLYS, HPOLYS)
 def test_hpoly_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
@@ -149,6 +159,7 @@ def test_hpoly_ring_axioms(a, b, c):
 
 
 @given(hpolys, hpolys)
+@specials(HPOLYS, HPOLYS)
 def test_hpoly_degree_and_tau(a, b):
     if a and b:
         assert (a * b).degree == a.degree + b.degree
@@ -157,6 +168,7 @@ def test_hpoly_degree_and_tau(a, b):
 
 
 @given(hpolys, nonzero_scalars)
+@specials(HPOLYS, UNITS)
 def test_hpoly_division_by_constant(a, s):
     assert (a / s) * s == a
 
@@ -189,6 +201,7 @@ def hpoly_to_sympy(p: HPoly):
 
 @settings(max_examples=50, deadline=None)
 @given(sparse_hpolys, sparse_hpolys)
+@specials(HPOLYS, HPOLYS)
 @example(H_ONE, HPoly((ZERO, I, ZERO, R2)))
 @example(-H_ONE, HPoly((ZERO, I, ZERO, R2)))
 @example(HPoly((ZERO, ZERO, ONE)), HPoly((ONE, ZERO, MINUS_ONE)))
@@ -204,6 +217,7 @@ def test_hpoly_mul_matches_sympy(a, b):
     st.integers(0, 3),
     sparse_hpolys.filter(bool),
 )
+@specials(UNITS, (0, 1, 2, 3), HPOLYS[1:])
 @example(ONE, 1, HPoly((ONE, ZERO, I)))
 @example(MINUS_ONE, 2, H)
 def test_hpoly_mul_by_a_monomial_is_the_convolution(x, k, p):
@@ -220,6 +234,7 @@ def test_hpoly_mul_by_a_monomial_is_the_convolution(x, k, p):
 
 @settings(max_examples=30, deadline=None)
 @given(sparse_hpolys)
+@specials(HPOLYS)
 def test_hpoly_power_is_the_repeated_product(p):
     prod = H_ONE
     for n in range(5):
