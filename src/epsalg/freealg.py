@@ -108,7 +108,7 @@ class Word:
         parts = []
         run, count = self.letters[0], 1
         for letter in self.letters[1:]:
-            if letter is run or letter == run:
+            if letter is run or (letter._key == run._key and letter == run):
                 count += 1
                 continue
             parts.append(run.label if count == 1 else f"{run.label}^{count}")

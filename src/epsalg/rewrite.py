@@ -41,13 +41,16 @@ import re
 
 from .freealg import EMPTY_WORD, Element, Generator, Word
 from .grading import Grade
-from .scalars import H_MINUS_ONE, H_ONE, HPoly
+from .scalars import _SIGNS, H_ONE, HPoly
 
 
 # The highest code point below the surrogates: precedences 0 .. _BASE map to
 # distinct characters chr(_BASE) .. chr(0).
 _BASE = 0xD7FF
 MAX_GENERATORS = _BASE + 1
+# With at most this many generators every code letter is above ASCII, and
+# `re.escape` leaves a string without ASCII letters as it is.
+_UNESCAPED = _BASE - 127
 
 
 def require_h_free(*elements):
@@ -163,6 +166,15 @@ class ReductionSystem:
         order is `len(s) < len(lhs)`, or equal lengths and `s > lhs`: the
         encoding reverses the precedence of the letters.  Then the redex
         pattern is compiled from the left sides.
+
+        The checks are kept cheap without dropping one: a left side is hashed
+        once, by `setdefault`, and is a duplicate when the dict did not grow,
+        so one Rule object given twice is refused too; a sign-only rule is
+        found from its coefficient's integers (`d == 1`, numerators +-1 over
+        zeros), with no HPoly equality; a word that is the left side reversed
+        has its letters, with no sort (other words are sorted); and the
+        pattern escapes the left sides only when some code letter is ASCII,
+        since `re.escape` leaves every other character alone.
         """
         self._code = code = {g: chr(_BASE - i) for g, i in self._prec.items()}
         self._letter = {c: g for g, c in code.items()}
@@ -180,9 +192,10 @@ class ReductionSystem:
             letters = rule.lhs.letters
             if not letters:
                 raise ValueError("rule with empty left side")
-            if letters in left_sides:
+            size = len(left_sides)
+            left_sides.setdefault(letters, rule)
+            if len(left_sides) == size:  # letters was a left side already
                 raise ValueError(f"duplicate rule left side {rule.lhs}")
-            left_sides[letters] = rule
             try:
                 lhs = "".join([code[g] for g in letters])
                 rhs = [("".join([code[g] for g in w.letters]), c)
@@ -190,10 +203,13 @@ class ReductionSystem:
             except KeyError as exc:
                 raise ValueError(f"rule uses foreign generator {exc.args[0]}") from None
             rewrites[lhs] = rhs
-            if len(rhs) == 1 and rhs[0][1] in (H_ONE, H_MINUS_ONE):
-                signed[lhs] = (rhs[0][0], 1 if rhs[0][1] == H_ONE else -1)
-            same = sorted(lhs)
-            other = [s for s, _ in rhs if len(s) != len(lhs) or sorted(s) != same]
+            if len(rhs) == 1:
+                w, c = rhs[0]
+                if c.d == 1 and c.n in _SIGNS:
+                    signed[lhs] = (w, c.n[0])
+            rev = lhs[::-1]  # has the left side's letters, found with no sort
+            other = [s for s, _ in rhs if s != rev
+                     and (len(s) != len(lhs) or sorted(s) != sorted(lhs))]
             if other:
                 want = grade(lhs)
                 got = {grade(s) for s in other}
@@ -212,9 +228,11 @@ class ReductionSystem:
                         f"rule {rule} does not decrease the termination order at {word}"
                     )
         lefts = sorted(rewrites, key=lambda s: (len(s), s))
-        # "(?!)" never matches: without rules every word is irreducible.
-        self._redex = re.compile("|".join(map(re.escape, lefts)) or "(?!)")
         self._reach = len(lefts[-1]) - 1 if lefts else 0
+        if len(self.generators) > _UNESCAPED:  # some code letter is ASCII
+            lefts = map(re.escape, lefts)
+        # "(?!)" never matches: without rules every word is irreducible.
+        self._redex = re.compile("|".join(lefts) or "(?!)")
 
     def _encode(self, letters) -> str:
         try:
@@ -311,7 +329,7 @@ class ReductionSystem:
             top = heapq.heappop(heap)[1]
             coeff = pending.pop(top)
             start = starts.pop(top)
-            if not coeff:
+            if not coeff.n:
                 continue
             sign = 1
             while (match := search(top, start)) is not None:
@@ -322,7 +340,7 @@ class ReductionSystem:
                     )
                 pos, end = match.span()
                 head, tail = top[:pos], top[end:]
-                start = max(0, pos - reach)
+                start = pos - reach if pos > reach else 0
                 lhs = match.group()
                 if lhs in signed:
                     w, flip = signed[lhs]

@@ -24,11 +24,10 @@ Scalar, HPoly and freealg.Element share `_Arithmetic`: each gives `_coerce`
 `__mul__`; the base derives `of` (a TypeError for a foreign operand),
 `is_zero`, subtraction, division by a constant and square-and-multiply
 powers with unit `_coerce(1)`.  Scalar and HPoly also share `_Reduced`, the
-integer storage with its `_make`, equality, hash, negation and tau.  Units
-and zeros are absorbed in `HPoly.__mul__` alone: it skips zero coefficients
-of the shorter side and returns the other factor, or its negation, for a
-factor 1 or -1, so callers need not test for them.  A coordinate is printed
-only up to `MAX_DIGITS` decimal digits; a longer one is a ValueError.
+integer storage with its `_make`, equality, hash, negation and tau.  Zeros
+and the monomials +-h^k (1 and -1 among them) are absorbed in
+`HPoly.__mul__` alone, so callers need not test for them.  A coordinate is
+printed only up to `MAX_DIGITS` decimal digits; a longer one is a ValueError.
 """
 from __future__ import annotations
 
@@ -326,6 +325,13 @@ class HPoly(_Reduced):
     The numerators of h**k are n[4k:4k + 4], all over one denominator d;
     no trailing group of four is zero, so the zero polynomial is ()/1.
     `coeffs`, `coefficient(k)` and `constant()` read Scalars out of it.
+
+    A product with a factor +-h^k (d == 1, +-1 on top, every lower group
+    zero), either side, k = 0 included, is the other factor's numerators
+    behind 4k zeros, negated for -, over its own d: already canonical, so
+    it makes no `_convolve` and no gcd.  The shorter factor is tried first,
+    so a factor 1 returns the other one itself, unless that is -1.  A product with zero is
+    zero, and every other product convolves.
     """
 
     __slots__ = ()
@@ -403,10 +409,13 @@ class HPoly(_Reduced):
         a, b = self.n, other.n
         if not a or not b:
             return H_ZERO
-        if other.d == 1 and b in _SIGNS:
-            return self if b[0] == 1 else -self
-        if self.d == 1 and a in _SIGNS:
-            return other if a[0] == 1 else -other
+        if len(a) < len(b):  # so 1 * h^k returns h^k itself, not a copy
+            self, other, a, b = other, self, b, a
+        # A monomial +-h^k: one nonzero numerator, +-1 on top, over 1.
+        if other.d == 1 and b[-4] in (1, -1) and b.count(0) == len(b) - 1:
+            return _shift(self, len(b) - 4, b[-4])
+        if self.d == 1 and a[-4] in (1, -1) and a.count(0) == len(a) - 1:
+            return _shift(other, len(a) - 4, a[-4])
         # A product of nonzero polynomials has a nonzero top: no strip.
         return _hmake(_convolve(a, b), self.d * other.d)
 
@@ -454,6 +463,17 @@ def _prefix(n: tuple, d: int, x) -> str:
     if n == (-d, 0, 0, 0):
         return "-"
     return f"{x}*" if sum(1 for v in n if v) == 1 else f"({x})*"
+
+
+def _shift(p: HPoly, zeros: int, sign: int) -> HPoly:
+    """sign * h^k * p for zeros = 4k: p's numerators, negated for sign -1,
+    behind `zeros` zeros and over p's d, which is already canonical."""
+    if not zeros:
+        return p if sign == 1 else -p
+    s = _new(HPoly)
+    s.n = (0,) * zeros + (p.n if sign == 1 else tuple(map(_neg, p.n)))
+    s.d = p.d
+    return s
 
 
 def _strip(n: tuple) -> tuple:

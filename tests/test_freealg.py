@@ -73,6 +73,18 @@ def test_word_str_compresses_runs():
     assert str(EMPTY_WORD) == "1"
 
 
+def test_word_str_joins_runs_of_equal_letters_not_of_equal_labels():
+    first, again = Generator("a", 1, Grade((1, 0))), Generator("a", 1, Grade((1, 0)))
+    assert first is not again and first == again
+    assert str(Word((first, again))) == "a1^2"
+    assert str(Word((again, first, first, X))) == "a1^3*x"
+    # the same name and index, another grade: another letter
+    other = Generator("a", 1, Grade((0, 1)))
+    assert other != first and other.sort_key() == first.sort_key()
+    assert str(Word((first, other))) == "a1*a1"
+    assert str(Word((first, again, other))) == "a1^2*a1"
+
+
 def test_deglex_order():
     # length first, then letterwise by generator key
     assert Word((X,)).sort_key() < Word((X, X)).sort_key()

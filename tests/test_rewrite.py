@@ -37,8 +37,9 @@ from epsalg import (
     build_noa,
     grade_of,
     parse_preset,
+    scalars,
 )
-from epsalg.rewrite import MAX_GENERATORS
+from epsalg.rewrite import _BASE, _UNESCAPED, MAX_GENERATORS
 
 
 def _key(e: Element):
@@ -204,6 +205,12 @@ def test_rule_validation():
     a, ad = base.gen("a1"), base.gen("ad1")
     with pytest.raises(ValueError, match="duplicate rule"):
         ReductionSystem(gens, [Rule(Word((a, a)), Element.zero())] * 2)
+    square = Rule(Word((a, a)), Element.zero())
+    with pytest.raises(ValueError, match=r"duplicate rule left side a1\^2$"):
+        ReductionSystem(gens, [square, Rule(Word((ad, ad)), Element.zero()), square])
+    with pytest.raises(ValueError, match=r"duplicate rule left side a1\*ad1$"):
+        ReductionSystem(gens, [Rule(Word((a, ad)), Element.zero()),
+                               Rule(Word((a, ad)), Element.from_word(Word((ad, a))))])
     with pytest.raises(ValueError, match="inhomogeneous"):
         ReductionSystem(
             gens,
@@ -282,9 +289,10 @@ def test_word_order_is_deglex():
 #
 # The build the engine had before it checked rules on code strings, kept as
 # it was: a Grade per rule word through Word.grade, the termination order
-# through word_key, then a second walk over the rules that encodes them.
-# Both builds must accept and refuse the same rule sets, with the same
-# message, and encode the accepted ones identically.
+# through word_key, then a second walk over the rules that encodes them and
+# finds the sign-only rules by HPoly equality with 1 and -1.  Both builds
+# must accept and refuse the same rule sets, with the same message, and
+# encode the accepted ones identically.
 
 
 def _word_build(generators, rules):
@@ -320,10 +328,15 @@ def _word_build(generators, rules):
         bare._encode(lhs): [(bare._encode(w.letters), c) for w, c in rule.rhs.terms.items()]
         for lhs, rule in left_sides.items()
     }
+    signed = {
+        lhs: (rhs[0][0], 1 if rhs[0][1] == H_ONE else -1)
+        for lhs, rhs in rewrites.items() if len(rhs) == 1 and rhs[0][1] in (H_ONE, -H_ONE)
+    }
     lefts = sorted(rewrites, key=lambda s: (len(s), s))
     pattern = "|".join(map(re.escape, lefts)) or "(?!)"
     reach = len(lefts[-1]) - 1 if lefts else 0
-    return list(left_sides.items()), list(rewrites.items()), pattern, reach
+    return (list(left_sides.items()), list(rewrites.items()), list(signed.items()),
+            pattern, reach)
 
 
 def _one_pass_build(generators, rules):
@@ -332,7 +345,7 @@ def _one_pass_build(generators, rules):
     except ValueError as exc:
         return str(exc)
     return (list(sys_.left_sides.items()), list(sys_._rewrites.items()),
-            sys_._redex.pattern, sys_._reach)
+            list(sys_._signed.items()), sys_._redex.pattern, sys_._reach)
 
 
 _PARITY_PRESETS = [
@@ -388,7 +401,7 @@ _REFUSALS = ("empty left side", "duplicate rule", "foreign generator",
 
 
 def test_one_pass_build_matches_the_word_build():
-    refusals = set()
+    refusals, signs = set(), set()
     for name in _PARITY_PRESETS:
         sys_ = parse_preset(name).system
         gens, rules = sys_.generators, list(sys_.rules)
@@ -397,6 +410,12 @@ def test_one_pass_build_matches_the_word_build():
         cases = [
             rules,
             rules + [rules[0]],
+            # one Rule object twice among three rules
+            [rules[0], rules[-1], rules[0]],
+            # one left side carried by two distinct Rule objects
+            rules + [Rule(Word(rules[-1].lhs.letters), rules[0].rhs)],
+            # +-1/2 has the numerators of +-1: no sign-only rule
+            [Rule(rule.lhs, rule.rhs / 2) for rule in rules],
             rules + [Rule(EMPTY_WORD, Element.zero())],
             rules[:-1] + [Rule(rules[-1].lhs, Element.from_word(Word((g0, stranger))))],
             # the same letters, not the same number of each
@@ -409,7 +428,10 @@ def test_one_pass_build_matches_the_word_build():
             if isinstance(want, str):
                 refusals.add(next(why for why in _REFUSALS if why in want))
         assert not isinstance(_one_pass_build(gens, rules), str), name
-    # Every check refused some rule set.
+        signed = _one_pass_build(gens, rules)[2]
+        signs.update(sign for _, (_, sign) in signed)
+    # Every check refused some rule set, and both signs were followed.
+    assert signs == {1, -1}
     assert refusals == set(_REFUSALS)
 
 
@@ -741,8 +763,14 @@ def test_sign_following_spends_the_budget_as_the_heap_reducer(name, text):
     assert budget > 3
 
 
-def test_sign_following_makes_no_more_rewrites_on_the_normal_order_workload():
+def test_sign_following_makes_no_more_rewrites_on_the_normal_order_workload(monkeypatch):
     # Seed 1 of the benchmark's normal-order workload: 180 cold normal forms.
+    # Every rule coefficient there is +-1 or h, and every product with +-h^k
+    # is a shift, so no coefficient product convolves.
+    convolutions = []
+    convolve = scalars._convolve
+    monkeypatch.setattr(scalars, "_convolve",
+                        lambda a, b: convolutions.append((a, b)) or convolve(a, b))
     bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
     sys.path.insert(0, bench)
     try:
@@ -760,7 +788,8 @@ def test_sign_following_makes_no_more_rewrites_on_the_normal_order_workload():
             outputs[cls].append(str(sys_.normalize(alg.parse(op["text"]))))
             rewrites[cls] += counting.found
     assert outputs[ReductionSystem] == outputs[_HeapSystem]
-    assert 10**4 < rewrites[ReductionSystem] <= rewrites[_HeapSystem]
+    assert rewrites[ReductionSystem] == 45_135 <= rewrites[_HeapSystem]
+    assert convolutions == []
 
 
 # --------------------------------------------- the per-word normalize as an oracle
@@ -875,6 +904,28 @@ def test_generator_count_is_bounded_by_the_encoding():
     assert sys_.normalize(word) == Element.from_word(word)
     with pytest.raises(ValueError, match=f"at most {MAX_GENERATORS} generators"):
         ReductionSystem(gens, [])
+
+
+@pytest.mark.parametrize("count", [_UNESCAPED, MAX_GENERATORS])
+def test_the_redex_pattern_is_the_escaped_pattern(count):
+    # Precedence i is coded chr(_BASE - i): with _UNESCAPED generators no
+    # code is ASCII, and with all of them "." and "|" are codes too.
+    grade = Grade((1,))
+    gens = tuple(Generator("x", i, grade) for i in range(count))
+    by_code = {chr(_BASE - i): g for i, g in enumerate(gens)}
+    low = chr(_BASE - count + 1)
+    pairs = [(".", "|"), ("*", "+")] if count == MAX_GENERATORS else [(low, chr(ord(low) + 1))]
+    # x*y -> y*x, where y's code is the larger: a swap that decreases.
+    swaps = [(by_code[p], by_code[q]) for p, q in pairs]
+    rules = [Rule(Word((x, y)), Element.from_word(Word((y, x)))) for x, y in swaps]
+    sys_ = ReductionSystem(gens, rules)
+    lefts = sorted(sys_._rewrites, key=lambda s: (len(s), s))
+    assert lefts == sorted(p + q for p, q in pairs)
+    assert sys_._redex.pattern == "|".join(map(re.escape, lefts))
+    for x, y in swaps:
+        assert sys_.normalize(Word((x, y))) == Element.from_word(Word((y, x)))
+        for word in (Word((y, y, x)), Word((gens[0], y))):  # no redex in either
+            assert sys_.normalize(word) == Element.from_word(word)
 
 
 def test_foreign_letters_are_refused():

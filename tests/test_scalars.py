@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from epsalg import H, H_ONE, H_ZERO, HALF, I, MINUS_ONE, ONE, R2, ZERO, HPoly, Scalar
 from epsalg import scalar_from_text
+from epsalg.scalars import _SIGNS, _convolve
+from test_scalar_canonical import assert_flat
 from value_strategies import HPOLYS, SCALARS, UNITS, bounded_fractions, hpolys_of, scalars_of
 from value_strategies import specials
 
@@ -186,7 +188,7 @@ def test_product_prefixes():
 
 
 # Zero coefficients and the constants 1 and -1 come up often here, so that
-# the zero skipping and the unit returns of HPoly.__mul__ are both hit.
+# the zero returns and the +-h^k shifts of HPoly.__mul__ are both hit.
 sparse_coeffs = st.one_of(st.sampled_from([ZERO, ONE, MINUS_ONE]), scalars)
 sparse_hpolys = st.one_of(
     st.sampled_from([H_ZERO, H_ONE, -H_ONE, H, -H]),
@@ -205,6 +207,7 @@ def hpoly_to_sympy(p: HPoly):
 @example(H_ONE, HPoly((ZERO, I, ZERO, R2)))
 @example(-H_ONE, HPoly((ZERO, I, ZERO, R2)))
 @example(HPoly((ZERO, ZERO, ONE)), HPoly((ONE, ZERO, MINUS_ONE)))
+@example(HPoly((ZERO, HALF)), H + 1)  # h/2 has the numerators of h
 def test_hpoly_mul_matches_sympy(a, b):
     want = hpoly_to_sympy(a) * hpoly_to_sympy(b)
     for got in (a * b, b * a):
@@ -230,6 +233,29 @@ def test_hpoly_mul_by_a_monomial_is_the_convolution(x, k, p):
         assert got == want and hash(got) == hash(want)
         assert got.coeffs[-1]
         assert sympy.expand(hpoly_to_sympy(got) - exact) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, -1]), st.integers(0, 6), st.one_of(sparse_hpolys, hpolys))
+@specials((1, -1), (0, 1, 6), HPOLYS)
+@example(-1, 3, HPoly((HALF, I / 3, ZERO, R2 * I / 5)))
+@example(1, 6, HPoly((ZERO, ZERO, R2 / 6)))
+@example(1, 2, HPoly((ZERO, ZERO, -HALF)))  # -h^2/2: +-1 on top, but over 2
+@example(1, 0, -H)
+@example(1, 0, -H_ONE)  # both factors +-1: the result is -1, a new object
+def test_a_product_with_a_signed_power_of_h_is_the_convolution(sign, k, x):
+    # +-h^k times x in either order skips `_convolve`; it must give the
+    # structure the convolution gives, reduced by its gcd, and sympy's value.
+    mono = HPoly((ZERO,) * k + (Scalar(sign),))
+    assert (mono.n, mono.d) == ((0,) * 4 * k + (sign, 0, 0, 0), 1)
+    want = HPoly._make(_convolve(mono.n, x.n), x.d) if x else H_ZERO
+    exact = hpoly_to_sympy(mono) * hpoly_to_sympy(x)
+    for got in (mono * x, x * mono):
+        assert_flat(got)
+        assert (got.n, got.d) == (want.n, want.d)
+        assert sympy.expand(hpoly_to_sympy(got) - exact) == 0
+        if (sign, k) == (1, 0) and x and x.n not in _SIGNS:  # no copy, even of h^j
+            assert got is x
 
 
 @settings(max_examples=30, deadline=None)
