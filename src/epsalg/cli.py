@@ -27,20 +27,9 @@ from .exprparse import element_from_text, scalar_from_text
 from .freealg import Element
 from .grading import Grade, verify_factor_axioms
 from .matrices import GradedMatrix, ibn_probe, rank_profile
-from .presets import (
-    FAMILY_NAMES,
-    NOA_FAMILIES,
-    PRESET_NAMES,
-    Algebra,
-    build_noa,
-    check_modes,
-    classical_limit,
-    parse_modes,
-    parse_preset,
-    with_h,
-)
+from .presets import NOA_FAMILIES, PRESETS, Algebra, parse_preset, with_h
 from .rewrite import RewriteError
-from .scalars import MAX_DIGITS, H, HPoly
+from .scalars import MAX_DIGITS, H
 from .structure import (
     apply_J,
     number_operator_check,
@@ -147,14 +136,9 @@ def _refuse_large_basis(words: int, max_len: int):
 
 
 def _algebra_from_args(args) -> Algebra:
-    if getattr(args, "alg", None):
-        return parse_preset(args.alg)
-    if getattr(args, "family", None):
-        if args.n is None:
-            raise UsageError("--family needs --n")
-        h = H if args.h is None else HPoly.of(scalar_from_text(args.h))
-        return build_noa(args.family, check_modes(args.n), h)
-    raise UsageError("pick an algebra with --alg PRESET or --family NAME --n N")
+    if not args.alg:
+        raise UsageError("pick an algebra with --alg PRESET")
+    return parse_preset(args.alg)
 
 
 def _expansion_for(alg: Algebra) -> DeformationExpansion:
@@ -332,22 +316,8 @@ def cmd_rank(args) -> int:
 
 def cmd_presets(args) -> int:
     report = Report("presets", args.format)
-    lines = {
-        "fermion": "type a, anticommuting modes, quantum unless h=0",
-        "pseudo-fermion": "type a', fermionic squares with commuting modes",
-        "excl": "type b, exclusion algebra, one joint occupation",
-        "excl-dual": "type b', mirror exclusion algebra",
-        "boson": "type c, commuting oscillator modes",
-        "pseudo-boson": "type c', bosonic relations with anticommuting modes",
-        "qplane": "two-generator quadratic algebra, xy = q yx",
-        "cex": "localized Z2xZ2 example separating graded from total rank",
-        "ext": "epsilon-exterior algebra on n even generators",
-    }
-    for name in PRESET_NAMES:
-        sample = f"{name}:n=2" if name in FAMILY_NAMES else f"{name}:2"
-        if name == "cex":
-            sample = "cex"
-        report.result(name, f"{sample:<22} {lines[name]}")
+    for name, (_, sample, about) in PRESETS.items():
+        report.result(name, f"{sample:<22} {about}")
     return 0
 
 
@@ -470,13 +440,6 @@ _SUITES = {
 # --------------------------------------------------------------------- parser
 
 
-def _modes_option(text: str) -> int:
-    try:
-        return parse_modes(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _int_option(text: str) -> int:
     """--maxlen, --order, --samples and --seed: an optional minus and the digits 0-9.
 
@@ -491,17 +454,20 @@ def _int_option(text: str) -> int:
 
 
 def _add_algebra_options(sub):
-    sub.add_argument("--alg", help="preset string, e.g. boson:n=2 or qplane:2")
-    sub.add_argument("--family", choices=sorted(FAMILY_NAMES), help="NOA family name")
-    sub.add_argument("--n", type=_modes_option, help="number of modes for --family")
-    sub.add_argument("--h", help="deformation constant for --family (default h)")
+    sub.add_argument("--alg", help="preset string NAME[:PARAMS], as `epsalg presets` lists")
     sub.add_argument(
         "--format", choices=("text", "machine"), default="text", help="output style"
     )
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads "-a1" as a value, not a flag, and reports usage errors in one line."""
+    """Reads "-a1" as a value, not a flag, and reports usage errors in one line.
+
+    Options are spelled in full: an abbreviation such as "--h" would read as --help.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def _parse_optional(self, arg_string):
         # Every option here but -h is long, so a single-dash token is an expression.

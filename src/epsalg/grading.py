@@ -137,14 +137,7 @@ class CommutationFactor:
     def eval(self, g: Grade, k: Grade) -> Scalar:
         value = self._values.get((g, k))
         if value is None:
-            e = self.exponent(g, k)
-            if self.base == MINUS_ONE:
-                value = MINUS_ONE if e % 2 else ONE
-            elif self.base == ONE:
-                value = ONE
-            else:
-                value = self.base ** e
-            self._values[g, k] = value
+            value = self._values[g, k] = self.base ** self.exponent(g, k)
         return value
 
     def parity(self, g: Grade) -> int:

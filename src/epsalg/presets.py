@@ -77,8 +77,8 @@ FAMILY_NAMES = {row[0]: row[1] for row in _FAMILY_TABLE}
 
 FAMILY_LABELS = {v: k for k, v in FAMILY_NAMES.items()}
 
-# Exhaustive certification grows as n^3 with the modes, so preset strings and the
-# CLI refuse more; build_noa does not.  The local families, certified from n = 3,
+# Exhaustive certification grows as n^3 with the modes, so preset strings refuse
+# more; build_noa does not.  The local families, certified from n = 3,
 # no longer bound it (boson:n=16 builds in 0.02 s, boson:n=40 in 0.1 s); excl and
 # excl-dual, exhaustive, do: 0.15-0.23 s each on 16 modes (2-CPU Xeon, Python 3.11).
 MAX_MODES = 16
@@ -96,7 +96,7 @@ def check_modes(n: int) -> int:
 
 
 def parse_modes(text: str) -> int:
-    """The number n of a preset string or of --n: ASCII digits 0-9 only.
+    """The number n of a preset string: ASCII digits 0-9 only.
 
     int() would also take other scripts' digits, signs, underscores and
     surrounding spaces.
@@ -445,22 +445,32 @@ def build_exterior_preset(n: int, factor_name: str = "eps_c") -> Algebra:
     return build_epsilon_exterior(grades, factor, f"ext:n={n},factor={factor_name}")
 
 
-# The parameters each preset string takes; only the first may be given bare.
-_PRESET_PARAMS = {
-    **dict.fromkeys(FAMILY_NAMES, ("n", "h")),
-    "qplane": ("q",),
-    "cex": (),
-    "ext": ("n", "factor"),
+# Every preset string by name: the parameters it takes (only the first may be
+# given bare), the sample `epsalg presets` shows, and what the algebra is.
+PRESETS = {
+    "fermion": (("n", "h"), "fermion:n=2", "type a, anticommuting modes, quantum unless h=0"),
+    "pseudo-fermion": (
+        ("n", "h"), "pseudo-fermion:n=2", "type a', fermionic squares with commuting modes"
+    ),
+    "excl": (("n", "h"), "excl:n=2", "type b, exclusion algebra, one joint occupation"),
+    "excl-dual": (("n", "h"), "excl-dual:n=2", "type b', mirror exclusion algebra"),
+    "boson": (("n", "h"), "boson:n=2", "type c, commuting oscillator modes"),
+    "pseudo-boson": (
+        ("n", "h"), "pseudo-boson:n=2", "type c', bosonic relations with anticommuting modes"
+    ),
+    "qplane": (("q",), "qplane:2", "two-generator quadratic algebra, xy = q yx"),
+    "cex": ((), "cex", "localized Z2xZ2 example separating graded from total rank"),
+    "ext": (("n", "factor"), "ext:2", "epsilon-exterior algebra on n even generators"),
 }
 
-PRESET_NAMES = tuple(_PRESET_PARAMS)
+PRESET_NAMES = tuple(PRESETS)
 
 
 def parse_preset(text: str) -> Algebra:
     """Build an algebra from a preset string like 'boson:n=2' or 'qplane:2'."""
     name, _, rest = text.partition(":")
     name = name.strip()
-    if name not in _PRESET_PARAMS:
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
     params = _preset_params(name, rest)
     if name in FAMILY_NAMES:
@@ -480,7 +490,7 @@ def parse_preset(text: str) -> Algebra:
 
 def _preset_params(name: str, rest: str) -> dict:
     """Each parameter once, keyed, or bare in the first chunk for the first one."""
-    takes = _PRESET_PARAMS[name]
+    takes = PRESETS[name][0]
     params = {}
     for pos, chunk in enumerate(rest.split(",") if rest else ()):
         key, eq, value = (part.strip() for part in chunk.partition("="))

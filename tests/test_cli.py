@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -22,11 +23,6 @@ def _lines(capsys):
 def test_normalize(capsys):
     assert run(["normalize", "--alg", "boson:n=1", "a1*ad1*ad1"]) == 0
     assert _lines(capsys) == ["ad1^2*a1 + 2*h*ad1"]
-
-
-def test_normalize_with_family_flags(capsys):
-    assert run(["normalize", "--family", "boson", "--n", "1", "--h", "2", "a1*ad1"]) == 0
-    assert _lines(capsys) == ["ad1*a1 + 2"]
 
 
 def test_normalize_accepts_function_calls(capsys):
@@ -120,6 +116,8 @@ def test_rank_needs_an_algebra(tmp_path, capsys):
     path.write_text(json.dumps({"rows": [], "cols": [], "entries": []}))
     assert run(["rank", "--file", str(path)]) == 2
     assert "no algebra" in capsys.readouterr().err
+    assert run(["rank", "--family", "boson", "--n", "2", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --family boson --n 2\n"
 
 
 def test_rank_refuses_deeply_nested_json(tmp_path, capsys):
@@ -131,11 +129,33 @@ def test_rank_refuses_deeply_nested_json(tmp_path, capsys):
     assert captured.err == "error: --file nests its JSON too deeply to read\n"
 
 
+_LISTING = [
+    ("fermion", "fermion:n=2            type a, anticommuting modes, quantum unless h=0"),
+    ("pseudo-fermion", "pseudo-fermion:n=2     type a', fermionic squares with commuting modes"),
+    ("excl", "excl:n=2               type b, exclusion algebra, one joint occupation"),
+    ("excl-dual", "excl-dual:n=2          type b', mirror exclusion algebra"),
+    ("boson", "boson:n=2              type c, commuting oscillator modes"),
+    ("pseudo-boson",
+     "pseudo-boson:n=2       type c', bosonic relations with anticommuting modes"),
+    ("qplane", "qplane:2               two-generator quadratic algebra, xy = q yx"),
+    ("cex", "cex                    localized Z2xZ2 example separating graded from total rank"),
+    ("ext", "ext:2                  epsilon-exterior algebra on n even generators"),
+]
+
+
 def test_presets_listing(capsys):
     assert run(["presets"]) == 0
-    out = _lines(capsys)
-    assert len(out) == 9
-    assert any(line.startswith("qplane:2") for line in out)
+    assert capsys.readouterr().out == "".join(f"{line}\n" for _, line in _LISTING)
+    assert run(["presets", "--format", "machine"]) == 0
+    assert capsys.readouterr().out == "".join(
+        json.dumps({"suite": "presets", "case": name, "status": "pass", "payload": line}) + "\n"
+        for name, line in _LISTING
+    )
+    assert [name for name, _ in _LISTING] == list(epsalg.PRESET_NAMES)
+    for name, line in _LISTING:
+        sample = line.split()[0]
+        assert sample.partition(":")[0] == name
+        assert epsalg.parse_preset(sample).certified_by is not None
 
 
 @pytest.mark.parametrize(
@@ -184,9 +204,7 @@ def test_machine_format(capsys):
 
 def test_usage_errors(capsys):
     assert run(["normalize", "a1"]) == 2
-    assert "pick an algebra" in capsys.readouterr().err
-    assert run(["normalize", "--family", "boson", "a1"]) == 2
-    assert "--family needs --n" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: pick an algebra with --alg PRESET\n"
     assert run(["normalize", "--alg", "nonsense:1", "a1"]) == 2
     assert run(["normalize", "--alg", "boson:n=1", "a1 ** ad1"]) == 2
     assert "offset 4" in capsys.readouterr().err
@@ -328,8 +346,7 @@ _NOT_ASCII_DIGITS = ["\u0663", "\u00b2", "1_0", "+2", "-1", "abc"]
     "argv, value",
     [(["--alg", f"boson:n={v}"], v) for v in _NOT_ASCII_DIGITS + [""]]
     + [(["--alg", f"boson:{v}"], v) for v in _NOT_ASCII_DIGITS]
-    + [(["--alg", f"ext:n={v}"], v) for v in _NOT_ASCII_DIGITS]
-    + [(["--family", "boson", "--n", v], v) for v in _NOT_ASCII_DIGITS + ["", " 2"]],
+    + [(["--alg", f"ext:n={v}"], v) for v in _NOT_ASCII_DIGITS],
 )
 def test_preset_numbers_are_ascii_digits(argv, value, capsys):
     # int() reads an Arabic-Indic three as 3, takes 1_0, +2 and spaces, and
@@ -341,9 +358,8 @@ def test_preset_numbers_are_ascii_digits(argv, value, capsys):
 
 
 def test_ascii_preset_numbers_still_read(capsys):
-    for argv in (["--alg", "excl:n=3"], ["--alg", "excl:3"], ["--alg", "excl: n = 3 "],
-                 ["--family", "excl", "--n", "3"], ["--family", "excl", "--n", "03"]):
-        assert run(["dim", *argv]) == 0
+    for preset in ("excl:n=3", "excl:3", "excl: n = 3 ", "excl:n=03"):
+        assert run(["dim", "--alg", preset]) == 0
         assert _lines(capsys) == ["16"]
 
 
@@ -406,8 +422,8 @@ def test_numeric_flags_are_ascii_digits(argv, value, capsys):
 def test_numeric_flags_refuse_more_digits_than_can_be_read(capsys):
     assert run(["dim", "--alg", "boson:n=1", "--maxlen", "9" * 5000]) == 2
     assert capsys.readouterr().err == "error: argument --maxlen: more than 4300 digits\n"
-    assert run(["dim", "--family", "boson", "--n", "9" * 5000]) == 2
-    assert capsys.readouterr().err == "error: argument --n: n has more than 4300 digits\n"
+    assert run(["dim", "--alg", "boson:n=" + "9" * 5000]) == 2
+    assert capsys.readouterr().err == "error: n has more than 4300 digits\n"
 
 
 def test_ascii_numeric_flags_still_read(capsys):
@@ -478,7 +494,7 @@ def test_dim_maxlen_beyond_a_million_words_is_a_one_line_error():
     [
         ["dim", "--alg", "boson:n=17"],
         ["dim", "--alg", "ext:40"],
-        ["dim", "--family", "fermion", "--n", "17"],
+        ["dim", "--alg", "fermion:n=17"],
         ["dim", "--alg", "excl:n=" + "9" * 40],
     ],
 )
@@ -494,7 +510,7 @@ def test_expressions_may_start_with_a_minus(capsys):
     assert _lines(capsys) == ["-a1"]
     assert run(["bracket", "--alg", "boson:n=1", "-a1", "ad1"]) == 0
     assert _lines(capsys) == ["-h"]
-    assert run(["normalize", "--family", "boson", "--n", "1", "--h", "-1/2", "a1*ad1"]) == 0
+    assert run(["normalize", "--alg", "boson:n=1,h=-1/2", "a1*ad1"]) == 0
     assert _lines(capsys) == ["ad1*a1 - 1/2"]
     assert run(["normalize", "--alg", "boson:n=1", "-h"]) == 0
     assert "usage" in capsys.readouterr().out
@@ -510,15 +526,32 @@ def test_expressions_may_start_with_a_minus(capsys):
         ["normalize", "--alg", "boson:n=1", "-a1", "extra"],
         ["no-such-command"],
         [],
+        ["normalize", "--alg", "boson:n=1", "--family", "fermion", "--n", "1", "a1*a1"],
+        ["normalize", "--alg", "boson:n=1", "--h", "0", "a1*ad1"],
+        ["rank", "--family", "boson", "--n", "2", "--file", "f.json"],
+        ["dim", "--alg", "boson:n=1", "--max", "2"],
+        ["dim", "--al", "boson:n=1"],
     ],
     ids=["unknown-flag", "missing-argument", "bad-choice", "bad-kind", "extra-argument",
-         "unknown-command", "no-command"],
+         "unknown-command", "no-command", "family-flags", "h-flag", "rank-family-flags",
+         "abbreviated-flag", "abbreviated-alg"],
 )
 def test_argparse_errors_are_one_line(argv, capsys):
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["normalize", "bracket", "mu", "confluence", "dim", "rank", "verify"]
+)
+def test_algebra_subcommands_take_only_alg(command, capsys):
+    # A preset string is the one spelling of an algebra on the command line.
+    assert run([command, "--help"]) == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert "--alg" in flags
+    assert not flags & {"--family", "--n", "--h"}
 
 
 def test_step_budget_is_a_one_line_error(monkeypatch, capsys):
@@ -609,7 +642,7 @@ _presets = st.one_of(
     st.builds(_mutate, st.sampled_from(_PRESETS), st.integers(0, 30),
               st.sampled_from(["drop", "double", "replace"]), st.sampled_from(":,=-/x ")),
     st.builds("{}:n={}".format, st.sampled_from(["boson", "excl", "ext", "fermion"]),
-              st.one_of(st.integers(17, 10**30).map(str), _huge)),
+              st.one_of(st.just("0"), st.integers(17, 10**30).map(str), _huge)),
 )
 # Expressions are either a few factors, each an atom with a power that is
 # small or beyond every power budget, or tokens of the grammar joined by
@@ -630,11 +663,7 @@ _exprs = st.one_of(
         min_size=1, max_size=6,
     ).map(" ".join),
 )
-_algebra = st.one_of(
-    _presets.map(lambda p: ["--alg", p]),
-    st.builds(lambda f, n: ["--family", f, "--n", n], st.sampled_from(["boson", "fermion"]),
-              st.sampled_from(["2", "17", "0", str(10**20)])),
-)
+_algebra = _presets.map(lambda p: ["--alg", p])
 _commands = st.one_of(
     st.builds(lambda e: ["normalize", e], _exprs),
     st.builds(lambda k, x, y: ["bracket", "--kind", k, x, y],
