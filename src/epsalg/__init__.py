@@ -14,7 +14,6 @@ from .brackets import (
     OscillatorSet,
     commutator,
     epsilon_commutator,
-    in_epsilon_center,
     oscillator_set,
     oscillator_table,
     poisson_bracket,
@@ -26,8 +25,6 @@ from .brackets import (
 from .deformation import (
     DeformationExpansion,
     check_deformation_identity,
-    fix_parameter,
-    mu_n,
 )
 from .exprparse import (
     BinOp,
@@ -69,7 +66,6 @@ from .matrices import (
     IbnReport,
     RankProfile,
     augmentation_violations,
-    gm_identity,
     gm_mul,
     ibn_probe,
     invertible_pair,
@@ -77,7 +73,6 @@ from .matrices import (
     unit_coefficient,
 )
 from .presets import (
-    FAMILY_LABELS,
     FAMILY_NAMES,
     NOA_FAMILIES,
     PRESET_NAMES,

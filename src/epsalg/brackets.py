@@ -71,14 +71,6 @@ def epsilon_commutator(ctx: BracketContext, x: Element, y: Element) -> Element:
     return _eps_bracket(ctx, ctx.algebra.system, x, y)
 
 
-def in_epsilon_center(ctx: BracketContext, x: Element) -> bool:
-    """True when x epsilon-commutes with every generator."""
-    return all(
-        epsilon_commutator(ctx, x, Element.from_word(g)).is_zero()
-        for g in ctx.algebra.generators
-    )
-
-
 def poisson_bracket(ctx: BracketContext, x: Element, y: Element) -> Element:
     if ctx.expansion is None:
         raise ValueError("Poisson bracket needs a deformation expansion")

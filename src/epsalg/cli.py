@@ -22,7 +22,7 @@ from .brackets import (
     verify_lie_axioms,
     verify_poisson_axioms,
 )
-from .deformation import DeformationExpansion, check_deformation_identity, mu_n
+from .deformation import DeformationExpansion, check_deformation_identity
 from .exprparse import element_from_text, scalar_from_text
 from .freealg import Element
 from .grading import Grade, verify_factor_axioms
@@ -221,7 +221,7 @@ def cmd_mu(args) -> int:
     exp = _expansion_for(alg)
     x = _parse_element(exp.classical, args.x)
     y = _parse_element(exp.classical, args.y)
-    value = mu_n(exp, x, y, args.order)
+    value = exp.mu_n(x, y, args.order)
     report = Report("mu", args.format)
     report.result(f"mu_{args.order}({args.x}, {args.y})", str(value))
     return 0
@@ -291,14 +291,9 @@ def cmd_rank(args) -> int:
         raise UsageError("--file must hold a JSON object")
     if ("P" in data) != ("Q" in data):
         raise UsageError("--file needs both 'P' and 'Q' for the IBN probe")
-    if not isinstance(data.get("alg", ""), str):
-        raise UsageError("'alg' in --file is not a preset string")
-    if args.alg:
-        alg = parse_preset(args.alg)
-    elif "alg" in data:
-        alg = parse_preset(data["alg"])
-    else:
-        raise UsageError("no algebra: pass --alg or an 'alg' key in the file")
+    if not isinstance(data.get("alg"), str):
+        raise UsageError("no algebra: --file needs a preset string under 'alg'")
+    alg = parse_preset(data["alg"])
     report = Report("rank", args.format)
     if "P" in data:
         P = _matrix_from_json(alg, data["P"])
@@ -343,13 +338,6 @@ def _suite_factor(report: Report, alg: Algebra, args):
     for line in bad:
         report.add("axiom", False, line)
     report.add("axioms", not bad, f"{len(grades)} sample grades")
-
-
-def _suite_confluence(report: Report, alg: Algebra, args):
-    unresolved = alg.system.check_confluence()
-    for amb in unresolved:
-        report.add(f"{amb.kind} {amb.word}", False, f"residual {amb.residual}")
-    report.add("confluence", not unresolved, alg.label)
 
 
 def _suite_lie(report: Report, alg: Algebra, args):
@@ -428,7 +416,6 @@ def _suite_oscillator(report: Report, alg: Algebra, args):
 
 _SUITES = {
     "factor": _suite_factor,
-    "confluence": _suite_confluence,
     "lie": _suite_lie,
     "poisson": _suite_poisson,
     "deformation": _suite_deformation,
@@ -453,11 +440,15 @@ def _int_option(text: str) -> int:
     return int(text)
 
 
-def _add_algebra_options(sub):
-    sub.add_argument("--alg", help="preset string NAME[:PARAMS], as `epsalg presets` lists")
+def _add_format_option(sub):
     sub.add_argument(
         "--format", choices=("text", "machine"), default="text", help="output style"
     )
+
+
+def _add_algebra_options(sub):
+    sub.add_argument("--alg", help="preset string NAME[:PARAMS], as `epsalg presets` lists")
+    _add_format_option(sub)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -516,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_dim)
 
     p = subs.add_parser("rank", help="graded rank profiles and the IBN probe")
-    _add_algebra_options(p)
-    p.add_argument("--file", required=True, help="JSON matrix or P/Q pair")
+    _add_format_option(p)
+    p.add_argument("--file", required=True, help="JSON matrix or P/Q pair, its preset under 'alg'")
     p.add_argument("--kind", choices=("total", "super", "eps"), default="eps")
     p.set_defaults(handler=cmd_rank)
 
@@ -530,9 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = subs.add_parser("presets", help="list the built-in algebra presets")
-    p.add_argument(
-        "--format", choices=("text", "machine"), default="text", help="output style"
-    )
+    _add_format_option(p)
     p.set_defaults(handler=cmd_presets)
 
     return parser

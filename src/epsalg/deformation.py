@@ -12,9 +12,9 @@ sum over p+q=n of mu_p(mu_q(x,y), z) - mu_p(x, mu_q(y,z)).
 from __future__ import annotations
 
 from .freealg import Element
-from .presets import Algebra, classical_limit, with_h
+from .presets import Algebra, classical_limit
 from .rewrite import require_h_free
-from .scalars import H_MINUS_ONE, H_ONE, Scalar
+from .scalars import H_MINUS_ONE, H_ONE
 
 
 class DeformationExpansion:
@@ -54,10 +54,6 @@ class DeformationExpansion:
         return self.quantum.system.mul_sum(((H_ONE, x, y),), n)
 
 
-def mu_n(exp: DeformationExpansion, x: Element, y: Element, n: int) -> Element:
-    return exp.mu_n(x, y, n)
-
-
 def check_deformation_identity(
     exp: DeformationExpansion, x: Element, y: Element, z: Element, n: int
 ) -> Element:
@@ -75,10 +71,3 @@ def check_deformation_identity(
         for q in range(max(n, 0) + 1)
     )
 
-
-def fix_parameter(exp: DeformationExpansion, value) -> Algebra:
-    """Pin h to a constant from the tau-fixed subfield."""
-    v = Scalar.of(value)
-    if not v.is_tau_fixed():
-        raise ValueError(f"parameter {v} is not tau-fixed")
-    return with_h(exp.quantum, v)

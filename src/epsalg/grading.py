@@ -88,16 +88,18 @@ class CommutationFactor:
     """eps(g, k) = base ** B(g, k) for an integer matrix B.
 
     Two factors are equal when base and form are; the label only names one.
-    `eval` keeps each value it computes, keyed by the grade pair.
+    `eval` keeps each value it computes, keyed by the grade pair, and holds
+    each distinct value once, so equal values of many pairs share one object.
     """
 
-    __slots__ = ("base", "form", "label", "_values")
+    __slots__ = ("base", "form", "label", "_values", "_distinct")
 
     def __init__(self, base: Scalar, form: tuple, label: str = ""):
         self.base = Scalar.of(base)
         self.form = tuple(tuple(int(x) for x in row) for row in form)
         self.label = label
         self._values = {}
+        self._distinct = {}
         if self.base.is_zero():
             raise ValueError("commutation factor base must be invertible")
         for row in self.form:
@@ -137,7 +139,8 @@ class CommutationFactor:
     def eval(self, g: Grade, k: Grade) -> Scalar:
         value = self._values.get((g, k))
         if value is None:
-            value = self._values[g, k] = self.base ** self.exponent(g, k)
+            value = self.base ** self.exponent(g, k)
+            value = self._values[g, k] = self._distinct.setdefault(value, value)
         return value
 
     def parity(self, g: Grade) -> int:

@@ -41,9 +41,6 @@ class RankProfile:
     def total(self) -> int:
         return self.even + self.odd
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
     def __str__(self) -> str:
         inner = ", ".join(f"{g}:{m}" for g, m in self.entries)
         return f"{{{inner}}} (even {self.even} | odd {self.odd}, total {self.total})"
@@ -106,9 +103,6 @@ class GradedMatrix:
     def ncols(self) -> int:
         return len(self.col_grades)
 
-    def entry(self, i: int, j: int) -> Element:
-        return self.entries[i][j]
-
     def __str__(self) -> str:
         body = "; ".join(
             ", ".join(str(e) for e in row) for row in self.entries
@@ -127,15 +121,6 @@ def gm_mul(P: GradedMatrix, Q: GradedMatrix) -> GradedMatrix:
     return GradedMatrix._of_normal(
         P.alg, P.row_grades, Q.col_grades, entries, P.gamma + Q.gamma
     )
-
-
-def gm_identity(alg: Algebra, grades) -> GradedMatrix:
-    grades = tuple(grades)
-    entries = [
-        [Element.one() if i == j else Element.zero() for j in range(len(grades))]
-        for i in range(len(grades))
-    ]
-    return GradedMatrix._of_normal(alg, grades, grades, entries)
 
 
 def is_identity(M: GradedMatrix) -> bool:
@@ -220,6 +205,8 @@ def ibn_probe(P: GradedMatrix, Q: GradedMatrix, kind: str = "eps") -> IbnReport:
     means the projected scalar blocks multiply to identities both ways, which
     forces the corresponding multiplicities to agree.
     """
+    if kind not in ("total", "super", "eps"):
+        raise ValueError(f"unknown probe kind {kind!r}")
     alg = P.alg
     factor = alg.factor
     rows = rank_profile(P.row_grades, factor)
@@ -237,9 +224,7 @@ def ibn_probe(P: GradedMatrix, Q: GradedMatrix, kind: str = "eps") -> IbnReport:
             return 0
         if kind == "super":
             return factor.parity(g)
-        if kind == "eps":
-            return g.sort_key()
-        raise ValueError(f"unknown probe kind {kind!r}")
+        return g.sort_key()
 
     if kind != "total":
         for i, g in enumerate(P.row_grades):

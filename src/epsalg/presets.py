@@ -75,8 +75,6 @@ NOA_FAMILIES = tuple(_FAMILY_ROWS)
 
 FAMILY_NAMES = {row[0]: row[1] for row in _FAMILY_TABLE}
 
-FAMILY_LABELS = {v: k for k, v in FAMILY_NAMES.items()}
-
 # Exhaustive certification grows as n^3 with the modes, so preset strings refuse
 # more; build_noa does not.  The local families, certified from n = 3,
 # no longer bound it (boson:n=16 builds in 0.02 s, boson:n=40 in 0.1 s); excl and
@@ -144,9 +142,6 @@ class Algebra:
             return self._by_label[label]
         except KeyError:
             raise KeyError(f"unknown generator {label!r} in {self.label}") from None
-
-    def gen_element(self, label: str) -> Element:
-        return Element.from_word(self.gen(label))
 
     def indexed_gen(self, name: str, index: int) -> Generator:
         return self.gen(f"{name}{index}")
@@ -324,12 +319,7 @@ def _build_noa_cached(family: str, n: int, h: HPoly) -> Algebra:
     for x, y in zip(ad, a):
         involution[x] = y
         involution[y] = x
-    if h == H:
-        label = f"{tag}:n={n}"
-    elif h.is_zero():
-        label = f"classical-{tag}:n={n}"
-    else:
-        label = f"{tag}:n={n},h={h}"
+    label = f"{tag}:n={n}" if h == H else f"{tag}:n={n},h={h}"
     alg = Algebra(label, family, system, factor(n), h, involution, {"n": n})
     if n > 3 and not collective:
         return _certify(alg, _build_noa_cached(family, 3, h))
@@ -341,14 +331,19 @@ def build_noa(family: str, n: int, h=H) -> Algebra:
 
     h is the deformation constant as a polynomial in the formal parameter;
     the default is the symbolic parameter itself, 0 gives the classical
-    limit, and any constant from the tau-fixed subfield pins the algebra.
+    limit, and any constant from the tau-fixed subfield Q(r2) pins the
+    algebra.  An h that tau does not fix (I, 1 + I, I*h) is a ValueError:
+    J conjugates coefficients, so it would not respect the relations.
     """
     family = FAMILY_NAMES.get(family, family)
     if family not in NOA_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("family needs at least one mode")
-    return _build_noa_cached(family, int(n), HPoly.of(h))
+    h = HPoly.of(h)
+    if h.tau() != h:
+        raise ValueError(f"h = {h} is not tau-fixed")
+    return _build_noa_cached(family, int(n), h)
 
 
 def classical_limit(alg: Algebra) -> Algebra:
@@ -435,6 +430,7 @@ def build_epsilon_exterior(grades, factor: CommutationFactor, label: str = "ext"
     return _certify(alg)
 
 
+@lru_cache(maxsize=None)
 def build_exterior_preset(n: int, factor_name: str = "eps_c") -> Algebra:
     from .grading import FACTOR_PRESETS
 

@@ -168,19 +168,6 @@ class Scalar(_Reduced):
     def __bool__(self) -> bool:
         return self.n != _ZERO_N
 
-    def is_rational(self) -> bool:
-        n = self.n
-        return not (n[1] or n[2] or n[3])
-
-    def is_tau_fixed(self) -> bool:
-        """Membership in K+ = Q(r2): no I components."""
-        return not (self.n[1] or self.n[3])
-
-    def rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.c0
-
     @staticmethod
     def _coerce(value):
         if type(value) is Scalar:
@@ -420,13 +407,6 @@ class HPoly(_Reduced):
         return _hmake(_convolve(a, b), self.d * other.d)
 
     __rmul__ = __mul__
-
-    def substitute_h(self, value) -> Scalar:
-        v = Scalar.of(value)
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * v + c
-        return out
 
     def __str__(self) -> str:
         n, d = self.n, self.d

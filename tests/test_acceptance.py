@@ -32,7 +32,6 @@ from epsalg import (
     epsilon_commutator,
     ibn_probe,
     invertible_pair,
-    mu_n,
     number_operator_check,
     oscillator_set,
     oscillator_table,
@@ -135,7 +134,7 @@ def test_criterion_06_deformation_identity(family):
             assert residual.is_zero(), (family, str(x), str(y), str(z), order)
     for wx, wy in itertools.product(words, repeat=2):
         x, y = Element.from_word(wx), Element.from_word(wy)
-        assert mu_n(exp, x, y, 0) == exp.classical.normalize(x * y)
+        assert exp.mu_n(x, y, 0) == exp.classical.normalize(x * y)
 
 
 @pytest.mark.parametrize("family", COMMUTATIVE_LIMITS)

@@ -100,13 +100,14 @@ def test_rank_pair(tmp_path, capsys):
 
 def test_rank_single_matrix(tmp_path, capsys):
     data = {
+        "alg": "fermion:n=2,h=0",
         "rows": [[0, 0], [1, 0]],
         "cols": [[0, 0], [1, 0]],
         "entries": [["1", "0"], ["0", "1"]],
     }
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(data))
-    assert run(["rank", "--alg", "fermion:n=2,h=0", "--file", str(path)]) == 0
+    assert run(["rank", "--file", str(path)]) == 0
     out = capsys.readouterr().out
     assert "total 2" in out
 
@@ -120,10 +121,19 @@ def test_rank_needs_an_algebra(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unrecognized arguments: --family boson --n 2\n"
 
 
+@pytest.mark.parametrize("h", ["I", "1 + I"])
+def test_h_outside_the_tau_fixed_field_is_a_one_line_error(h, capsys):
+    assert run(["normalize", "--alg", f"boson:n=1,h={h}", "a1*ad1"]) == 2
+    assert capsys.readouterr() == ("", f"error: h = {h} is not tau-fixed\n")
+    assert run(["normalize", "--alg", "boson:n=1,h=I*h", "a1*ad1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_rank_refuses_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000)
-    assert run(["rank", "--alg", "cex", "--file", str(path)]) == 2
+    assert run(["rank", "--file", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --file nests its JSON too deeply to read\n"
@@ -162,7 +172,6 @@ def test_presets_listing(capsys):
     "suite,alg",
     [
         ("factor", "fermion:n=2"),
-        ("confluence", "excl:n=2"),
         ("lie", "pseudo-boson:n=2"),
         ("poisson", "boson:n=2"),
         ("deformation", "excl-dual:n=2"),
@@ -193,13 +202,13 @@ def test_factor_suite_ends_on_small_grade_groups(alg):
 
 
 def test_machine_format(capsys):
-    assert run(["verify", "--suite", "confluence", "--alg", "fermion:n=1",
+    assert run(["verify", "--suite", "factor", "--alg", "fermion:n=1",
                 "--format", "machine"]) == 0
     for line in _lines(capsys):
         record = json.loads(line)
         assert set(record) == {"suite", "case", "status", "payload"}
         assert record["status"] in ("pass", "fail")
-        assert record["suite"] == "verify-confluence"
+        assert record["suite"] == "verify-factor"
 
 
 def test_usage_errors(capsys):
@@ -211,7 +220,7 @@ def test_usage_errors(capsys):
     assert run(["normalize", "--alg", "boson:n=1", "zz"]) == 2
     assert run(["mu", "--alg", "qplane:2", "--order", "0", "x", "y"]) == 2
     assert "no deformation expansion" in capsys.readouterr().err
-    assert run(["rank", "--alg", "cex", "--file", "/does/not/exist.json"]) == 2
+    assert run(["rank", "--file", "/does/not/exist.json"]) == 2
 
 
 def test_argparse_exits_are_mapped(capsys):
@@ -244,7 +253,7 @@ def test_dim_detects_infinite_algebras_from_left_sides(alg):
 def test_large_normal_ordering_is_the_wick_sum():
     # a^n ad^n = sum_j C(n,j)^2 j! h^j ad^(n-j) a^(n-j) for [a, ad] = h.
     alg = epsalg.parse_preset("boson:n=1")
-    a, ad = alg.gen_element("a1"), alg.gen_element("ad1")
+    a, ad = alg.parse("a1"), alg.parse("ad1")
     want = Element.zero()
     for j in range(31):
         weight = math.comb(30, j) ** 2 * math.factorial(j)
@@ -531,10 +540,12 @@ def test_expressions_may_start_with_a_minus(capsys):
         ["rank", "--family", "boson", "--n", "2", "--file", "f.json"],
         ["dim", "--alg", "boson:n=1", "--max", "2"],
         ["dim", "--al", "boson:n=1"],
+        ["verify", "--suite", "confluence", "--alg", "fermion:n=1"],
+        ["rank", "--alg", "cex", "--file", "f.json"],
     ],
     ids=["unknown-flag", "missing-argument", "bad-choice", "bad-kind", "extra-argument",
          "unknown-command", "no-command", "family-flags", "h-flag", "rank-family-flags",
-         "abbreviated-flag", "abbreviated-alg"],
+         "abbreviated-flag", "abbreviated-alg", "confluence-suite", "rank-alg-flag"],
 )
 def test_argparse_errors_are_one_line(argv, capsys):
     assert run(argv) == 2
@@ -547,10 +558,11 @@ def test_argparse_errors_are_one_line(argv, capsys):
     "command", ["normalize", "bracket", "mu", "confluence", "dim", "rank", "verify"]
 )
 def test_algebra_subcommands_take_only_alg(command, capsys):
-    # A preset string is the one spelling of an algebra on the command line.
+    # A preset string is the one spelling of an algebra on the command line;
+    # rank reads it from its file's "alg" key and from nowhere else.
     assert run([command, "--help"]) == 0
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
-    assert "--alg" in flags
+    assert ("--alg" in flags) == (command != "rank")
     assert not flags & {"--family", "--n", "--h"}
 
 
@@ -590,13 +602,13 @@ _MATRIX = {"rows": [[0, 0]], "cols": [[0, 0]], "entries": [["1"]]}
         (["verify", "--suite", "factor", "--alg", "boson:n=1", "--samples", "-5"], None, "--samples"),
         (["verify", "--suite", "deformation", "--alg", "boson:n=1", "--maxlen", "0"], None, "--maxlen"),
         (["dim", "--alg", "boson:n=1", "--maxlen", "-1"], None, "--maxlen"),
-        (["rank", "--alg", "cex"], [_MATRIX], "--file"),
-        (["rank", "--alg", "cex"], {"P": _MATRIX}, "'Q'"),
+        (["rank"], [_MATRIX], "--file"),
+        (["rank"], {"P": _MATRIX, "alg": "cex"}, "'Q'"),
         (["rank"], {**_MATRIX, "alg": 5}, "'alg'"),
-        (["rank", "--alg", "cex"], {"rows": [], "entries": []}, "'cols'"),
-        (["rank", "--alg", "cex"], {**_MATRIX, "rows": 5}, "'rows'"),
-        (["rank", "--alg", "cex"], {**_MATRIX, "rows": [[0, "x"]]}, "grade"),
-        (["rank", "--alg", "cex"], {**_MATRIX, "entries": [[1]]}, "'entries'"),
+        (["rank"], {"rows": [], "entries": [], "alg": "cex"}, "'cols'"),
+        (["rank"], {**_MATRIX, "rows": 5, "alg": "cex"}, "'rows'"),
+        (["rank"], {**_MATRIX, "rows": [[0, "x"]], "alg": "cex"}, "grade"),
+        (["rank"], {**_MATRIX, "entries": [[1]], "alg": "cex"}, "'entries'"),
     ],
 )
 def test_bad_values_exit_two_with_one_line(argv, data, flag, tmp_path, capsys):
@@ -672,8 +684,8 @@ _commands = st.one_of(
               st.sampled_from(["-1", "0", "1", "2"]), _exprs, _exprs),
     st.sampled_from([["dim"], ["dim", "--maxlen", "-1"], ["dim", "--maxlen", "2"]]),
     st.just(["confluence"]),
-    st.builds(lambda s, n: ["verify", "--suite", s, "--samples", n],
-              st.sampled_from(["factor", "confluence"]), st.sampled_from(["0", "1", "3"])),
+    st.builds(lambda n: ["verify", "--suite", "factor", "--samples", n],
+              st.sampled_from(["0", "1", "3"])),
 )
 
 

@@ -213,3 +213,11 @@ def test_label_takes_no_part_in_equality():
     bare = CommutationFactor(MINUS_ONE, eps_c_prime(2).form)
     assert eps_c_prime(2) == bare
     assert hash(eps_c_prime(2)) == hash(bare)
+
+
+def test_eval_holds_each_distinct_value_once():
+    factor = eps_c_prime(3)
+    box = [Grade(c) for c in itertools.product(range(-2, 3), repeat=3)]
+    values = [factor.eval(g, k) for g in box for k in box]
+    assert set(values) == {ONE, MINUS_ONE}
+    assert len({id(v) for v in values}) == 2

@@ -10,13 +10,13 @@ from epsalg import (
     build_noa,
     classical_limit,
     eps_c,
-    gm_identity,
     gm_mul,
     ibn_probe,
     invertible_pair,
     rank_profile,
     unit_coefficient,
 )
+from epsalg import matrices
 from epsalg.rewrite import ReductionSystem
 
 
@@ -32,7 +32,7 @@ def test_rank_profile_counts_and_parity():
     alg = build_noa("a", 2)
     e1, e2 = Grade((1, 0)), Grade((0, 1))
     prof = rank_profile([e1, e1, e2, Grade((0, 0))], alg.factor)
-    assert prof.as_dict() == {e1: 2, e2: 1, Grade((0, 0)): 1}
+    assert dict(prof.entries) == {e1: 2, e2: 1, Grade((0, 0)): 1}
     assert prof.total == 4
     # unit grades are odd for the fermionic factor, the zero grade is even
     assert prof.even == 1 and prof.odd == 3
@@ -67,7 +67,7 @@ def test_matrix_entries_normalize():
     alg = build_noa("c", 1)
     z = Grade((0,))
     M = _matrix(alg, [z], [z], [["a1*ad1 - ad1*a1"]])
-    assert str(M.entry(0, 0)) == "h"
+    assert str(M.entries[0][0]) == "h"
 
 
 def test_gm_mul_and_identity():
@@ -77,7 +77,7 @@ def test_gm_mul_and_identity():
     Q = _matrix(alg, [z, e1], [z, e1], [["1", "-a1"], ["0", "1"]])
     assert invertible_pair(P, Q)
     assert str(gm_mul(P, Q)) == "[1, 0; 0, 1]"
-    assert not invertible_pair(P, gm_identity(alg, [z, e1]))
+    assert not invertible_pair(P, _matrix(alg, [z, e1], [z, e1], [["1", "0"], ["0", "1"]]))
     with pytest.raises(ValueError, match="inner grades"):
         gm_mul(P, _matrix(alg, [z], [z], [["1"]]))
 
@@ -181,6 +181,17 @@ def test_probe_unknown_kind():
     P, Q = _identity_pair()
     with pytest.raises(ValueError, match="unknown probe kind"):
         ibn_probe(P, Q, "weird")
+
+
+def test_probe_refuses_an_unknown_kind_before_any_work(monkeypatch):
+    # over a quantum algebra the augmentation check would refuse first
+    alg = build_noa("a", 1)
+    P = _matrix(alg, [Grade((0,))], [Grade((0,))], [["1"]])
+    calls = []
+    monkeypatch.setattr(matrices, "augmentation_violations", lambda *a: calls.append(a) or [])
+    with pytest.raises(ValueError, match="unknown probe kind 'bogus'"):
+        ibn_probe(P, P, kind="bogus")
+    assert calls == []
 
 
 def _identity_pair():

@@ -1,7 +1,10 @@
 """Built-in algebras: relations, bases, labels, preset string parsing."""
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsalg import (
     CommutationFactor,
@@ -201,7 +204,7 @@ def test_certification_rejects_factor_breaking_axiom_one():
 def test_classical_limit():
     alg = classical_limit(build_noa("c", 2))
     assert alg.is_classical()
-    assert alg.label == "classical-boson:n=2"
+    assert alg.label == "boson:n=2,h=0"
     assert _nf(alg, "a1*ad1") == "ad1*a1"
     with pytest.raises(ValueError, match="deformation parameter"):
         classical_limit(build_quantum_plane(2))
@@ -336,6 +339,43 @@ def test_parse_preset_roundtrip():
     assert parse_preset("boson:n=1,h=0").is_classical()
 
 
+# Preset strings: each of the six families with the symbolic h, h = 0 and a
+# pinned tau-fixed h; the quantum plane; ext with each factor; cex.
+_preset_strings = st.one_of(
+    st.builds(
+        "{}:n={}{}".format,
+        st.sampled_from(sorted(presets.FAMILY_NAMES)),
+        st.integers(1, 3),
+        st.sampled_from(["", ",h=0", ",h=2", ",h=-1/2", ",h=r2", ",h=1 + r2"]),
+    ),
+    st.sampled_from(["qplane:2", "qplane:q=-1", "qplane:q=1/2", "qplane:q=I", "qplane:1 + I"]),
+    st.builds("ext:n={},factor={}".format, st.integers(1, 3),
+              st.sampled_from(["eps_a", "eps_a'", "eps_c", "eps_c'"])),
+    st.just("cex"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_preset_strings)
+def test_a_preset_label_is_its_preset_string(text):
+    alg = parse_preset(text)
+    assert parse_preset(alg.label) is alg
+
+
+@pytest.mark.parametrize(
+    "text,h", [("I", Scalar(0, 1)), ("1 + I", Scalar(1, 1)), ("I*h", H * Scalar(0, 1))]
+)
+def test_h_outside_the_tau_fixed_field_is_refused(text, h):
+    message = re.escape(f"h = {text} is not tau-fixed")
+    with pytest.raises(ValueError, match=message):
+        build_noa("c", 1, h)
+    with pytest.raises(ValueError, match=message):
+        with_h(build_noa("c", 1), h)
+    # A preset string takes a scalar only, so I*h is refused before build_noa.
+    with pytest.raises(ValueError, match=message if text != "I*h" else "not a scalar"):
+        parse_preset(f"boson:n=1,h={text}")
+
+
 def test_parse_preset_errors():
     with pytest.raises(ValueError, match="unknown preset"):
         parse_preset("nonsense:n=2")
@@ -438,7 +478,6 @@ def _old_noa_rules(family: str, n: int, h: HPoly, ad, a):
 def test_family_table_names_match_the_hand_written_ones():
     assert presets.NOA_FAMILIES == _OLD_NOA_FAMILIES
     assert list(presets.FAMILY_NAMES.items()) == list(_OLD_FAMILY_NAMES.items())
-    assert presets.FAMILY_LABELS == {v: k for k, v in _OLD_FAMILY_NAMES.items()}
 
 
 @pytest.mark.parametrize("family", _OLD_NOA_FAMILIES)

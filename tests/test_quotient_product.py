@@ -43,7 +43,6 @@ from epsalg import (
     epsilon_commutator,
     grade_of,
     homogeneous_components,
-    mu_n,
     parse_preset,
     poisson_bracket,
     sample_triples,
@@ -486,7 +485,6 @@ def test_mu_n_is_the_h_coefficient_of_mu(family):
         for u, v in ((x, y), (y, z), (z, x), (x, Element.one()), (Element.zero(), y)):
             for n in range(-2, 5):
                 assert exp.mu_n(u, v, n) == _old_mu_n(exp, u, v, n)
-                assert mu_n(exp, u, v, n) == _old_mu_n(exp, u, v, n)
 
 
 # ------------------------------------------------------------- refusing h

@@ -103,13 +103,13 @@ def test_engine_agrees_with_all_orders_oracle(family, n):
 
 def test_boson_frozen_value():
     alg = build_noa("c", 1)
-    a, ad = alg.gen_element("a1"), alg.gen_element("ad1")
+    a, ad = alg.parse("a1"), alg.parse("ad1")
     assert str(alg.normalize(a * ad * ad)) == "ad1^2*a1 + 2*h*ad1"
 
 
 def test_normalize_is_idempotent_and_linear():
     alg = build_noa("c", 2)
-    a1, ad2 = alg.gen_element("a1"), alg.gen_element("ad2")
+    a1, ad2 = alg.parse("a1"), alg.parse("ad2")
     x = alg.normalize(a1 * ad2 * a1 * ad2)
     assert alg.normalize(x) == x
     y = alg.normalize(ad2 * a1)
