@@ -8,36 +8,16 @@ suite/case/status/payload, one per line, suitable for log scraping.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
+from functools import cache
 
-from .brackets import (
-    BracketContext,
-    commutator,
-    epsilon_commutator,
-    oscillator_table,
-    poisson_bracket,
-    sample_triples,
-    verify_lie_axioms,
-    verify_poisson_axioms,
-)
-from .deformation import DeformationExpansion, check_deformation_identity
-from .exprparse import element_from_text, scalar_from_text
+from . import brackets, deformation, exprparse, matrices, structure
 from .freealg import Element
 from .grading import Grade, verify_factor_axioms
-from .matrices import GradedMatrix, ibn_probe, rank_profile
 from .presets import NOA_FAMILIES, PRESETS, Algebra, parse_preset, with_h
 from .rewrite import RewriteError
 from .scalars import MAX_DIGITS, H
-from .structure import (
-    apply_J,
-    number_operator_check,
-    rescale,
-    verify_J_well_defined,
-    verify_rescaling,
-    verify_sigma,
-)
 
 
 class UsageError(ValueError):
@@ -85,16 +65,18 @@ class Report:
         else:
             print(payload, file=self.out)
 
+    def _record(self, case: str, ok: bool, payload: str):
+        """One JSON line of --format machine."""
+        import json
+
+        line = {"suite": self.suite, "case": case, "status": "pass" if ok else "fail",
+                "payload": payload}
+        print(json.dumps(line), file=self.out)
+
     def emit_last(self):
         c = self.checks[-1]
         if self.fmt == "machine":
-            line = {
-                "suite": self.suite,
-                "case": c.case,
-                "status": "pass" if c.ok else "fail",
-                "payload": c.payload,
-            }
-            print(json.dumps(line), file=self.out)
+            self._record(c.case, c.ok, c.payload)
         else:
             mark = "pass" if c.ok else "FAIL"
             tail = f": {c.payload}" if c.payload else ""
@@ -107,13 +89,7 @@ class Report:
     def finish(self) -> int:
         passed = sum(c.ok for c in self.checks)
         if self.fmt == "machine":
-            line = {
-                "suite": self.suite,
-                "case": "summary",
-                "status": "pass" if self.ok else "fail",
-                "payload": f"{passed}/{len(self.checks)} checks passed",
-            }
-            print(json.dumps(line), file=self.out)
+            self._record("summary", self.ok, f"{passed}/{len(self.checks)} checks passed")
         else:
             print(
                 f"{self.suite}: {passed}/{len(self.checks)} checks passed",
@@ -141,29 +117,34 @@ def _algebra_from_args(args) -> Algebra:
     return parse_preset(args.alg)
 
 
-def _expansion_for(alg: Algebra) -> DeformationExpansion:
+def _expansion_for(alg: Algebra) -> deformation.DeformationExpansion:
     if alg.family not in NOA_FAMILIES:
         raise UsageError(f"{alg.label} has no deformation expansion")
-    return DeformationExpansion(with_h(alg, H))
+    return deformation.DeformationExpansion(with_h(alg, H))
 
 
-def _functions(alg: Algebra) -> dict:
-    """comm, pb and J as callables for the expression evaluator."""
+def _parser(alg: Algebra):
+    """Reads expressions over alg, with comm, pb and J as functions.
 
-    def pb(x: Element, y: Element) -> Element:
-        ctx = BracketContext.classical(_expansion_for(alg))
-        return poisson_bracket(ctx, x, y)
+    Each bracket context is built by the first call that needs it and then
+    kept for every expression this parser reads, so an expression without
+    comm or pb never loads `brackets`.
+    """
 
-    ctx = BracketContext.quantum(alg)
-    return {
-        "comm": (2, lambda x, y: epsilon_commutator(ctx, x, y)),
-        "pb": (2, pb),
-        "J": (1, lambda x: apply_J(alg, x)),
+    @cache
+    def quantum():
+        return brackets.BracketContext.quantum(alg)
+
+    @cache
+    def classical():
+        return brackets.BracketContext.classical(_expansion_for(alg))
+
+    functions = {
+        "comm": (2, lambda x, y: brackets.epsilon_commutator(quantum(), x, y)),
+        "pb": (2, lambda x, y: brackets.poisson_bracket(classical(), x, y)),
+        "J": (1, lambda x: structure.apply_J(alg, x)),
     }
-
-
-def _parse_element(alg: Algebra, text: str) -> Element:
-    return element_from_text(text, alg, _functions(alg))
+    return lambda text: exprparse.element_from_text(text, alg, functions)
 
 
 def _sample_grades(alg: Algebra, count: int, seed: int) -> list:
@@ -195,21 +176,22 @@ def _sample_grades(alg: Algebra, count: int, seed: int) -> list:
 def cmd_normalize(args) -> int:
     alg = _algebra_from_args(args)
     report = Report("normalize", args.format)
-    result = alg.normalize(_parse_element(alg, args.expr))
+    result = alg.normalize(_parser(alg)(args.expr))
     report.result(args.expr, str(result))
     return 0
 
 
 def cmd_bracket(args) -> int:
     alg = _algebra_from_args(args)
-    x = _parse_element(alg, args.x)
-    y = _parse_element(alg, args.y)
+    parse = _parser(alg)
+    x, y = parse(args.x), parse(args.y)
     if args.kind == "comm":
-        value = epsilon_commutator(BracketContext.quantum(alg), x, y)
+        value = brackets.epsilon_commutator(brackets.BracketContext.quantum(alg), x, y)
     elif args.kind == "plain":
-        value = commutator(BracketContext.quantum(alg), x, y)
+        value = brackets.commutator(brackets.BracketContext.quantum(alg), x, y)
     else:
-        value = poisson_bracket(BracketContext.classical(_expansion_for(alg)), x, y)
+        ctx = brackets.BracketContext.classical(_expansion_for(alg))
+        value = brackets.poisson_bracket(ctx, x, y)
     report = Report("bracket", args.format)
     report.result(f"{args.kind}({args.x}, {args.y})", str(value))
     return 0
@@ -219,8 +201,8 @@ def cmd_mu(args) -> int:
     _at_least("--order", args.order, 0)
     alg = _algebra_from_args(args)
     exp = _expansion_for(alg)
-    x = _parse_element(exp.classical, args.x)
-    y = _parse_element(exp.classical, args.y)
+    parse = _parser(exp.classical)
+    x, y = parse(args.x), parse(args.y)
     value = exp.mu_n(x, y, args.order)
     report = Report("mu", args.format)
     report.result(f"mu_{args.order}({args.x}, {args.y})", str(value))
@@ -259,12 +241,14 @@ def cmd_dim(args) -> int:
 
 
 def _grade_from_json(data, zero: Grade) -> Grade:
+    import json
+
     if not (isinstance(data, list) and all(type(c) is int for c in data)):
         raise UsageError(f"grade {json.dumps(data)} in --file is not a list of integers")
     return Grade(tuple(data), zero.moduli)
 
 
-def _matrix_from_json(alg: Algebra, data) -> GradedMatrix:
+def _matrix_from_json(alg: Algebra, data, parse) -> matrices.GradedMatrix:
     if not (isinstance(data, dict) and {"rows", "cols", "entries"} <= data.keys()):
         raise UsageError("a matrix in --file needs the keys 'rows', 'cols' and 'entries'")
     for key in ("rows", "cols", "entries"):
@@ -276,12 +260,14 @@ def _matrix_from_json(alg: Algebra, data) -> GradedMatrix:
     zero = alg.zero_grade
     rows = [_grade_from_json(g, zero) for g in data["rows"]]
     cols = [_grade_from_json(g, zero) for g in data["cols"]]
-    entries = [[_parse_element(alg, cell) for cell in row] for row in data["entries"]]
+    entries = [[parse(cell) for cell in row] for row in data["entries"]]
     gamma = _grade_from_json(data["gamma"], zero) if "gamma" in data else None
-    return GradedMatrix(alg, rows, cols, entries, gamma)
+    return matrices.GradedMatrix(alg, rows, cols, entries, gamma)
 
 
 def cmd_rank(args) -> int:
+    import json
+
     with open(args.file) as fh:
         try:
             data = json.load(fh)
@@ -294,18 +280,19 @@ def cmd_rank(args) -> int:
     if not isinstance(data.get("alg"), str):
         raise UsageError("no algebra: --file needs a preset string under 'alg'")
     alg = parse_preset(data["alg"])
+    parse = _parser(alg)
     report = Report("rank", args.format)
     if "P" in data:
-        P = _matrix_from_json(alg, data["P"])
-        Q = _matrix_from_json(alg, data["Q"])
-        probe = ibn_probe(P, Q, kind=args.kind)
+        P = _matrix_from_json(alg, data["P"], parse)
+        Q = _matrix_from_json(alg, data["Q"], parse)
+        probe = matrices.ibn_probe(P, Q, kind=args.kind)
         report.result("P rows", str(probe.row_profile))
         report.result("P cols", str(probe.col_profile))
         report.add("probe", probe.ok, probe.reason)
         return report.finish()
-    M = _matrix_from_json(alg, data)
-    report.result("rows", str(rank_profile(M.row_grades, alg.factor)))
-    report.result("cols", str(rank_profile(M.col_grades, alg.factor)))
+    M = _matrix_from_json(alg, data, parse)
+    report.result("rows", str(matrices.rank_profile(M.row_grades, alg.factor)))
+    report.result("cols", str(matrices.rank_profile(M.col_grades, alg.factor)))
     return 0
 
 
@@ -341,9 +328,9 @@ def _suite_factor(report: Report, alg: Algebra, args):
 
 
 def _suite_lie(report: Report, alg: Algebra, args):
-    ctx = BracketContext.quantum(alg)
-    triples = sample_triples(alg, args.samples, args.seed, args.maxlen)
-    failures = verify_lie_axioms(ctx, triples)
+    ctx = brackets.BracketContext.quantum(alg)
+    triples = brackets.sample_triples(alg, args.samples, args.seed, args.maxlen)
+    failures = brackets.verify_lie_axioms(ctx, triples)
     for line in failures[:10]:
         report.add("triple", False, line)
     report.add("lie-axioms", not failures, f"{len(triples)} triples")
@@ -351,9 +338,9 @@ def _suite_lie(report: Report, alg: Algebra, args):
 
 def _suite_poisson(report: Report, alg: Algebra, args):
     exp = _expansion_for(alg)
-    ctx = BracketContext.classical(exp)
-    triples = sample_triples(exp.classical, args.samples, args.seed, args.maxlen)
-    failures = verify_poisson_axioms(ctx, triples)
+    ctx = brackets.BracketContext.classical(exp)
+    triples = brackets.sample_triples(exp.classical, args.samples, args.seed, args.maxlen)
+    failures = brackets.verify_poisson_axioms(ctx, triples)
     for line in failures[:10]:
         report.add("triple", False, line)
     report.add("poisson-axioms", not failures, f"{len(triples)} triples")
@@ -368,7 +355,7 @@ def _suite_deformation(report: Report, alg: Algebra, args):
     for _ in range(count):
         x, y, z = (Element.from_word(rng.choice(basis)) for _ in range(3))
         for order in range(4):
-            if not check_deformation_identity(exp, x, y, z, order).is_zero():
+            if not deformation.check_deformation_identity(exp, x, y, z, order).is_zero():
                 bad += 1
                 report.add(
                     f"order {order}", False, f"x={x}, y={y}, z={z}"
@@ -382,28 +369,28 @@ def _suite_noa(report: Report, alg: Algebra, args):
     if alg.family not in NOA_FAMILIES:
         raise UsageError(f"{alg.label} is not a number-operator algebra")
     n = alg.params["n"]
-    bad = verify_J_well_defined(alg)
+    bad = structure.verify_J_well_defined(alg)
     report.add("J-involution", not bad, bad[0] if bad else f"{alg.label}")
     perms = {tuple(range(1, n + 1))}
     if n > 1:
         perms.add(tuple(range(2, n + 1)) + (1,))
         perms.add((2, 1) + tuple(range(3, n + 1)))
     for perm in sorted(perms):
-        bad = verify_sigma(alg, perm)
+        bad = structure.verify_sigma(alg, perm)
         report.add(f"sigma{perm}", not bad, bad[0] if bad else "")
     failures = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            failures.extend(number_operator_check(alg, i, j))
+            failures.extend(structure.number_operator_check(alg, i, j))
     report.add("number-operator", not failures, failures[0] if failures else f"i,j <= {n}")
     if not alg.is_classical():
-        m = rescale(alg, scalar_from_text("1 + I"))
-        bad = verify_rescaling(m)
+        m = structure.rescale(alg, exprparse.scalar_from_text("1 + I"))
+        bad = structure.verify_rescaling(m)
         report.add("rescale-1+I", not bad, bad[0] if bad else f"target {m.target.label}")
 
 
 def _suite_oscillator(report: Report, alg: Algebra, args):
-    table = oscillator_table(_expansion_for(alg))
+    table = brackets.oscillator_table(_expansion_for(alg))
     for key, value in sorted(table.entries.items()):
         report.result(key, str(value))
     report.add("delta-pattern", table.pattern_ok, "; ".join(table.notes) or "")

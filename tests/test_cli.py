@@ -112,6 +112,24 @@ def test_rank_single_matrix(tmp_path, capsys):
     assert "total 2" in out
 
 
+def test_rank_builds_one_bracket_context_for_all_cells(tmp_path, monkeypatch, capsys):
+    built = []
+    quantum = epsalg.BracketContext.quantum
+    monkeypatch.setattr(epsalg.BracketContext, "quantum",
+                        staticmethod(lambda alg: built.append(alg) or quantum(alg)))
+    data = {
+        "alg": "fermion:n=2,h=0",
+        "rows": [[0, 0], [1, 0]],
+        "cols": [[0, 0], [1, 0]],
+        "entries": [["comm(a1, ad1) + 1", "0"], ["0", "comm(a2, ad2) + 1"]],
+    }
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(data))
+    assert run(["rank", "--file", str(path)]) == 0
+    assert "total 2" in capsys.readouterr().out
+    assert len(built) == 1
+
+
 def test_rank_needs_an_algebra(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"rows": [], "cols": [], "entries": []}))
@@ -467,6 +485,10 @@ def test_python_m_runs_the_cli(module):
     proc = subprocess.run([*argv, "a1*"], capture_output=True, text=True, timeout=10, env=env)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: unexpected token 'end' (offset 3)\n"
+    proc = subprocess.run([sys.executable, "-m", module, "presets"], capture_output=True,
+                          text=True, timeout=10, env=env)
+    listing = "".join(f"{line}\n" for _, line in _LISTING)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, listing, "")
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
@@ -482,6 +504,50 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     added = set(proc.stdout.split())
     assert "epsalg.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+# Every command runs these; the other library modules stay unloaded until used.
+_CORE = {"cli", "freealg", "grading", "presets", "rewrite", "scalars"}
+_IDENTITY = {"alg": "fermion:n=2,h=0", "rows": [[0, 0], [1, 0]], "cols": [[0, 0], [1, 0]],
+         "entries": [["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "argv,fmt,extra",
+    [
+        (["presets"], "text", set()),
+        (["presets"], "machine", set()),
+        (["confluence", "--alg", "fermion:n=2"], "text", set()),
+        (["dim", "--alg", "fermion:n=2"], "text", set()),
+        (["verify", "--suite", "factor", "--alg", "fermion:n=2"], "text", set()),
+        (["normalize", "--alg", "boson:n=1", "a1*ad1"], "text", {"exprparse"}),
+        (["normalize", "--alg", "boson:n=1", "a1*ad1"], "machine", {"exprparse"}),
+        (["mu", "--alg", "boson:n=1", "--order", "1", "a1", "ad1"], "text",
+         {"exprparse", "deformation"}),
+        (["rank", "--file"], "text", {"exprparse", "matrices"}),
+    ],
+)
+def test_each_command_runs_only_the_modules_it_uses(argv, fmt, extra, tmp_path):
+    # Nothing writes bytecode here, so a module that runs is compiled on every
+    # start.  A lazily registered module that has not run is not a plain
+    # ModuleType yet.
+    if argv[0] == "rank":
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(_IDENTITY))
+        argv = [*argv, str(path)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epsalg.__file__)))
+    code = (
+        "import sys, types; from epsalg.cli import run; rc = run(sys.argv[1:]); "
+        "ran = [k[7:] for k, m in sys.modules.items() "
+        "if k.startswith('epsalg.') and type(m) is types.ModuleType]; "
+        "print(*sorted(ran), 'json' in sys.modules, file=sys.stderr); sys.exit(rc)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--format", fmt],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *ran, json_loaded = proc.stderr.split()
+    assert set(ran) == _CORE | extra
+    assert json_loaded == str(fmt == "machine" or argv[0] == "rank")
 
 
 def test_dim_maxlen_beyond_a_million_words_is_a_one_line_error():
