@@ -13,13 +13,12 @@ report every violated instance exactly.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .deformation import DeformationExpansion
 from .freealg import Element, Word
 from .grading import CommutationFactor
 from .presets import Algebra
-from .scalars import H_MINUS_ONE, H_ONE, I, MINUS_ONE, ONE, Scalar
+from .scalars import H_MINUS_ONE, H_ONE, I, MINUS_ONE, ONE, R2, Scalar
 
 UNITS = (ONE, MINUS_ONE, I, -I)
 
@@ -119,12 +118,10 @@ def verify_poisson_axioms(ctx: BracketContext, triples) -> list:
 
 
 def _random_scalar(rng: random.Random) -> Scalar:
+    """A nonzero n/d + k*I + m*r2, drawn as n, d, k, m in that order."""
     while True:
-        s = Scalar(
-            Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))),
-            rng.randint(-2, 2),
-            rng.randint(-1, 1),
-            0,
+        s = Scalar(rng.randint(-3, 3)) / rng.choice((1, 1, 2)) + Scalar(
+            0, rng.randint(-2, 2), rng.randint(-1, 1)
         )
         if not s.is_zero():
             return s
@@ -172,8 +169,8 @@ class OscillatorSet:
 def oscillator_set(alg: Algebra, i: int) -> OscillatorSet:
     a = Element.from_word(alg.indexed_gen("a", i))
     ad = Element.from_word(alg.indexed_gen("ad", i))
-    inv_r2 = Scalar(0, 0, Fraction(1, 2), 0)  # 1/sqrt2
-    inv_ir2 = Scalar(0, 0, 0, Fraction(-1, 2))  # 1/(i sqrt2)
+    inv_r2 = R2 / 2  # 1/sqrt2
+    inv_ir2 = I * R2 / -2  # 1/(i sqrt2)
     energy = Word((alg.indexed_gen("ad", i), alg.indexed_gen("a", i)))
     return OscillatorSet(
         p=(a + ad) * inv_r2,
@@ -236,7 +233,8 @@ def oscillator_table(expansion: DeformationExpansion) -> OscillatorReport:
 
     Asserting values is left to callers: the table records the computed
     brackets, extracts c from {p_i,q_i} = c and c' from {H_i,p_i} = c' q_i,
-    and checks the delta-support pattern exactly.
+    and checks the delta-support pattern exactly.  When the pattern fails,
+    the last note names the first bracket off it, in the order computed.
     """
     ctx = BracketContext.classical(expansion)
     alg = ctx.algebra
@@ -254,35 +252,35 @@ def oscillator_table(expansion: DeformationExpansion) -> OscillatorReport:
             entries[("p", "q", i, j)] = poisson_bracket(ctx, si.p, sj.q)
             entries[("H", "p", i, j)] = poisson_bracket(ctx, si.energy, sj.p)
             entries[("H", "q", i, j)] = poisson_bracket(ctx, si.energy, sj.q)
-    pattern_ok = True
+    off = None  # why the first bracket off the pattern is off it
     c = c_prime = None
     for (kind_a, kind_b, i, j), value in entries.items():
-        diagonal = i == j
-        if kind_a in ("p", "q") and kind_a == kind_b:
+        why = None
+        if kind_a == kind_b or i != j:
             if not value.is_zero():
-                pattern_ok = False
-        elif (kind_a, kind_b) == ("p", "q"):
-            if not diagonal:
-                pattern_ok = pattern_ok and value.is_zero()
-            else:
-                got = _scalar_ratio(value, Element.one())
-                if got is None or (c is not None and got != c):
-                    pattern_ok = False
-                else:
-                    c = got
-        elif kind_a == "H":
-            if not diagonal:
-                pattern_ok = pattern_ok and value.is_zero()
-                continue
-            target = sets[i].q if kind_b == "p" else sets[i].p
-            got = _scalar_ratio(value, target)
+                why = "not 0"
+        elif kind_a == "p":
+            got = _scalar_ratio(value, Element.one())
             if got is None:
-                pattern_ok = False
-                continue
-            if kind_b == "q":
-                got = -got
-            if c_prime is None:
-                c_prime = got
-            elif c_prime != got:
-                pattern_ok = False
-    return OscillatorReport(alg.family, entries, c, c_prime, pattern_ok, notes)
+                why = "not a nonzero constant"
+            elif c is not None and got != c:
+                why = f"which gives c = {got}, not {c}"
+            else:
+                c = got
+        else:
+            target = "q" if kind_b == "p" else "p"
+            got = _scalar_ratio(value, getattr(sets[i], target))
+            if got is None:
+                why = f"not a multiple of {target}_{i}"
+            else:
+                if kind_b == "q":
+                    got = -got
+                if c_prime is None:
+                    c_prime = got
+                elif c_prime != got:
+                    why = f"which gives c' = {got}, not {c_prime}"
+        if why is not None and off is None:
+            off = f"first off the delta pattern: {{{kind_a}_{i}, {kind_b}_{j}}} = {value}, {why}"
+    if off is not None:
+        notes.append(off)
+    return OscillatorReport(alg.family, entries, c, c_prime, off is None, notes)

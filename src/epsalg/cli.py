@@ -394,11 +394,8 @@ def _suite_oscillator(report: Report, alg: Algebra, args):
     for key, value in sorted(table.entries.items()):
         report.result(key, str(value))
     report.add("delta-pattern", table.pattern_ok, "; ".join(table.notes) or "")
-    report.add(
-        "constants",
-        table.constants_are_units(),
-        f"c = {table.c}, c' = {table.c_prime}",
-    )
+    c, c_prime = (("unread" if x is None else x) for x in (table.c, table.c_prime))
+    report.add("constants", table.constants_are_units(), f"c = {c}, c' = {c_prime}")
 
 
 _SUITES = {

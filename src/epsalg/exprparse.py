@@ -19,7 +19,7 @@ sub-steps to `_trampoline`, so depth costs heap, not Python stack.
 from __future__ import annotations
 
 from .freealg import EMPTY_WORD, Element
-from .scalars import MAX_DIGITS, H, I, R2, Scalar
+from .scalars import MAX_DIGITS, H, I, R2, HPoly, Scalar
 
 
 class ParseError(ValueError):
@@ -360,9 +360,13 @@ def element_from_text(text: str, alg, functions: dict = None) -> Element:
     return evaluate(parse(text), atoms, functions)
 
 
+def hpoly_from_text(text: str) -> HPoly:
+    """A polynomial in h: an expression in numbers, h, I and r2 alone."""
+    return evaluate(parse(text), {}).coefficient(EMPTY_WORD)
+
+
 def scalar_from_text(text: str) -> Scalar:
-    value = evaluate(parse(text), {})
-    got = _as_scalar(value)
-    if got is None:
+    got = hpoly_from_text(text)
+    if not got.is_constant():
         raise ParseError(f"{text!r} is not a scalar", 0)
-    return got
+    return got.constant()

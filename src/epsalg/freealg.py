@@ -10,11 +10,10 @@ structure lives in the rewrite engine.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 
 from .grading import Grade
-from .scalars import H_ONE, HPoly, Scalar, _Arithmetic, join_signed
+from .scalars import H_ONE, HPoly, _Arithmetic, join_signed
 
 
 class Generator:
@@ -150,11 +149,10 @@ class Element(_Arithmetic):
     def _coerce(value):
         if isinstance(value, Element):
             return value
-        if isinstance(value, (int, Fraction, Scalar, HPoly)):
-            return Element.scalar(value)
         if isinstance(value, (Word, Generator)):
             return Element.from_word(value)
-        return None
+        c = HPoly._coerce(value)  # an int, Fraction, Scalar or HPoly
+        return None if c is None else Element.scalar(c)
 
     @staticmethod
     def zero() -> Element:
@@ -196,25 +194,23 @@ class Element(_Arithmetic):
         return Element((w, -c) for w, c in self.terms.items())
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, HPoly)):
-            c = HPoly.of(other)
-            return Element((w, v * c) for w, v in self.terms.items())
         if isinstance(other, (Word, Generator)):
             other = Element.from_word(other)
-        if not isinstance(other, Element):
+        if isinstance(other, Element):
+            return Element(
+                (w1 * w2, c1 * c2)
+                for w1, c1 in self.terms.items()
+                for w2, c2 in other.terms.items()
+            )
+        c = HPoly._coerce(other)  # an int, Fraction, Scalar or HPoly
+        if c is None:
             return NotImplemented
-        return Element(
-            (w1 * w2, c1 * c2)
-            for w1, c1 in self.terms.items()
-            for w2, c2 in other.terms.items()
-        )
+        return Element((w, v * c) for w, v in self.terms.items())
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, HPoly)):
-            return self * other
         if isinstance(other, (Word, Generator)):
             return Element.from_word(other) * self
-        return NotImplemented
+        return self.__mul__(other)  # scalars commute with every element
 
     def __pow__(self, n: int) -> Element:
         """Refused before any product past 10**6 words, 10**6 letters in a

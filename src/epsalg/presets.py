@@ -81,6 +81,11 @@ FAMILY_NAMES = {row[0]: row[1] for row in _FAMILY_TABLE}
 # excl-dual, exhaustive, do: 0.15-0.23 s each on 16 modes (2-CPU Xeon, Python 3.11).
 MAX_MODES = 16
 
+# Certification works on h's coefficients, so its time grows with h's degree:
+# excl:n=16 takes 0.35 s with h itself and 2.7 s with h^10000 (same machine),
+# so preset strings refuse an h above this degree; build_noa does not.
+MAX_H_DEGREE = 64
+
 # How an Algebra's reduction system was certified confluent (see the module
 # docstring): every critical pair resolved, or the locality proof from n = 3.
 EXHAUSTIVE = "exhaustive"
@@ -471,8 +476,17 @@ def parse_preset(text: str) -> Algebra:
     params = _preset_params(name, rest)
     if name in FAMILY_NAMES:
         n = check_modes(parse_modes(params.get("n", "1")))
-        h = _scalar_param(params.get("h"))
-        return build_noa(name, n, H if h is None else h)
+        h = params.get("h")
+        if h is None:
+            return build_noa(name, n)
+        from .exprparse import hpoly_from_text
+
+        h = hpoly_from_text(h)
+        if h.degree > MAX_H_DEGREE:
+            raise ValueError(
+                f"h of degree {h.degree} exceeds the input limit degree <= {MAX_H_DEGREE}"
+            )
+        return build_noa(name, n, h)
     if name == "qplane":
         q = _scalar_param(params.get("q"))
         if q is None:

@@ -33,6 +33,13 @@ the encoded left sides by their proper prefixes.
 Redexes, irreducible words and their number depend on the left sides
 alone; all three read the one pattern compiled from `left_sides`
 (letters -> rule).
+
+The product memo `_nf` maps a pair (w1, w2) of Words to the normal form of
+w1*w2 as a tuple of (Word, HPoly) pairs, () for zero.  Only `mul_sum` fills
+it; `normalize`, `iter_ambiguities` and the basis code neither read nor
+write it.  Its words and coefficients go through `_shared`, a table of one
+object per value, so each appears once per system however many entries
+hold it.
 """
 from __future__ import annotations
 
@@ -154,6 +161,7 @@ class ReductionSystem:
         self.rules = tuple(rules)
         self._compile()
         self._nf = {}
+        self._shared = {}
 
     def _compile(self):
         """Check every rule and encode it, in one pass over the rules.
@@ -275,7 +283,9 @@ class ReductionSystem:
         (w1, w2), so a hit builds and hashes no concatenated word, and all
         terms go to one `Element` call.  The h^k part reads the h^k
         coefficient of each normal form alone, so every s*c1*c2 must be free
-        of h (else ValueError)."""
+        of h (else ValueError).  This is the one method that fills `_nf`
+        (through `_cached_nf`); its entries are tuples of (word,
+        coefficient) pairs, iterated as they are."""
         memo, reduce_pair, out = self._nf, self._cached_nf, []
         for s, x, y in terms:
             s, ys = HPoly.of(s), y.terms.items()
@@ -289,16 +299,26 @@ class ReductionSystem:
                     nf = memo.get((w1, w2))
                     if nf is None:
                         nf = reduce_pair(w1, w2)
-                    for w, c in nf.terms.items():
+                    for w, c in nf:
                         if degree is None or (c := c.part(degree)):
                             out.append((w, c * coeff))
         return Element(out)
 
-    def _cached_nf(self, w1: Word, w2: Word = EMPTY_WORD) -> Element:
-        """Normal form of the word w1*w2, memoized under the pair (w1, w2)."""
+    def _cached_nf(self, w1: Word, w2: Word = EMPTY_WORD) -> tuple:
+        """Normal form of the word w1*w2 as a tuple of (word, coefficient)
+        pairs, memoized in `_nf` under the pair (w1, w2); a zero normal form
+        is the empty tuple.
+
+        On a miss the words of the key and every word and coefficient of
+        the entry become the one object `_shared` holds for that value, so
+        a value that many entries reach is stored once per system.
+        """
         nf = self._nf.get((w1, w2))
-        if nf is None:  # a zero normal form is a falsy Element, and memoized too
-            nf = self._nf[w1, w2] = self._word_nf(Word(w1.letters + w2.letters))
+        if nf is None:
+            share = self._shared.setdefault
+            w1, w2 = share(w1, w1), share(w2, w2)
+            terms = self._word_nf(Word(w1.letters + w2.letters)).terms
+            nf = self._nf[w1, w2] = tuple([(share(w, w), share(c, c)) for w, c in terms.items()])
         return nf
 
     def _word_nf(self, word: Word) -> Element:

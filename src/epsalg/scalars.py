@@ -17,7 +17,10 @@ products, negation and conjugation run on those integers; `coeffs`,
 `coefficient(k)` and `constant()` make Scalars for readers.  The public
 constructors `Scalar(c0, c1, c2, c3)` and `HPoly(coeffs)` coerce ints and
 Fractions; the arithmetic builds its results through the private `_make`,
-which trusts its arguments.  Both render from the integers.
+which trusts its arguments.  Both render from the integers.  The module
+never imports `fractions` (with it come `decimal` and `numbers`): a
+Fraction can only be given once its module is loaded, so `_is_fraction`
+looks it up in `sys.modules`, and `c0..c3` import it when read.
 
 Scalar, HPoly and freealg.Element share `_Arithmetic`: each gives `_coerce`
 (None for a foreign operand), `__bool__`, `__add__`, `__neg__` and
@@ -31,7 +34,7 @@ printed only up to `MAX_DIGITS` decimal digits; a longer one is a ValueError.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd, lcm
 from operator import add as _add, neg as _neg
 
@@ -43,12 +46,24 @@ MAX_DIGITS = 4300
 _DIGIT_BOUND = 10**MAX_DIGITS
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _is_fraction(x) -> bool:
+    """Whether x is a `fractions.Fraction`; none exists before its module is loaded."""
+    module = sys.modules.get("fractions")
+    return module is not None and isinstance(x, module.Fraction)
+
+
+def _rational(x):
+    """x itself if it is an int or a Fraction: both carry a reduced
+    `numerator` over a positive `denominator`."""
+    if isinstance(x, int) or _is_fraction(x):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected a rational, got {type(x).__name__}")
+
+
+def _fraction(n: int, d: int):
+    from fractions import Fraction
+
+    return Fraction(n, d)
 
 
 class _Arithmetic:
@@ -154,16 +169,16 @@ class Scalar(_Reduced):
     __slots__ = ()
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        cs = (_frac(c0), _frac(c1), _frac(c2), _frac(c3))
+        cs = (_rational(c0), _rational(c1), _rational(c2), _rational(c3))
         d = lcm(*(c.denominator for c in cs))
         # Over the lcm of reduced denominators the form is already reduced.
         self.n = tuple(c.numerator * (d // c.denominator) for c in cs)
         self.d = d
 
-    c0 = property(lambda self: Fraction(self.n[0], self.d))
-    c1 = property(lambda self: Fraction(self.n[1], self.d))
-    c2 = property(lambda self: Fraction(self.n[2], self.d))
-    c3 = property(lambda self: Fraction(self.n[3], self.d))
+    c0 = property(lambda self: _fraction(self.n[0], self.d))
+    c1 = property(lambda self: _fraction(self.n[1], self.d))
+    c2 = property(lambda self: _fraction(self.n[2], self.d))
+    c3 = property(lambda self: _fraction(self.n[3], self.d))
 
     def __bool__(self) -> bool:
         return self.n != _ZERO_N
@@ -174,7 +189,7 @@ class Scalar(_Reduced):
             return value
         if isinstance(value, int):
             return _make((int(value), 0, 0, 0), 1)
-        if isinstance(value, Fraction):
+        if _is_fraction(value):
             return _make((value.numerator, 0, 0, 0), value.denominator)
         return None
 
@@ -303,7 +318,7 @@ ONE = Scalar(1)
 MINUS_ONE = Scalar(-1)
 I = Scalar(0, 1)
 R2 = Scalar(0, 0, 1)
-HALF = Scalar(Fraction(1, 2))
+HALF = _make((1, 0, 0, 0), 2)
 
 
 class HPoly(_Reduced):

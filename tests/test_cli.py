@@ -48,6 +48,18 @@ def test_mu(capsys):
     assert _lines(capsys) == ["ad1*a1"]
 
 
+def test_a_failing_oscillator_suite_names_what_failed(capsys):
+    # fermion:n=1 squares to zero, so {p_1, p_1} = 1 and {p_1, q_1} = 0: the
+    # delta pattern fails at its first bracket, and c cannot be read.
+    assert run(["verify", "--suite", "oscillator", "--alg", "fermion:n=1"]) == 1
+    assert _lines(capsys)[-3:] == [
+        "[FAIL] verify-oscillator/delta-pattern: p_i and q_i mix the grades -p_i and p_i; "
+        "brackets expand componentwise; first off the delta pattern: {p_1, p_1} = 1, not 0",
+        "[FAIL] verify-oscillator/constants: c = unread, c' = I",
+        "verify-oscillator: 5/7 checks passed",
+    ]
+
+
 def test_pinned_h_presets_expand_their_symbolic_h_algebra(capsys):
     assert run(["mu", "--alg", "boson:n=1,h=2", "--order", "0", "a1", "ad1"]) == 0
     assert _lines(capsys) == ["ad1*a1"]
@@ -144,8 +156,7 @@ def test_h_outside_the_tau_fixed_field_is_a_one_line_error(h, capsys):
     assert run(["normalize", "--alg", f"boson:n=1,h={h}", "a1*ad1"]) == 2
     assert capsys.readouterr() == ("", f"error: h = {h} is not tau-fixed\n")
     assert run(["normalize", "--alg", "boson:n=1,h=I*h", "a1*ad1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr() == ("", "error: h = I*h is not tau-fixed\n")
 
 
 def test_rank_refuses_deeply_nested_json(tmp_path, capsys):
@@ -419,7 +430,8 @@ def test_preset_strings_still_read_bare_and_keyed_values(capsys):
     for preset, want in [("qplane:2", "2*y*x"), ("qplane:q=3", "3*y*x"), ("qplane: 3 ", "3*y*x")]:
         assert run(["normalize", "--alg", preset, "x*y"]) == 0
         assert _lines(capsys) == [want]
-    for preset, want in [("boson:2,h=0", "ad1*a1"), ("boson:h=2,n=2", "ad1*a1 + 2")]:
+    for preset, want in [("boson:2,h=0", "ad1*a1"), ("boson:h=2,n=2", "ad1*a1 + 2"),
+                         ("boson:n=1,h=2*h", "ad1*a1 + 2*h")]:
         assert run(["normalize", "--alg", preset, "a1*ad1"]) == 0
         assert _lines(capsys) == [want]
     assert run(["dim", "--alg", "ext:2,factor=eps_c"]) == 0
@@ -525,12 +537,16 @@ _IDENTITY = {"alg": "fermion:n=2,h=0", "rows": [[0, 0], [1, 0]], "cols": [[0, 0]
         (["mu", "--alg", "boson:n=1", "--order", "1", "a1", "ad1"], "text",
          {"exprparse", "deformation"}),
         (["rank", "--file"], "text", {"exprparse", "matrices"}),
+        (["verify", "--suite", "lie", "--alg", "fermion:n=2"], "text",
+         {"brackets", "deformation"}),
+        (["bracket", "--kind", "poisson", "--alg", "boson:n=1", "a1", "ad1"], "text",
+         {"exprparse", "brackets", "deformation"}),
     ],
 )
 def test_each_command_runs_only_the_modules_it_uses(argv, fmt, extra, tmp_path):
     # Nothing writes bytecode here, so a module that runs is compiled on every
     # start.  A lazily registered module that has not run is not a plain
-    # ModuleType yet.
+    # ModuleType yet.  `fractions` would also load `decimal` and `numbers`.
     if argv[0] == "rank":
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps(_IDENTITY))
@@ -540,14 +556,16 @@ def test_each_command_runs_only_the_modules_it_uses(argv, fmt, extra, tmp_path):
         "import sys, types; from epsalg.cli import run; rc = run(sys.argv[1:]); "
         "ran = [k[7:] for k, m in sys.modules.items() "
         "if k.startswith('epsalg.') and type(m) is types.ModuleType]; "
-        "print(*sorted(ran), 'json' in sys.modules, file=sys.stderr); sys.exit(rc)"
+        "print(*sorted(ran), *(m in sys.modules for m in ('json', 'fractions', 'decimal')), "
+        "file=sys.stderr); sys.exit(rc)"
     )
     proc = subprocess.run([sys.executable, "-c", code, *argv, "--format", fmt],
                           capture_output=True, text=True, timeout=10, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    *ran, json_loaded = proc.stderr.split()
+    *ran, json_loaded, fractions_loaded, decimal_loaded = proc.stderr.split()
     assert set(ran) == _CORE | extra
     assert json_loaded == str(fmt == "machine" or argv[0] == "rank")
+    assert fractions_loaded == decimal_loaded == "False"
 
 
 def test_dim_maxlen_beyond_a_million_words_is_a_one_line_error():

@@ -23,6 +23,7 @@ from epsalg import (
     grade_of,
     homogeneous_components,
     parse_preset,
+    rescale,
     with_h,
 )
 from epsalg import presets
@@ -339,14 +340,16 @@ def test_parse_preset_roundtrip():
     assert parse_preset("boson:n=1,h=0").is_classical()
 
 
-# Preset strings: each of the six families with the symbolic h, h = 0 and a
-# pinned tau-fixed h; the quantum plane; ext with each factor; cex.
+# Preset strings: each of the six families with the symbolic h, h = 0, a
+# pinned tau-fixed h and a tau-fixed polynomial in h; the quantum plane; ext
+# with each factor; cex.
 _preset_strings = st.one_of(
     st.builds(
         "{}:n={}{}".format,
         st.sampled_from(sorted(presets.FAMILY_NAMES)),
         st.integers(1, 3),
-        st.sampled_from(["", ",h=0", ",h=2", ",h=-1/2", ",h=r2", ",h=1 + r2"]),
+        st.sampled_from(["", ",h=0", ",h=2", ",h=-1/2", ",h=r2", ",h=1 + r2", ",h=2*h",
+                         ",h=h^2 + h", ",h=1/2*h", ",h=(1 + r2)*h^3 - 2"]),
     ),
     st.sampled_from(["qplane:2", "qplane:q=-1", "qplane:q=1/2", "qplane:q=I", "qplane:1 + I"]),
     st.builds("ext:n={},factor={}".format, st.integers(1, 3),
@@ -363,6 +366,30 @@ def test_a_preset_label_is_its_preset_string(text):
 
 
 @pytest.mark.parametrize(
+    "build,label",
+    [
+        (lambda: with_h(build_noa("c", 1), 2 * H), "boson:n=1,h=2*h"),
+        (lambda: with_h(build_noa("c", 1), H + H * H), "boson:n=1,h=h^2 + h"),
+        (lambda: rescale(build_noa("a", 2), Scalar(1, 1)).target, "fermion:n=2,h=1/2*h"),
+    ],
+)
+def test_a_label_with_a_polynomial_h_is_its_preset_string(build, label):
+    # An h other than h itself is labelled with its polynomial, which a
+    # preset string takes back; the last is the rescaling target that
+    # `verify --suite noa --alg fermion:n=2` prints.
+    alg = build()
+    assert alg.label == label
+    assert parse_preset(label) is alg
+
+
+def test_a_preset_h_above_the_degree_limit_is_refused():
+    limit = presets.MAX_H_DEGREE
+    assert parse_preset(f"boson:n=1,h=h^{limit}").h == H**limit
+    with pytest.raises(ValueError, match=f"h of degree {limit + 1} exceeds the input limit"):
+        parse_preset(f"excl:n=16,h=h^{limit + 1}")
+
+
+@pytest.mark.parametrize(
     "text,h", [("I", Scalar(0, 1)), ("1 + I", Scalar(1, 1)), ("I*h", H * Scalar(0, 1))]
 )
 def test_h_outside_the_tau_fixed_field_is_refused(text, h):
@@ -371,8 +398,7 @@ def test_h_outside_the_tau_fixed_field_is_refused(text, h):
         build_noa("c", 1, h)
     with pytest.raises(ValueError, match=message):
         with_h(build_noa("c", 1), h)
-    # A preset string takes a scalar only, so I*h is refused before build_noa.
-    with pytest.raises(ValueError, match=message if text != "I*h" else "not a scalar"):
+    with pytest.raises(ValueError, match=message):
         parse_preset(f"boson:n=1,h={text}")
 
 

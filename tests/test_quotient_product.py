@@ -108,7 +108,46 @@ def test_mul_reads_the_word_memo():
     assert set(system._nf) == {(u, v) for u in x.terms for v in y.terms}
     assert len(system._nf) == len((x * y).terms) == 4
     for (u, v), nf in system._nf.items():
-        assert nf == base.normalize(Element.from_word(u) * Element.from_word(v))
+        assert Element(nf) == base.normalize(Element.from_word(u) * Element.from_word(v))
+
+
+_MEMO_SYSTEMS = [(f"{family}:n={n}{h}", family, n, h)
+                 for family in FAMILIES for n in (1, 2) for h in ("", ",h=0")]
+
+
+@pytest.mark.parametrize("name,family,n,h", _MEMO_SYSTEMS, ids=[m[0] for m in _MEMO_SYSTEMS])
+def test_the_memo_holds_each_word_and_coefficient_once(name, family, n, h):
+    alg = build_noa(family, n, 0 if h else H)
+    system = ReductionSystem(alg.system.generators, alg.system.rules)
+    rng = random.Random(f"memo {name}")
+    for _ in range(12):
+        h_free = rng.random() < 0.5
+        terms = [(_random_scalar(rng), _random_element(rng, alg, 0 if h_free else 2),
+                  _random_element(rng, alg, 0 if h_free else 2)) for _ in range(rng.randint(1, 3))]
+        system.mul_sum(terms, rng.choice((0, 1)) if h_free else None)
+    assert system._nf
+    objects = {}  # value -> the ids of the objects holding it
+    for (u, v), nf in system._nf.items():
+        assert type(nf) is tuple
+        for value in (u, v, *(x for pair in nf for x in pair)):
+            objects.setdefault(value, set()).add(id(value))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert {id(x) for x in system._shared.values()} == set().union(*objects.values())
+
+
+@pytest.mark.parametrize("name,build", ALGEBRAS, ids=[name for name, _ in ALGEBRAS])
+def test_only_products_fill_the_memo(name, build):
+    # normalize, the confluence check and the basis code keep nothing, so a
+    # fresh system per call (the normal-order path) holds no memo.
+    alg = build()
+    system = ReductionSystem(alg.system.generators, alg.system.rules)
+    rng = random.Random(f"no memo {name}")
+    for _ in range(5):
+        system.normalize(_random_element(rng, alg, 2))
+    assert system.check_confluence() == []
+    system.enumerate_basis(3)
+    system.basis_counts(4)
+    assert system._nf == {} and system._shared == {}
 
 
 def test_a_zero_product_is_reduced_once(monkeypatch):
@@ -127,7 +166,7 @@ def test_a_zero_product_is_reduced_once(monkeypatch):
         assert system.mul(a1, a1) == Element.zero()
         assert system.mul_sum(((2, a1, a1), (H, a1, a1))) == Element.zero()
         assert system.mul_sum(((2, a1, a1), (1, ad1, a1)), 1) == Element.zero()
-    assert system._nf[next(iter(a1.terms)), next(iter(a1.terms))] == Element.zero()
+    assert Element(system._nf[next(iter(a1.terms)), next(iter(a1.terms))]) == Element.zero()
     assert calls == [next(iter((a1 * a1).terms)), next(iter((ad1 * a1).terms))]
 
 
@@ -142,7 +181,7 @@ def test_pairs_with_one_concatenation_have_one_product(name, build):
         for k in range(len(word) + 1):
             u, v = Element.from_word(word[:k]), Element.from_word(word[k:])
             assert system.mul(u, v) == want, (word, k)
-            assert system._nf[word[:k], word[k:]] == want
+            assert Element(system._nf[word[:k], word[k:]]) == want
     if "ad1" in {g.label for g in alg.generators}:
         a1, ad1 = alg.parse("a1"), alg.parse("ad1")
         left, right = system.mul(a1, alg.parse("a1*ad1")), system.mul(alg.parse("a1*a1"), ad1)

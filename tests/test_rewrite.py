@@ -808,7 +808,7 @@ def _per_word_normalize(self, x) -> Element:
     return Element(
         (w, c * coeff)
         for word, coeff in x.terms.items()
-        for w, c in self._cached_nf(word).terms.items()
+        for w, c in Element(self._cached_nf(word)).terms.items()
     )
 
 
