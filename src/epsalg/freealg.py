@@ -17,12 +17,14 @@ from .scalars import H_ONE, HPoly, _Arithmetic, join_signed
 
 
 class Generator:
-    __slots__ = ("name", "index", "grade", "_hash", "_key")
+    __slots__ = ("name", "index", "grade", "label", "_hash", "_key")
 
     def __init__(self, name: str, index: int | None, grade: Grade):
         self.name = name
         self.index = index
         self.grade = grade
+        # Every rendered word and every parse reads the label: formatted once.
+        self.label = name if index is None else f"{name}{index}"
         # Letters are hashed in every word and redex lookup; equality stays by value.
         self._hash = hash((name, index, grade))
         self._key = (name, index if index is not None else 0)
@@ -38,10 +40,6 @@ class Generator:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def label(self) -> str:
-        return self.name if self.index is None else f"{self.name}{self.index}"
 
     def sort_key(self):
         return self._key

@@ -10,15 +10,19 @@ s*x*y, or its h^k part alone; `mul` is one product), whose memo keeps the
 normal form of w1*w2 under the pair itself, so neither the free products
 nor the concatenated words are formed; and once per ambiguity, overlap or
 inclusion, on the difference of its two rewrites.
-The child of a sign-only rule that would be popped next skips the heap and
+The child of a sign-only rule that would be popped next skips the heaps and
 is reduced in place.
 When none is unresolved the system is confluent (the diamond lemma), and
 irreducible words form a basis of the quotient.
 
 Inside a system a word is a code string, one character per letter: the
-generator of precedence i is `chr(_BASE - i)`, so the smallest
-`(-len(s), s)` is the largest word and hashing, slicing, concatenation and
-heap order all run on strings.  Every left side is compiled into one
+generator of precedence i is `chr(_BASE - i)`, so among strings of one
+length the smallest is the largest word, and hashing, slicing,
+concatenation and heap order all run on strings.  The reducer keeps one
+heap of bare strings per length and drains the lengths longest first; no
+rule lengthens a word, so a child never joins a drained length, and the
+strings are popped in the order of one heap keyed by (-len(s), s), largest
+word first.  Every left side is compiled into one
 regular expression, an alternation sorted shortest first, whose `search`
 returns the leftmost redex and, at that position, the shortest.  A rewrite
 at position p leaves the letters before p alone, so a child word is
@@ -37,14 +41,14 @@ alone; all three read the one pattern compiled from `left_sides`
 The product memo `_nf` maps a pair (w1, w2) of Words to the normal form of
 w1*w2 as a tuple of (Word, HPoly) pairs, () for zero.  Only `mul_sum` fills
 it; `normalize`, `iter_ambiguities` and the basis code neither read nor
-write it.  Its words and coefficients go through `_shared`, a table of one
-object per value, so each appears once per system however many entries
-hold it.
+write it.  Its words, coefficients and pairs go through `_shared`, a table
+of one object per value, so each appears once per system however many
+entries hold it.
 """
 from __future__ import annotations
 
-import heapq
 import re
+from heapq import heappop, heappush
 
 from .freealg import EMPTY_WORD, Element, Generator, Word
 from .grading import Grade
@@ -196,6 +200,7 @@ class ReductionSystem:
         self.left_sides = left_sides = {}
         self._rewrites = rewrites = {}
         self._signed = signed = {}  # lhs -> (rhs, 1 or -1) of a sign-only rule
+        one = _SIGNS[0]
         for rule in self.rules:
             letters = rule.lhs.letters
             if not letters:
@@ -206,7 +211,9 @@ class ReductionSystem:
                 raise ValueError(f"duplicate rule left side {rule.lhs}")
             try:
                 lhs = "".join([code[g] for g in letters])
-                rhs = [("".join([code[g] for g in w.letters]), c)
+                # A unit coefficient is H_ONE itself, so `_reduce` skips it.
+                rhs = [("".join([code[g] for g in w.letters]),
+                        c if c.n != one or c.d != 1 else H_ONE)
                        for w, c in rule.rhs.terms.items()]
             except KeyError as exc:
                 raise ValueError(f"rule uses foreign generator {exc.args[0]}") from None
@@ -309,16 +316,18 @@ class ReductionSystem:
         pairs, memoized in `_nf` under the pair (w1, w2); a zero normal form
         is the empty tuple.
 
-        On a miss the words of the key and every word and coefficient of
-        the entry become the one object `_shared` holds for that value, so
-        a value that many entries reach is stored once per system.
+        On a miss the words of the key and every word, coefficient and
+        (word, coefficient) pair of the entry become the one object
+        `_shared` holds for that value, so a value that many entries reach
+        is stored once per system.
         """
         nf = self._nf.get((w1, w2))
         if nf is None:
             share = self._shared.setdefault
             w1, w2 = share(w1, w1), share(w2, w2)
             terms = self._word_nf(Word(w1.letters + w2.letters)).terms
-            nf = self._nf[w1, w2] = tuple([(share(w, w), share(c, c)) for w, c in terms.items()])
+            pairs = [(share(w, w), share(c, c)) for w, c in terms.items()]
+            nf = self._nf[w1, w2] = tuple([share(p, p) for p in pairs])
         return nf
 
     def _word_nf(self, word: Word) -> Element:
@@ -330,60 +339,73 @@ class ReductionSystem:
 
         Rewrites only make smaller words, so a string popped has its whole
         coefficient: it is rewritten once at its leftmost redex (one step of
-        `max_steps`) or decoded into the output.  A child gets `coeff * c`.
-        Its search starts `_reach` letters before the rewrite, as no redex
-        of its parent starts earlier (the smaller start, if two parents
-        reach it).  A child of a sign-only rule (`_signed`) above every
-        pending string is new and would be popped next, so it is reduced in
-        place and its sign kept as an int.  The budget is per call: per
-        element of `normalize`, per word of `mul_sum`, per critical pair of
-        `iter_ambiguities`.
+        `max_steps`) or decoded into the output.  A child gets `coeff * c`,
+        or `coeff` itself for c = 1.  Its search starts `_reach` letters
+        before the rewrite, as no redex of its parent starts earlier (the
+        smaller start, if two parents reach it).  The budget is per call:
+        per element of `normalize`, per word of `mul_sum`, per critical pair
+        of `iter_ambiguities`.
+
+        The strings wait in one heap of bare strings per length, drained
+        from the longest length to the shortest.  No rule lengthens a word
+        (`_compile` refuses one), so a child lands in the heap being drained
+        or in a shorter one, never in a drained one: the pops come in the
+        order of one heap keyed by (-len(s), s).  A child of a sign-only rule
+        (`_signed`) of the popped string's length and below the smallest
+        string of its heap would be popped next, so it is reduced in place
+        and its sign kept as an int; a shorter one goes through its heap.
         """
         search, rewrites, signed = self._redex.search, self._rewrites, self._signed
         reach = self._reach
         starts = dict.fromkeys(pending, 0)
-        heap = sorted((-len(s), s) for s in pending)  # a sorted list is a heap
+        heaps = {}  # length -> heap of the pending strings of that length
+        for s in sorted(pending):  # a sorted list is a heap
+            heaps.setdefault(len(s), []).append(s)
         irreducible = []
         steps = self.max_steps
-        while heap:
-            top = heapq.heappop(heap)[1]
-            coeff = pending.pop(top)
-            start = starts.pop(top)
-            if not coeff.n:
-                continue
-            sign = 1
-            while (match := search(top, start)) is not None:
-                steps -= 1
-                if steps < 0:
-                    raise StepBudgetExceeded(
-                        f"step budget {self.max_steps} exhausted while reducing {word}"
-                    )
-                pos, end = match.span()
-                head, tail = top[:pos], top[end:]
-                start = pos - reach if pos > reach else 0
-                lhs = match.group()
-                if lhs in signed:
-                    w, flip = signed[lhs]
-                    child = head + w + tail
-                    if not heap or (-len(child), child) < heap[0]:
-                        top, sign = child, sign * flip
-                        continue
-                if sign < 0:
-                    coeff = -coeff
-                for w, c in rewrites[lhs]:
-                    child = head + w + tail
-                    prev = pending.get(child)
-                    term = coeff * c
-                    if prev is None:
-                        heapq.heappush(heap, (-len(child), child))
-                        pending[child] = term
-                        starts[child] = start
-                    else:
-                        pending[child] = prev + term
-                        starts[child] = min(starts[child], start)
-                break
-            else:
-                irreducible.append((self._decode(top), -coeff if sign < 0 else coeff))
+        while heaps:
+            size = max(heaps)
+            heap = heaps[size]
+            while heap:
+                top = heappop(heap)
+                coeff = pending.pop(top)
+                start = starts.pop(top)
+                if not coeff.n:
+                    continue
+                sign = 1
+                while (match := search(top, start)) is not None:
+                    steps -= 1
+                    if steps < 0:
+                        raise StepBudgetExceeded(
+                            f"step budget {self.max_steps} exhausted while reducing {word}"
+                        )
+                    pos, end = match.span()
+                    head, tail = top[:pos], top[end:]
+                    start = pos - reach if pos > reach else 0
+                    lhs = match.group()
+                    if lhs in signed:
+                        w, flip = signed[lhs]
+                        child = head + w + tail
+                        if len(child) == size and (not heap or child < heap[0]):
+                            top, sign = child, sign * flip
+                            continue
+                    if sign < 0:
+                        coeff = -coeff
+                    for w, c in rewrites[lhs]:
+                        child = head + w + tail
+                        prev = pending.get(child)
+                        term = coeff if c is H_ONE else coeff * c
+                        if prev is None:
+                            heappush(heaps.setdefault(len(child), []), child)
+                            pending[child] = term
+                            starts[child] = start
+                        else:
+                            pending[child] = prev + term
+                            starts[child] = min(starts[child], start)
+                    break
+                else:
+                    irreducible.append((self._decode(top), -coeff if sign < 0 else coeff))
+            del heaps[size]
         return Element(irreducible)
 
     # -------------------------------------------------------------- ambiguity

@@ -17,10 +17,20 @@ products, negation and conjugation run on those integers; `coeffs`,
 `coefficient(k)` and `constant()` make Scalars for readers.  The public
 constructors `Scalar(c0, c1, c2, c3)` and `HPoly(coeffs)` coerce ints and
 Fractions; the arithmetic builds its results through the private `_make`,
-which trusts its arguments.  Both render from the integers.  The module
-never imports `fractions` (with it come `decimal` and `numbers`): a
-Fraction can only be given once its module is loaded, so `_is_fraction`
-looks it up in `sys.modules`, and `c0..c3` import it when read.
+which trusts its arguments.  The module never imports `fractions` (with
+it come `decimal` and `numbers`): a Fraction can only be given once its
+module is loaded, so `_is_fraction` looks it up in `sys.modules`, and
+`c0..c3` import it when read.
+
+Both render from the integers.  `_render` writes one group of four
+numerators over d, each coordinate reduced on its own; `_prefix` writes
+such a group as a factor of what follows: '' for 1, '-' for -1, else its
+text and '*', bracketed unless one coordinate is nonzero.  A term c*h^k
+of an HPoly is `_prefix` of c, then h or h^k.  As the coefficient of a
+word, an HPoly with one nonzero numerator (the common case in a normal
+form: +-1, c, c*h^k) is that same prefix of its top group, followed for
+k > 0 by h or h^k and '*', read off the integers without rendering the
+polynomial first; any other HPoly is bracketed whole.
 
 Scalar, HPoly and freealg.Element share `_Arithmetic`: each gives `_coerce`
 (None for a foreign operand), `__bool__`, `__add__`, `__neg__` and
@@ -429,9 +439,7 @@ class HPoly(_Reduced):
         for k in range(len(n) - 4, -1, -4):
             c = n[k:k + 4]
             if c != _ZERO_N:
-                text = _render(c, d)
-                power = "h" if k == 4 else f"h^{k // 4}"
-                parts.append(_prefix(c, d, text) + power if k else text)
+                parts.append(_prefix(c, d) + _h_power(k) if k else _render(c, d))
         return join_signed(parts) if parts else "0"
 
     def __repr__(self) -> str:
@@ -443,21 +451,36 @@ class HPoly(_Reduced):
         return sum(1 for x in n[:4] if x) + sum(n[k:k + 4] != _ZERO_N for k in range(4, len(n), 4))
 
     def as_product_prefix(self) -> str:
-        """Render as a 'coefficient*' prefix for a following word, '' for 1."""
-        return _prefix(self.n, self.d, self)
+        """Render as a 'coefficient*' prefix for a following word, '' for 1.
+
+        With one nonzero numerator, which sits on top, that is the prefix of
+        its coordinate and then its power of h, read off the integers; any
+        other polynomial is bracketed.
+        """
+        n, d = self.n, self.d
+        if n.count(0) != len(n) - 1:
+            return f"({self})*"
+        head = _prefix(n[-4:], d)
+        return head + _h_power(len(n) - 4) + "*" if len(n) > 4 else head
 
 
 _hmake = HPoly._make
 
 
-def _prefix(n: tuple, d: int, x) -> str:
-    """x as a factor of what follows: '' for 1, '-' for -1, and bracketed
-    unless the numerators n over d have one nonzero coordinate."""
-    if n == (d, 0, 0, 0):
+def _prefix(c: tuple, d: int) -> str:
+    """The Scalar c/d as a factor of what follows: '' for 1, '-' for -1, else
+    its text and '*', bracketed unless c has one nonzero coordinate."""
+    if c == (d, 0, 0, 0):
         return ""
-    if n == (-d, 0, 0, 0):
+    if c == (-d, 0, 0, 0):
         return "-"
-    return f"{x}*" if sum(1 for v in n if v) == 1 else f"({x})*"
+    text = _render(c, d)
+    return text + "*" if c.count(0) == 3 else f"({text})*"
+
+
+def _h_power(zeros: int) -> str:
+    """h^k for zeros = 4k > 0, with h^1 written h."""
+    return "h" if zeros == 4 else f"h^{zeros // 4}"
 
 
 def _shift(p: HPoly, zeros: int, sign: int) -> HPoly:

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from epsalg import (
     EMPTY_WORD,
+    Algebra,
     Element,
     Generator,
     Grade,
     H,
     H_ONE,
     HPoly,
+    ReductionSystem,
     Scalar,
     Word,
     grade_of,
@@ -21,6 +23,7 @@ from epsalg import (
     parse_preset,
 )
 from epsalg.freealg import _power_work
+from epsalg.presets import PRESETS
 from value_strategies import ELEMENTS, X, Y, Z, big_fractions, elements, specials, words
 
 
@@ -232,6 +235,37 @@ def test_generators_hash_and_compare_by_value():
     assert twin == X and twin is not X
     assert hash(twin) == hash(X) == hash(("x", None, Grade((1, 0))))
     assert X != Generator("x", 1, Grade((1, 0)))
+
+
+def _formatted_label(g):
+    """The label as it was formatted on every read."""
+    return g.name if g.index is None else f"{g.name}{g.index}"
+
+
+_LABEL_PRESETS = [
+    f"{name}:n={n}" if "n" in params else sample
+    for name, (params, sample, _) in PRESETS.items()
+    for n in ((1, 2, 3) if "n" in params else (None,))
+]
+
+
+@pytest.mark.parametrize("preset", _LABEL_PRESETS)
+def test_every_preset_letter_keeps_the_formatted_label(preset):
+    alg = parse_preset(preset)
+    for g in alg.generators:
+        assert g.label == _formatted_label(g) == str(g)
+        assert alg.gen(g.label) is g
+
+
+def test_a_built_generator_keeps_the_formatted_label():
+    grade = Grade((1, 0))
+    gens = [Generator("x", None, grade), Generator("a", 1, grade), Generator("ad", 12, grade),
+            Generator("v", 0, grade)]
+    assert [g.label for g in gens] == ["x", "a1", "ad12", "v0"]
+    alg = Algebra("built", None, ReductionSystem(gens, []), None, 0)
+    for g in gens:
+        assert g.label == _formatted_label(g) == str(g)
+        assert alg.gen(g.label) is g
 
 
 def test_of_coerces_or_raises():

@@ -127,12 +127,16 @@ def test_the_memo_holds_each_word_and_coefficient_once(name, family, n, h):
         system.mul_sum(terms, rng.choice((0, 1)) if h_free else None)
     assert system._nf
     objects = {}  # value -> the ids of the objects holding it
+    pairs = 0
     for (u, v), nf in system._nf.items():
         assert type(nf) is tuple
-        for value in (u, v, *(x for pair in nf for x in pair)):
+        pairs += len(nf)
+        # each (word, coefficient) pair, and the word and coefficient in it
+        for value in (u, v, *nf, *(x for pair in nf for x in pair)):
             objects.setdefault(value, set()).add(id(value))
     assert all(len(ids) == 1 for ids in objects.values())
     assert {id(x) for x in system._shared.values()} == set().union(*objects.values())
+    assert sum(type(value) is tuple for value in objects) < pairs  # some entries share a pair
 
 
 @pytest.mark.parametrize("name,build", ALGEBRAS, ids=[name for name, _ in ALGEBRAS])

@@ -697,12 +697,12 @@ def _both(sys_, max_steps=None):
     return [cls(sys_.generators, sys_.rules, steps) for cls in (ReductionSystem, _HeapSystem)]
 
 
-def _outcome(sys_, word):
-    """The terms of the normal form of word, in order, and the rewrites
-    made; or the message of the budget error."""
+def _outcome(sys_, x):
+    """The terms of the normal form of x, a word or an element, in order,
+    and the rewrites made; or the message of the budget error."""
     sys_._redex = counting = _CountingSearch(sys_._redex)
     try:
-        return list(sys_._word_nf(word).terms.items()), counting.found
+        return list(sys_.normalize(x).terms.items()), counting.found
     except StepBudgetExceeded as exc:
         return str(exc)
 
@@ -761,6 +761,49 @@ def test_sign_following_spends_the_budget_as_the_heap_reducer(name, text):
     else:
         pytest.fail(f"{text} needs more than 60 rewrites")
     assert budget > 3
+
+
+def _cross_length_system():
+    """Sign-only rules that shorten a word (x*x -> -1, z*z -> -x) beside
+    sign-only rules that keep its length and a rule with a shorter term."""
+    even, odd = Grade((0,)), Grade((1,))
+    x, y, z = Generator("x", None, even), Generator("y", None, odd), Generator("z", None, even)
+    return ReductionSystem((x, y, z), [
+        Rule(Word((x, x)), -Element.one()),
+        Rule(Word((z, z)), -Element.from_word(x)),
+        Rule(Word((y, x)), -Element.from_word(Word((x, y)))),
+        Rule(Word((z, x)), Element.from_word(Word((x, z)))),
+        Rule(Word((z, y)), Element.from_word(Word((y, z))) + H * Element.from_word(y)),
+    ])
+
+
+def test_a_sign_only_rule_that_shortens_a_word_goes_through_its_length_heap():
+    # A child shorter than the string it came from belongs to a later heap,
+    # whatever its letters; only a child of the same length can be reduced
+    # in place.
+    sys_ = _cross_length_system()
+    assert [len(w) for w, _ in sys_._signed.values()] == [0, 1, 2, 2]
+    gens = sys_.generators
+    rng = random.Random("cross-length sign rules")
+    coeffs = [H_ONE, -H_ONE, H, 2 - H, I]
+    for k in range(300):
+        x = Element(
+            (Word(rng.choice(gens) for _ in range(rng.randint(0, 7))), rng.choice(coeffs))
+            for _ in range(rng.randint(1, 5))
+        )
+        if not x:
+            continue
+        new, old = _both(sys_)
+        got = _outcome(new, x)
+        assert got == _outcome(old, x), x
+        if k < 60:
+            for budget in range(got[1] + 1):
+                new, old = _both(sys_, budget)
+                assert _outcome(new, x) == _outcome(old, x), (x, budget)
+    new, old = _both(sys_)
+    got = [(a.word, a.kind, list(a.residual.terms.items())) for a in new.iter_ambiguities()]
+    want = [(a.word, a.kind, list(a.residual.terms.items())) for a in old.iter_ambiguities()]
+    assert got == want and len(got) > 5
 
 
 def test_sign_following_makes_no_more_rewrites_on_the_normal_order_workload(monkeypatch):

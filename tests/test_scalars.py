@@ -3,6 +3,7 @@
 Products are cross-checked against sympy's exact arithmetic as an
 independent oracle; the axioms run as hypothesis properties.
 """
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,10 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epsalg import H, H_ONE, H_ZERO, HALF, I, MINUS_ONE, ONE, R2, ZERO, HPoly, Scalar
-from epsalg import scalar_from_text
-from epsalg.scalars import _SIGNS, _convolve
+from epsalg import H, H_ONE, H_ZERO, HALF, I, MINUS_ONE, ONE, R2, ZERO, Element, HPoly, Scalar
+from epsalg import Word, parse_preset, scalar_from_text
+from epsalg.presets import PRESETS
+from epsalg.scalars import _SIGNS, _ZERO_N, _convolve, _render, join_signed
 from test_scalar_canonical import assert_flat
 from value_strategies import HPOLYS, SCALARS, UNITS, bounded_fractions, hpolys_of, scalars_of
 from value_strategies import specials
@@ -185,6 +187,116 @@ def test_product_prefixes():
     assert (-H_ONE).as_product_prefix() == "-"
     assert (H * 2).as_product_prefix() == "2*h*"
     assert (H + 1).as_product_prefix() == "(h + 1)*"
+
+
+# ------------------------------------------- the recursive renderer as an oracle
+#
+# HPoly rendering as it was before a one-numerator coefficient was read off
+# its integers, kept word for word: `as_product_prefix` rendered the whole
+# polynomial through `str` and `_prefix` bracketed it unless one numerator
+# was nonzero.  The old `_prefix` formatted the HPoly itself; here it gets
+# the old `__str__` of it, which is the same text.
+
+
+def _old_prefix(n: tuple, d: int, x) -> str:
+    if n == (d, 0, 0, 0):
+        return ""
+    if n == (-d, 0, 0, 0):
+        return "-"
+    return f"{x}*" if sum(1 for v in n if v) == 1 else f"({x})*"
+
+
+def _old_str(self) -> str:
+    n, d = self.n, self.d
+    parts = []
+    for k in range(len(n) - 4, -1, -4):
+        c = n[k:k + 4]
+        if c != _ZERO_N:
+            text = _render(c, d)
+            power = "h" if k == 4 else f"h^{k // 4}"
+            parts.append(_old_prefix(c, d, text) + power if k else text)
+    return join_signed(parts) if parts else "0"
+
+
+def _old_as_product_prefix(self) -> str:
+    return _old_prefix(self.n, self.d, _old_str(self))
+
+
+def _old_element_str(x: Element) -> str:
+    """`Element.__str__` over the old HPoly rendering."""
+    if not x.terms:
+        return "0"
+    parts = []
+    for word, coeff in x.sorted_terms():
+        if word.is_empty():
+            text = _old_str(coeff)
+            if coeff.term_count() > 1:
+                text = f"({text})"
+            parts.append(text)
+        else:
+            parts.append(_old_as_product_prefix(coeff) + str(word))
+    return join_signed(parts)
+
+
+def _seeded_coordinate(rng) -> Fraction:
+    return Fraction(rng.choice((1, -1)) * rng.choice((1, 1, 2, 3, 9, 162, 10**12)),
+                    rng.choice((1, 1, 2, 3, 7)))
+
+
+def _seeded_scalar(rng, nonzero: int) -> Scalar:
+    """A Scalar with `nonzero` of its four coordinates set."""
+    cs = [Fraction(0)] * 4
+    for k in rng.sample(range(4), nonzero):
+        cs[k] = _seeded_coordinate(rng)
+    return Scalar(*cs)
+
+
+def _seeded_hpoly(rng) -> HPoly:
+    """+-h^k, c*h^k (with denominators, each of 1, I, r2, I*r2 alone or
+    mixed), polynomials over several degrees, constants or zero."""
+    k = rng.randint(0, 4)
+    kind = rng.choice(["sign", "one", "mixed", "poly", "constant", "zero"])
+    if kind == "sign":
+        return rng.choice((H_ONE, -H_ONE)) * H**k
+    if kind == "one":
+        return _seeded_scalar(rng, 1) * H**k
+    if kind == "mixed":
+        return _seeded_scalar(rng, rng.randint(2, 4)) * H**k
+    if kind == "poly":
+        return HPoly([_seeded_scalar(rng, rng.randint(0, 2)) for _ in range(rng.randint(2, 5))])
+    if kind == "constant":
+        return HPoly.of(_seeded_scalar(rng, rng.randint(1, 4)))
+    return H_ZERO
+
+
+_RENDER_SAMPLES = [H_ZERO, H_ONE, -H_ONE, H, -H, H**3, -(H**2), 9 * H, 162 * H**3, HALF * H,
+                   I * H, -R2 * H**2, I * R2 / 3 * H, (1 + I) * H, H + 1, -H**2 + I, HPoly.of(I),
+                   HPoly.of(-R2), HPoly.of(Fraction(-1, 2))]
+
+
+def test_rendering_matches_the_recursive_renderer():
+    rng = random.Random("renderer oracle")
+    samples = _RENDER_SAMPLES + [_seeded_hpoly(rng) for _ in range(2000)]
+    kinds = set()
+    for p in samples:
+        assert str(p) == _old_str(p), p.n
+        assert p.as_product_prefix() == _old_as_product_prefix(p), p.n
+        kinds.add((p.degree, sum(1 for v in p.n if v), p.d > 1))
+    # every degree 0-4 with one nonzero numerator, with and without a denominator
+    assert {(k, 1, d) for k in range(5) for d in (False, True)} <= kinds
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_element_rendering_matches_the_recursive_renderer(name):
+    alg = parse_preset(PRESETS[name][1])
+    rng = random.Random(f"element renderer {name}")
+    for _ in range(60):
+        x = Element(
+            (Word(rng.choice(alg.generators) for _ in range(rng.randint(0, 4))), _seeded_hpoly(rng))
+            for _ in range(rng.randint(0, 4))
+        )
+        for y in (x, alg.normalize(x)):
+            assert str(y) == _old_element_str(y)
 
 
 # Zero coefficients and the constants 1 and -1 come up often here, so that
