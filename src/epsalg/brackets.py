@@ -18,12 +18,14 @@ from .deformation import DeformationExpansion
 from .freealg import Element, Word
 from .grading import CommutationFactor
 from .presets import Algebra
-from .scalars import H_MINUS_ONE, H_ONE, I, MINUS_ONE, ONE, R2, Scalar
+from .scalars import H_MINUS_ONE, H_ONE, I, MINUS_ONE, ONE, R2, Scalar, _Record
 
 UNITS = (ONE, MINUS_ONE, I, -I)
+# A sampled homogeneous element has 1 to this many terms.
+MAX_SAMPLE_TERMS = 2
 
 
-class BracketContext:
+class BracketContext(_Record):
     """Where products normalize and which factor weighs the swaps."""
 
     __slots__ = ("algebra", "factor", "expansion")
@@ -37,12 +39,6 @@ class BracketContext:
         self.algebra = algebra
         self.factor = algebra.factor if factor is None else factor
         self.expansion = expansion
-
-    def __repr__(self) -> str:
-        return (
-            f"BracketContext(algebra={self.algebra!r}, factor={self.factor!r}, "
-            f"expansion={self.expansion!r})"
-        )
 
     @staticmethod
     def quantum(algebra: Algebra, factor=None) -> BracketContext:
@@ -127,9 +123,7 @@ def _random_scalar(rng: random.Random) -> Scalar:
             return s
 
 
-def sample_homogeneous(
-    alg: Algebra, rng: random.Random, max_len: int = 3, max_terms: int = 2
-) -> Element:
+def sample_homogeneous(alg: Algebra, rng: random.Random, max_len: int = 3) -> Element:
     """Random nonzero homogeneous element supported on irreducible words."""
     buckets = {}
     for word in alg.basis(max_len):
@@ -137,7 +131,7 @@ def sample_homogeneous(
     grades = sorted(buckets, key=lambda g: g.sort_key())
     grade = grades[rng.randrange(len(grades))]
     words = buckets[grade]
-    count = rng.randint(1, min(max_terms, len(words)))
+    count = rng.randint(1, min(MAX_SAMPLE_TERMS, len(words)))
     return Element((word, _random_scalar(rng)) for word in rng.sample(words, count))
 
 
@@ -152,7 +146,7 @@ def sample_triples(alg: Algebra, count: int, seed: int, max_len: int = 3):
 # --------------------------------------------------------------- oscillators
 
 
-class OscillatorSet:
+class OscillatorSet(_Record):
     """Position, momentum, and energy elements for one mode."""
 
     __slots__ = ("p", "q", "energy")
@@ -161,9 +155,6 @@ class OscillatorSet:
         self.p = p
         self.q = q
         self.energy = energy
-
-    def __repr__(self) -> str:
-        return f"OscillatorSet(p={self.p!r}, q={self.q!r}, energy={self.energy!r})"
 
 
 def oscillator_set(alg: Algebra, i: int) -> OscillatorSet:
@@ -179,7 +170,7 @@ def oscillator_set(alg: Algebra, i: int) -> OscillatorSet:
     )
 
 
-class OscillatorReport:
+class OscillatorReport(_Record):
     __slots__ = ("family", "entries", "c", "c_prime", "pattern_ok", "notes")
 
     def __init__(
@@ -197,13 +188,6 @@ class OscillatorReport:
         self.c_prime = c_prime
         self.pattern_ok = pattern_ok
         self.notes = notes
-
-    def __repr__(self) -> str:
-        return (
-            f"OscillatorReport(family={self.family!r}, entries={self.entries!r}, "
-            f"c={self.c!r}, c_prime={self.c_prime!r}, pattern_ok={self.pattern_ok!r}, "
-            f"notes={self.notes!r})"
-        )
 
     def constants_are_units(self) -> bool:
         return self.c in UNITS and self.c_prime in UNITS

@@ -19,7 +19,7 @@ sub-steps to `_trampoline`, so depth costs heap, not Python stack.
 from __future__ import annotations
 
 from .freealg import EMPTY_WORD, Element
-from .scalars import MAX_DIGITS, H, I, R2, HPoly, Scalar
+from .scalars import MAX_DIGITS, H, I, R2, HPoly, Scalar, _Value
 
 
 class ParseError(ValueError):
@@ -81,28 +81,11 @@ def tokenize(src: str):
     return tokens
 
 
-class _Node:
-    """A syntax node: equal, and hashed, by its own fields; `pos` only places errors.
-
-    The fields are the subclass's `__slots__`; `repr` lists them, then `pos`.
-    """
+class _Node(_Value):
+    """A syntax node: equal, and hashed, by the subclass's `__slots__`, its own
+    fields; `pos`, declared here, only places errors and shows last in `repr`."""
 
     __slots__ = ("pos",)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        inner = "".join(f"{name}={getattr(self, name)!r}, " for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({inner}pos={self.pos!r})"
 
 
 class Num(_Node):

@@ -246,9 +246,6 @@ class Element(_Arithmetic):
         """Terms in descending degree-lexicographic order for stable output."""
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
 
-    def map_coefficients(self, fn) -> Element:
-        return Element((w, fn(c)) for w, c in self.terms.items())
-
     def h_coefficient(self, k: int) -> Element:
         """The element of h-degree k, with constant coefficients."""
         return Element((w, c.part(k)) for w, c in self.terms.items())
@@ -257,7 +254,7 @@ class Element(_Arithmetic):
         return max((c.degree for c in self.terms.values()), default=-1)
 
     def tau(self) -> Element:
-        return self.map_coefficients(lambda c: c.tau())
+        return Element((w, c.tau()) for w, c in self.terms.items())
 
     def __str__(self) -> str:
         if not self.terms:

@@ -13,10 +13,13 @@ import itertools
 from .freealg import Element
 from .grading import CommutationFactor, Grade
 from .presets import Algebra
-from .scalars import H_ONE, H_ZERO, HPoly
+from .scalars import H_ONE, H_ZERO, HPoly, _Record, _Value
+
+# Basis words up to this length are multiplied in pairs to test the augmentation.
+AUGMENTATION_LEN = 2
 
 
-class RankProfile:
+class RankProfile(_Value):
     """Multiplicity of each grade in a homogeneous basis, plus parity split."""
 
     __slots__ = ("entries", "even", "odd")
@@ -25,17 +28,6 @@ class RankProfile:
         self.entries = entries
         self.even = even
         self.odd = odd
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.entries, self.even, self.odd) == (other.entries, other.even, other.odd)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.even, self.odd))
-
-    def __repr__(self) -> str:
-        return f"RankProfile(entries={self.entries!r}, even={self.even!r}, odd={self.odd!r})"
 
     @property
     def total(self) -> int:
@@ -60,17 +52,7 @@ class GradedMatrix:
     """Rectangular array of homogeneous elements with prescribed grades."""
 
     def __init__(self, alg: Algebra, row_grades, col_grades, entries, gamma=None):
-        normal = [[alg.normalize(e) for e in row] for row in entries]
-        self._set(alg, row_grades, col_grades, normal, gamma)
-
-    @classmethod
-    def _of_normal(cls, alg: Algebra, row_grades, col_grades, entries, gamma=None):
-        """A matrix of entries already in normal form, taken as they are."""
-        self = cls.__new__(cls)
-        self._set(alg, row_grades, col_grades, entries, gamma)
-        return self
-
-    def _set(self, alg, row_grades, col_grades, entries, gamma):
+        entries = [[alg.normalize(e) for e in row] for row in entries]
         self.alg = alg
         self.row_grades = tuple(row_grades)
         self.col_grades = tuple(col_grades)
@@ -118,9 +100,7 @@ def gm_mul(P: GradedMatrix, Q: GradedMatrix) -> GradedMatrix:
     mul_sum, inner = P.alg.system.mul_sum, range(P.ncols)
     entries = [[mul_sum([(1, p[k], Q.entries[k][j]) for k in inner]) for j in range(Q.ncols)]
                for p in P.entries]
-    return GradedMatrix._of_normal(
-        P.alg, P.row_grades, Q.col_grades, entries, P.gamma + Q.gamma
-    )
+    return GradedMatrix(P.alg, P.row_grades, Q.col_grades, entries, P.gamma + Q.gamma)
 
 
 def is_identity(M: GradedMatrix) -> bool:
@@ -151,8 +131,9 @@ def unit_coefficient(x: Element) -> HPoly:
     return x.coefficient(EMPTY_WORD)
 
 
-def augmentation_violations(alg: Algebra, max_len: int = 2) -> list:
-    """Multiplicativity of the augmentation on basis-word pairs.
+def augmentation_violations(alg: Algebra) -> list:
+    """Multiplicativity of the augmentation on pairs of basis words of length
+    at most `AUGMENTATION_LEN`.
 
     The augmentation kills every nonzero grade outright, so the only way it
     fails to be an algebra map is a product of basis words acquiring a
@@ -160,7 +141,7 @@ def augmentation_violations(alg: Algebra, max_len: int = 2) -> list:
     (a_1 ad_1 -> h + ...) and in the localized counterexample (x X -> 1).
     """
     violations = []
-    basis = alg.basis(max_len)
+    basis = alg.basis(AUGMENTATION_LEN)
     for u, v in itertools.product(basis, repeat=2):
         lhs = unit_coefficient(alg.mul(Element.from_word(u), Element.from_word(v)))
         rhs = unit_coefficient(Element.from_word(u)) * unit_coefficient(
@@ -171,7 +152,7 @@ def augmentation_violations(alg: Algebra, max_len: int = 2) -> list:
     return violations
 
 
-class IbnReport:
+class IbnReport(_Record):
     __slots__ = ("ok", "kind", "reason", "row_profile", "col_profile")
 
     def __init__(
@@ -182,12 +163,6 @@ class IbnReport:
         self.reason = reason
         self.row_profile = row_profile
         self.col_profile = col_profile
-
-    def __repr__(self) -> str:
-        return (
-            f"IbnReport(ok={self.ok!r}, kind={self.kind!r}, reason={self.reason!r}, "
-            f"row_profile={self.row_profile!r}, col_profile={self.col_profile!r})"
-        )
 
     def __str__(self) -> str:
         status = "certified" if self.ok else "refused"

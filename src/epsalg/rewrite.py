@@ -52,7 +52,7 @@ from heapq import heappop, heappush
 
 from .freealg import EMPTY_WORD, Element, Generator, Word
 from .grading import Grade
-from .scalars import _SIGNS, H_ONE, HPoly
+from .scalars import _SIGNS, H_ONE, HPoly, _Record, _Value
 
 
 # The highest code point below the surrogates: precedences 0 .. _BASE map to
@@ -79,7 +79,7 @@ class StepBudgetExceeded(RewriteError):
     pass
 
 
-class Rule:
+class Rule(_Record):
     """Oriented graded relation lhs -> rhs.
 
     Soundness (rhs homogeneous of the lhs grade, rhs strictly smaller) is
@@ -92,14 +92,11 @@ class Rule:
         self.lhs = lhs
         self.rhs = rhs
 
-    def __repr__(self) -> str:
-        return f"Rule(lhs={self.lhs!r}, rhs={self.rhs!r})"
-
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"
 
 
-class Ambiguity:
+class Ambiguity(_Value):
     """One critical pair: a word reducible in two ways at overlapping spots.
 
     Two are equal when word and kind are; the residual follows from them.
@@ -112,16 +109,8 @@ class Ambiguity:
         self.kind = kind
         self.residual = residual
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.word == other.word and self.kind == other.kind
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.word, self.kind))
-
-    def __repr__(self) -> str:
-        return f"Ambiguity(word={self.word!r}, kind={self.kind!r}, residual={self.residual!r})"
+    def _fields(self) -> tuple:
+        return self.word, self.kind
 
     @property
     def resolvable(self) -> bool:
@@ -481,23 +470,23 @@ class ReductionSystem:
         return self.basis_counts(max_len + 1)[-1] == 0
 
     def _window_graph(self):
-        """The irreducible words of length <= m, m the longest left side, and
-        the graph on them that `dimension` and `basis_counts` walk.
+        """The irreducible words of length <= m, m the longest left side (1
+        without rules), and the graph on them that `basis_counts` walks.
 
         A word of length >= m - 1 is irreducible iff each of its windows of
         length m is.  Those words are the walks in the graph whose vertices
         are the irreducible words of length m - 1 and whose edges are those
-        of length m, each running from its prefix to its suffix.
+        of length m, each running from its prefix to its suffix: a word of
+        length m - 1 + t is a walk of t edges.  Without rules the one vertex
+        is the empty word and every letter is a loop on it.
         """
         m = self._reach + 1
         words = self._irreducible_codes(m)
         succ = {v: [] for v in words if len(v) == m - 1}
-        pred = {v: [] for v in succ}
         for w in words:
             if len(w) == m:
                 succ[w[:-1]].append(w[1:])
-                pred[w[1:]].append(w[:-1])
-        return m, words, succ, pred
+        return m, words, succ
 
     def basis_counts(self, max_len: int, limit: int | None = None) -> list:
         """Irreducible words of each length 0..max_len, without building them.
@@ -505,12 +494,8 @@ class ReductionSystem:
         The list stops after the first empty length, since every longer
         length is empty too, and once its sum passes `limit`.
         """
-        if not self.left_sides:
-            levels = (len(self.generators) ** t for t in range(max_len + 1))
-        else:
-            levels = self._walk_counts(max_len)
         counts, total = [], 0
-        for count in levels:
+        for count in self._walk_counts(max_len):
             counts.append(count)
             total += count
             if not count or (limit is not None and total > limit):
@@ -518,7 +503,7 @@ class ReductionSystem:
         return counts
 
     def _walk_counts(self, max_len: int):
-        m, words, succ, _ = self._window_graph()
+        m, words, succ = self._window_graph()
         for t in range(min(max_len, m - 2) + 1):
             yield sum(len(w) == t for w in words)
         walks = dict.fromkeys(succ, 1)  # walks ending at each vertex
@@ -534,24 +519,13 @@ class ReductionSystem:
     def dimension(self):
         """Number of irreducible words, or None when there are infinitely many.
 
-        There are finitely many iff the graph of `_window_graph` has no
-        cycle (Ufnarovskij, Math. Notes 31, 1982).  Without rules every word
-        is irreducible.
+        With V the number of vertices of the graph of `_window_graph`, a
+        walk of V edges repeats a vertex, so it runs round a cycle, and a
+        cycle gives walks of every length; the basis is finite iff the graph
+        has no cycle (Ufnarovskij, Math. Notes 31, 1982).  So it is finite
+        iff no word has length m - 1 + V, and then the counts up to that
+        length hold every word.
         """
-        if not self.left_sides:
-            return None
-        m, words, succ, pred = self._window_graph()
-        # Peel off sinks; walks[v] counts the walks that start at v.
-        outdeg = {v: len(s) for v, s in succ.items()}
-        ready = [v for v, k in outdeg.items() if k == 0]
-        walks = {}
-        while ready:
-            v = ready.pop()
-            walks[v] = 1 + sum(walks[u] for u in succ[v])
-            for p in pred[v]:
-                outdeg[p] -= 1
-                if outdeg[p] == 0:
-                    ready.append(p)
-        if len(walks) < len(succ):
-            return None  # the vertices left over lie on or lead into a cycle
-        return sum(len(w) < m - 1 for w in words) + sum(walks.values())
+        m, _, succ = self._window_graph()
+        counts = self.basis_counts(m - 1 + len(succ))
+        return None if counts[-1] else sum(counts)

@@ -39,7 +39,9 @@ Scalar, HPoly and freealg.Element share `_Arithmetic`: each gives `_coerce`
 powers with unit `_coerce(1)`.  Scalar and HPoly also share `_Reduced`, the
 integer storage with its `_make`, equality, hash, negation and tau.  Zeros
 and the monomials +-h^k (1 and -1 among them) are absorbed in
-`HPoly.__mul__` alone, so callers need not test for them.  A coordinate is
+`HPoly.__mul__` alone, so callers need not test for them.  The library's
+record classes derive `repr` from their `__slots__` through `_Record`, and
+equality and hash too through `_Value`.  A coordinate is
 printed only up to `MAX_DIGITS` decimal digits; a longer one is a ValueError.
 """
 from __future__ import annotations
@@ -125,6 +127,35 @@ class _Arithmetic:
             if not n:
                 return out
             base = base * base
+
+
+class _Record:
+    """`repr` from the fields: the `__slots__` of the class, then of its bases."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        names = [n for c in type(self).__mro__ for n in vars(c).get("__slots__", ())]
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class _Value(_Record):
+    """A record equal, and hashed, by `_fields()`: by default the fields in
+    the class's own `__slots__`, so a field of a base only shows in `repr`."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 class _Reduced(_Arithmetic):

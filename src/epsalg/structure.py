@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .freealg import Element, Word
 from .presets import Algebra, with_h
-from .scalars import HPoly, Scalar
+from .scalars import HPoly, Scalar, _Record
 
 
 def apply_J(alg: Algebra, x: Element) -> Element:
@@ -68,7 +68,7 @@ def verify_sigma(alg: Algebra, perm) -> list:
     return failures
 
 
-class RescalingMap:
+class RescalingMap(_Record):
     """a_i -> lam a_i, a+_i -> tau(lam) a+_i, from the lam*tau(lam)*h algebra
     onto the h algebra.
 
@@ -94,9 +94,6 @@ class RescalingMap:
                 f"rescaling undefined: source h {self.source.h} != "
                 f"{self.norm} * target h {self.target.h}"
             )
-
-    def __repr__(self) -> str:
-        return f"RescalingMap(lam={self.lam!r}, source={self.source!r}, target={self.target!r})"
 
     @property
     def norm(self) -> Scalar:

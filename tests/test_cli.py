@@ -30,6 +30,10 @@ def test_normalize_accepts_function_calls(capsys):
     assert _lines(capsys) == ["ad1"]
     assert run(["normalize", "--alg", "fermion:n=1", "comm(a1, ad1)"]) == 0
     assert _lines(capsys) == ["h"]
+    # pb brackets in the classical limit, so a pinned h gives the same answer.
+    for alg in ("boson:n=1", "boson:n=1,h=0"):
+        assert run(["normalize", "--alg", alg, "pb(a1, ad1)"]) == 0
+        assert _lines(capsys) == ["1"]
 
 
 def test_bracket(capsys):
@@ -249,6 +253,8 @@ def test_usage_errors(capsys):
     assert run(["normalize", "--alg", "boson:n=1", "zz"]) == 2
     assert run(["mu", "--alg", "qplane:2", "--order", "0", "x", "y"]) == 2
     assert "no deformation expansion" in capsys.readouterr().err
+    assert run(["normalize", "--alg", "qplane:2", "pb(x, y)"]) == 2
+    assert capsys.readouterr() == ("", "error: qplane:q=2 has no deformation expansion\n")
     assert run(["rank", "--file", "/does/not/exist.json"]) == 2
 
 
@@ -686,6 +692,8 @@ _MATRIX = {"rows": [[0, 0]], "cols": [[0, 0]], "entries": [["1"]]}
         (["verify", "--suite", "factor", "--alg", "boson:n=1", "--samples", "-5"], None, "--samples"),
         (["verify", "--suite", "deformation", "--alg", "boson:n=1", "--maxlen", "0"], None, "--maxlen"),
         (["dim", "--alg", "boson:n=1", "--maxlen", "-1"], None, "--maxlen"),
+        (["verify", "--suite", "noa", "--alg", "ext:n=2"], None,
+         "error: ext:n=2,factor=eps_c is not a number-operator algebra\n"),
         (["rank"], [_MATRIX], "--file"),
         (["rank"], {"P": _MATRIX, "alg": "cex"}, "'Q'"),
         (["rank"], {**_MATRIX, "alg": 5}, "'alg'"),

@@ -82,8 +82,9 @@ def test_gm_mul_and_identity():
         gm_mul(P, _matrix(alg, [z], [z], [["1"]]))
 
 
-def test_products_take_their_normal_entries_as_they_are(monkeypatch):
-    # gm_mul builds each entry with Algebra.mul, already normal
+def test_products_renormalize_their_entries_to_themselves(monkeypatch):
+    # gm_mul builds each entry with mul_sum, already normal, and the matrix
+    # normalizes it again, which leaves a normal form as it is
     alg = build_noa("a", 2, 0)
     z, e1, e2 = Grade((0, 0)), Grade((1, 0)), Grade((0, 1))
     P = _matrix(alg, [z, e1], [z, e1], [["1", "a1"], ["0", "1"]])
@@ -93,13 +94,14 @@ def test_products_take_their_normal_entries_as_they_are(monkeypatch):
     normalize = ReductionSystem.normalize
 
     def counted(self, x):
-        calls.append(x)
-        return normalize(self, x)
+        got = normalize(self, x)
+        calls.append((x, got))
+        return got
 
     monkeypatch.setattr(ReductionSystem, "normalize", counted)
     assert str(gm_mul(R, R)) == "[ad1*ad2*a1*a2 + 1, 2*ad1*a2; 2*ad2*a1, ad1*ad2*a1*a2 + 1]"
     assert invertible_pair(P, Q)
-    assert calls == []
+    assert len(calls) == 12 and all(x == got for x, got in calls)
 
 
 def test_probe_refuses_quantum_algebras_outright():
