@@ -34,36 +34,36 @@ MAX_SAMPLES = 10**4
 # --------------------------------------------------------------------- output
 
 
-class Check:
-    __slots__ = ("case", "ok", "payload")
-
-    def __init__(self, case: str, ok: bool, payload: str = ""):
-        self.case = case
-        self.ok = ok
-        self.payload = payload
-
-
 class Report:
-    __slots__ = ("suite", "fmt", "out", "checks")
+    """Prints each record as it comes and keeps only the two counts `finish` prints."""
 
-    def __init__(self, suite: str, fmt: str = "text", out=None):
+    __slots__ = ("suite", "fmt", "passed", "total")
+
+    def __init__(self, suite: str, fmt: str = "text"):
         self.suite = suite
         self.fmt = fmt
-        self.out = sys.stdout if out is None else out
-        self.checks = []
+        self.passed = 0
+        self.total = 0
 
     def add(self, case: str, ok: bool, payload: str = "") -> bool:
-        self.checks.append(Check(case, ok, payload))
-        self.emit_last()
+        self.passed += ok
+        self.total += 1
+        if self.fmt == "machine":
+            self._record(case, ok, payload)
+        else:
+            mark = "pass" if ok else "FAIL"
+            tail = f": {payload}" if payload else ""
+            print(f"[{mark}] {self.suite}/{case}{tail}")
         return ok
 
     def result(self, case: str, payload: str):
         """A computed value rather than a pass/fail judgement."""
-        self.checks.append(Check(case, True, payload))
         if self.fmt == "machine":
-            self.emit_last()
+            self.add(case, True, payload)
         else:
-            print(payload, file=self.out)
+            self.passed += 1
+            self.total += 1
+            print(payload)
 
     def _record(self, case: str, ok: bool, payload: str):
         """One JSON line of --format machine."""
@@ -71,31 +71,16 @@ class Report:
 
         line = {"suite": self.suite, "case": case, "status": "pass" if ok else "fail",
                 "payload": payload}
-        print(json.dumps(line), file=self.out)
-
-    def emit_last(self):
-        c = self.checks[-1]
-        if self.fmt == "machine":
-            self._record(c.case, c.ok, c.payload)
-        else:
-            mark = "pass" if c.ok else "FAIL"
-            tail = f": {c.payload}" if c.payload else ""
-            print(f"[{mark}] {self.suite}/{c.case}{tail}", file=self.out)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        print(json.dumps(line))
 
     def finish(self) -> int:
-        passed = sum(c.ok for c in self.checks)
+        ok = self.passed == self.total
+        summary = f"{self.passed}/{self.total} checks passed"
         if self.fmt == "machine":
-            self._record("summary", self.ok, f"{passed}/{len(self.checks)} checks passed")
+            self._record("summary", ok, summary)
         else:
-            print(
-                f"{self.suite}: {passed}/{len(self.checks)} checks passed",
-                file=self.out,
-            )
-        return 0 if self.ok else 1
+            print(f"{self.suite}: {summary}")
+        return 0 if ok else 1
 
 
 # ------------------------------------------------------------------- plumbing
@@ -327,23 +312,23 @@ def _suite_factor(report: Report, alg: Algebra, args):
     report.add("axioms", not bad, f"{len(grades)} sample grades")
 
 
-def _suite_lie(report: Report, alg: Algebra, args):
-    ctx = brackets.BracketContext.quantum(alg)
-    triples = brackets.sample_triples(alg, args.samples, args.seed, args.maxlen)
-    failures = brackets.verify_lie_axioms(ctx, triples)
+def _law_suite(report: Report, ctx: brackets.BracketContext, verify, case: str, args):
+    """Runs verify on triples sampled from ctx.algebra; the first ten failures show."""
+    triples = brackets.sample_triples(ctx.algebra, args.samples, args.seed, args.maxlen)
+    failures = verify(ctx, triples)
     for line in failures[:10]:
         report.add("triple", False, line)
-    report.add("lie-axioms", not failures, f"{len(triples)} triples")
+    report.add(case, not failures, f"{len(triples)} triples")
+
+
+def _suite_lie(report: Report, alg: Algebra, args):
+    ctx = brackets.BracketContext.quantum(alg)
+    _law_suite(report, ctx, brackets.verify_lie_axioms, "lie-axioms", args)
 
 
 def _suite_poisson(report: Report, alg: Algebra, args):
-    exp = _expansion_for(alg)
-    ctx = brackets.BracketContext.classical(exp)
-    triples = brackets.sample_triples(exp.classical, args.samples, args.seed, args.maxlen)
-    failures = brackets.verify_poisson_axioms(ctx, triples)
-    for line in failures[:10]:
-        report.add("triple", False, line)
-    report.add("poisson-axioms", not failures, f"{len(triples)} triples")
+    ctx = brackets.BracketContext.classical(_expansion_for(alg))
+    _law_suite(report, ctx, brackets.verify_poisson_axioms, "poisson-axioms", args)
 
 
 def _suite_deformation(report: Report, alg: Algebra, args):

@@ -159,14 +159,11 @@ class CommutationFactor:
             if not m:
                 continue
             for k in range(self.dim):
-                if self.base ** (m * self.form[j][k]) != ONE:
-                    bad.append(
-                        f"base^({m}*B[{j}][{k}]) = base^{m * self.form[j][k]} != 1"
-                    )
-                if self.base ** (m * self.form[k][j]) != ONE:
-                    bad.append(
-                        f"base^({m}*B[{k}][{j}]) = base^{m * self.form[k][j]} != 1"
-                    )
+                for r, c in ((j, k), (k, j)):
+                    if self.base ** (m * self.form[r][c]) != ONE:
+                        bad.append(
+                            f"base^({m}*B[{r}][{c}]) = base^{m * self.form[r][c]} != 1"
+                        )
         return bad
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .freealg import Element
+from .freealg import EMPTY_WORD, Element
 from .grading import CommutationFactor, Grade
 from .presets import Algebra
 from .scalars import H_ONE, H_ZERO, HPoly, _Record, _Value
@@ -103,16 +103,16 @@ def gm_mul(P: GradedMatrix, Q: GradedMatrix) -> GradedMatrix:
     return GradedMatrix(P.alg, P.row_grades, Q.col_grades, entries, P.gamma + Q.gamma)
 
 
+def _rows_are_identity(rows, one, zero) -> bool:
+    """Each row i holds one in place i and zero everywhere else."""
+    return all(v == (one if i == j else zero) for i, row in enumerate(rows)
+               for j, v in enumerate(row))
+
+
 def is_identity(M: GradedMatrix) -> bool:
     if M.row_grades != M.col_grades or not M.gamma.is_zero():
         return False
-    one = Element.one()
-    for i in range(M.nrows):
-        for j in range(M.ncols):
-            want = one if i == j else Element.zero()
-            if M.entries[i][j] != want:
-                return False
-    return True
+    return _rows_are_identity(M.entries, Element.one(), Element.zero())
 
 
 def invertible_pair(P: GradedMatrix, Q: GradedMatrix) -> bool:
@@ -126,8 +126,6 @@ def invertible_pair(P: GradedMatrix, Q: GradedMatrix) -> bool:
 
 def unit_coefficient(x: Element) -> HPoly:
     """The augmentation: coefficient of the empty word."""
-    from .freealg import EMPTY_WORD
-
     return x.coefficient(EMPTY_WORD)
 
 
@@ -186,13 +184,15 @@ def ibn_probe(P: GradedMatrix, Q: GradedMatrix, kind: str = "eps") -> IbnReport:
     factor = alg.factor
     rows = rank_profile(P.row_grades, factor)
     cols = rank_profile(P.col_grades, factor)
+
+    def refuse(reason: str) -> IbnReport:
+        return IbnReport(False, kind, reason, rows, cols)
+
     bad = augmentation_violations(alg)
     if bad:
-        return IbnReport(
-            False, kind, f"augmentation not multiplicative, e.g. {bad[0]}", rows, cols
-        )
+        return refuse(f"augmentation not multiplicative, e.g. {bad[0]}")
     if not invertible_pair(P, Q):
-        return IbnReport(False, kind, "not an invertible pair", rows, cols)
+        return refuse("not an invertible pair")
 
     def keyfn(g: Grade):
         if kind == "total":
@@ -205,33 +205,18 @@ def ibn_probe(P: GradedMatrix, Q: GradedMatrix, kind: str = "eps") -> IbnReport:
         for i, g in enumerate(P.row_grades):
             for j, k in enumerate(P.col_grades):
                 if keyfn(g) != keyfn(k) and unit_coefficient(P.entries[i][j]):
-                    return IbnReport(
-                        False,
-                        kind,
-                        f"projected entry ({i},{j}) crosses blocks",
-                        rows,
-                        cols,
-                    )
+                    return refuse(f"projected entry ({i},{j}) crosses blocks")
     blocks = sorted({keyfn(g) for g in P.row_grades + P.col_grades})
     for block in blocks:
         ridx = [i for i, g in enumerate(P.row_grades) if keyfn(g) == block]
         cidx = [j for j, g in enumerate(P.col_grades) if keyfn(g) == block]
         p_blk = [[unit_coefficient(P.entries[i][j]) for j in cidx] for i in ridx]
         q_blk = [[unit_coefficient(Q.entries[j][i]) for i in ridx] for j in cidx]
-        if not _scalar_identity(_scalar_mul(p_blk, q_blk)) or not _scalar_identity(
-            _scalar_mul(q_blk, p_blk)
-        ):
-            return IbnReport(
-                False, kind, f"projected block {block} not invertible", rows, cols
-            )
+        pq, qp = _scalar_mul(p_blk, q_blk), _scalar_mul(q_blk, p_blk)
+        if not (_rows_are_identity(pq, H_ONE, H_ZERO) and _rows_are_identity(qp, H_ONE, H_ZERO)):
+            return refuse(f"projected block {block} not invertible")
         if len(ridx) != len(cidx):
-            return IbnReport(
-                False,
-                kind,
-                f"block {block} has unequal row and column multiplicity",
-                rows,
-                cols,
-            )
+            return refuse(f"block {block} has unequal row and column multiplicity")
     return IbnReport(True, kind, "profiles agree through the augmentation", rows, cols)
 
 
@@ -248,11 +233,3 @@ def _scalar_mul(A, B):
             row.append(total)
         out.append(row)
     return out
-
-
-def _scalar_identity(M) -> bool:
-    for i, row in enumerate(M):
-        for j, v in enumerate(row):
-            if v != (H_ONE if i == j else H_ZERO):
-                return False
-    return True

@@ -42,6 +42,7 @@ from functools import lru_cache
 
 from .freealg import Element, Generator, Word
 from .grading import (
+    FACTOR_PRESETS,
     CommutationFactor,
     Grade,
     counterexample_factor,
@@ -437,8 +438,6 @@ def build_epsilon_exterior(grades, factor: CommutationFactor, label: str = "ext"
 
 @lru_cache(maxsize=None)
 def build_exterior_preset(n: int, factor_name: str = "eps_c") -> Algebra:
-    from .grading import FACTOR_PRESETS
-
     if factor_name not in FACTOR_PRESETS:
         raise ValueError(f"unknown factor preset {factor_name!r}")
     factor = FACTOR_PRESETS[factor_name](n)

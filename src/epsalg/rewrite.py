@@ -48,6 +48,7 @@ entries hold it.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from heapq import heappop, heappush
 
 from .freealg import EMPTY_WORD, Element, Generator, Word
@@ -469,9 +470,10 @@ class ReductionSystem:
         """
         return self.basis_counts(max_len + 1)[-1] == 0
 
+    @cached_property
     def _window_graph(self):
         """The irreducible words of length <= m, m the longest left side (1
-        without rules), and the graph on them that `basis_counts` walks.
+        without rules), and the graph on them that `basis_counts` walks, built once.
 
         A word of length >= m - 1 is irreducible iff each of its windows of
         length m is.  Those words are the walks in the graph whose vertices
@@ -503,7 +505,7 @@ class ReductionSystem:
         return counts
 
     def _walk_counts(self, max_len: int):
-        m, words, succ = self._window_graph()
+        m, words, succ = self._window_graph
         for t in range(min(max_len, m - 2) + 1):
             yield sum(len(w) == t for w in words)
         walks = dict.fromkeys(succ, 1)  # walks ending at each vertex
@@ -526,6 +528,6 @@ class ReductionSystem:
         iff no word has length m - 1 + V, and then the counts up to that
         length hold every word.
         """
-        m, _, succ = self._window_graph()
+        m, _, succ = self._window_graph
         counts = self.basis_counts(m - 1 + len(succ))
         return None if counts[-1] else sum(counts)

@@ -8,6 +8,8 @@ defining relations through it and normalizing on the far side.
 """
 from __future__ import annotations
 
+from functools import partial
+
 from .freealg import Element, Word
 from .presets import Algebra, with_h
 from .scalars import HPoly, Scalar, _Record
@@ -23,13 +25,18 @@ def apply_J(alg: Algebra, x: Element) -> Element:
     )
 
 
+def _unkilled_relations(source: Algebra, target: Algebra, image, name: str,
+                        where: str = "") -> list:
+    """A line for each defining relation of source whose image under the map
+    `image`, normalized in target, is not 0."""
+    images = ((rel, target.normalize(image(rel))) for rel in source.relations())
+    return [f"{name}({rel}) normalizes to {x}, not 0{where}"
+            for rel, x in images if not x.is_zero()]
+
+
 def verify_J_well_defined(alg: Algebra) -> list:
     """J must kill every defining relation and square to the identity."""
-    failures = []
-    for rel in alg.relations():
-        image = alg.normalize(apply_J(alg, rel))
-        if not image.is_zero():
-            failures.append(f"J({rel}) normalizes to {image}, not 0")
+    failures = _unkilled_relations(alg, alg, partial(apply_J, alg), "J")
     for g in alg.generators:
         twice = apply_J(alg, apply_J(alg, Element.from_word(g)))
         if twice != Element.from_word(g):
@@ -60,12 +67,7 @@ def apply_sigma(alg: Algebra, perm, x: Element) -> Element:
 
 
 def verify_sigma(alg: Algebra, perm) -> list:
-    failures = []
-    for rel in alg.relations():
-        image = alg.normalize(apply_sigma(alg, perm, rel))
-        if not image.is_zero():
-            failures.append(f"sigma({rel}) normalizes to {image}, not 0")
-    return failures
+    return _unkilled_relations(alg, alg, partial(apply_sigma, alg, perm), "sigma")
 
 
 class RescalingMap(_Record):
@@ -120,12 +122,7 @@ def apply_phi(m: RescalingMap, x: Element) -> Element:
 
 
 def verify_rescaling(m: RescalingMap) -> list:
-    failures = []
-    for rel in m.source.relations():
-        image = m.target.normalize(apply_phi(m, rel))
-        if not image.is_zero():
-            failures.append(f"phi({rel}) normalizes to {image}, not 0 in target")
-    return failures
+    return _unkilled_relations(m.source, m.target, partial(apply_phi, m), "phi", " in target")
 
 
 def number_operator_element(alg: Algebra, i: int) -> Element:

@@ -131,6 +131,20 @@ def test_verifier_catches_moduli_unsoundness():
     assert verify_factor_axioms(bad, grid)
 
 
+def test_moduli_violations_list_both_orders_of_each_entry():
+    # base I has order 4: for each j with modulus m, and each k, B[j][k] and
+    # then B[k][j] give a line when m times the entry is not a multiple of 4
+    bad = CommutationFactor(I, ((1, 2), (3, 0)), label="bad-mod")
+    assert bad.moduli_violations((2, 3)) == [
+        "base^(2*B[0][0]) = base^2 != 1",
+        "base^(2*B[0][0]) = base^2 != 1",
+        "base^(2*B[1][0]) = base^6 != 1",
+        "base^(3*B[1][0]) = base^9 != 1",
+        "base^(3*B[0][1]) = base^6 != 1",
+    ]
+    assert bad.moduli_violations((0, 4)) == []
+
+
 def test_counterexample_factor_is_all_even():
     factor = counterexample_factor()
     for c in itertools.product((0, 1), repeat=2):

@@ -1059,6 +1059,24 @@ def test_free_algebra_has_no_dimension():
     assert ReductionSystem(build_noa("a", 1).system.generators, []).dimension() is None
 
 
+def test_dimension_enumerates_the_window_words_once(monkeypatch):
+    base = build_noa("a", 3).system
+    sys_ = ReductionSystem(base.generators, base.rules)
+    lengths = []
+    irreducible_codes = ReductionSystem._irreducible_codes
+
+    def counted(self, max_len):
+        lengths.append(max_len)
+        return irreducible_codes(self, max_len)
+
+    monkeypatch.setattr(ReductionSystem, "_irreducible_codes", counted)
+    assert sys_.dimension() == 64
+    assert lengths == [2]
+    # The window graph is kept: later counts on the system walk it again.
+    assert sys_.dimension() == 64 and sys_.basis_counts(3) == [1, 6, 15, 20]
+    assert lengths == [2]
+
+
 @pytest.mark.parametrize(
     "family,n,dim",
     [("a", 3, 64), ("a'", 2, 16), ("b", 3, 16), ("b'", 2, 9), ("c", 2, None), ("c'", 3, None)],

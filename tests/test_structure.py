@@ -2,11 +2,14 @@
 import pytest
 
 from epsalg import (
+    Algebra,
     Element,
     H,
     HPoly,
     I,
+    ReductionSystem,
     RescalingMap,
+    Rule,
     Scalar,
     Word,
     apply_J,
@@ -16,6 +19,7 @@ from epsalg import (
     build_quantum_plane,
     number_operator_check,
     number_operator_element,
+    parse_preset,
     rescale,
     verify_J_well_defined,
     verify_rescaling,
@@ -24,6 +28,23 @@ from epsalg import (
 )
 
 FAMILIES = ["a", "a'", "b", "b'", "c", "c'"]
+
+
+def _algebra(base: Algebra, involution=None, diagonal=()) -> Algebra:
+    """An uncertified algebra on base's generators, factor, h and parameters.
+
+    It takes base's rules, except that the diagonal rule a_i*ad_i of each
+    mode i in the dict `diagonal` becomes ad_i*a_i + diagonal[i].
+    """
+    rules = []
+    for rule in base.system.rules:
+        a, ad = rule.lhs.letters
+        if (a.name, ad.name) == ("a", "ad") and a.index == ad.index and a.index in diagonal:
+            rhs = Element.from_word(Word((ad, a))) + Element.scalar(diagonal[a.index])
+            rule = Rule(rule.lhs, rhs)
+        rules.append(rule)
+    system = ReductionSystem(base.generators, rules)
+    return Algebra("broken", base.family, system, base.factor, base.h, involution, base.params)
 
 
 # -------------------------------------------------------------------------- J
@@ -62,6 +83,12 @@ def test_J_is_antimultiplicative():
     assert apply_J(alg, x * y) == apply_J(alg, y) * apply_J(alg, x)
 
 
+def test_J_lists_each_relation_it_does_not_kill():
+    boson = parse_preset("boson:n=1")
+    alg = _algebra(boson, involution={g: g for g in boson.generators})
+    assert verify_J_well_defined(alg) == ["J(-ad1*a1 + a1*ad1 - h) normalizes to -2*h, not 0"]
+
+
 def test_J_needs_an_involution():
     with pytest.raises(ValueError, match="no anti-involution"):
         apply_J(build_quantum_plane(2), Element.one())
@@ -75,6 +102,15 @@ def test_sigma_preserves_relations(family):
     alg = build_noa(family, 3)
     assert verify_sigma(alg, (2, 3, 1)) == []
     assert verify_sigma(alg, {1: 2, 2: 1, 3: 3}) == []
+
+
+def test_sigma_lists_each_relation_it_does_not_keep():
+    alg = _algebra(parse_preset("boson:n=2"), diagonal={2: H * 2})
+    assert verify_sigma(alg, (2, 1)) == [
+        "sigma(-ad1*a1 + a1*ad1 - h) normalizes to h, not 0",
+        "sigma(-ad2*a2 + a2*ad2 - 2*h) normalizes to -h, not 0",
+    ]
+    assert verify_sigma(alg, (1, 2)) == []
 
 
 def test_sigma_relabels():
@@ -129,6 +165,16 @@ def test_rescaling_map_rejects():
         RescalingMap(Scalar.of(1), c1, build_noa("a", 1))
     with pytest.raises(ValueError, match="rescaling undefined"):
         RescalingMap(Scalar(1, 1, 0, 0), c1, c1)
+
+
+def test_rescaling_lists_each_relation_the_target_does_not_kill():
+    source = with_h(parse_preset("boson:n=1"), H * 2)
+    target = _algebra(parse_preset("boson:n=1"), diagonal={1: H * 2})
+    assert target.h == H
+    m = RescalingMap(Scalar(1, 1, 0, 0), source, target)
+    assert verify_rescaling(m) == [
+        "phi(-ad1*a1 + a1*ad1 - 2*h) normalizes to 2*h, not 0 in target"
+    ]
 
 
 def test_rescale_by_norm_one_unit_is_an_automorphism():

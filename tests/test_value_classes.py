@@ -225,22 +225,11 @@ class RescalingMap:
 
 
 @dataclass
-class Check:
-    case: str
-    ok: bool
-    payload: str = ""
-
-
-@dataclass
 class Report:
     suite: str
     fmt: str = "text"
-    out: object = None
-    checks: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.out is None:
-            self.out = sys.stdout
+    passed: int = field(default=0, init=False)
+    total: int = field(default=0, init=False)
 
 
 # ------------------------------------------------------------------- samples
@@ -419,11 +408,9 @@ def test_classes_without_value_equality():
     for args in ((alg,), (alg, grading.eps_a(2)), (exp.classical, None, exp)):
         _pin_identity_class(brackets.BracketContext, BracketContext, args)
     _pin_identity_class(exprparse.Token, Token, ("INT", "12", 3), has_repr=False)
-    _pin_identity_class(cli.Check, Check, ("case", False), has_repr=False)
-    _pin_identity_class(cli.Check, Check, ("case", True, "payload"), has_repr=False)
     report = _pin_identity_class(cli.Report, Report, ("dim",), has_repr=False)
-    assert report.out is sys.stdout and report.checks == []
-    _pin_identity_class(cli.Report, Report, ("dim", "machine", sys.stderr), has_repr=False)
+    assert report.fmt == "text" and report.passed == report.total == 0
+    _pin_identity_class(cli.Report, Report, ("dim", "machine"), has_repr=False)
 
 
 def test_rescaling_map_checks_and_repr():
