@@ -15,10 +15,20 @@ Errors carry byte offsets into the source text.
 Parsing, printing and evaluation recurse once per nesting level and once per
 operator in a chain.  Each recursive step is a generator that yields its
 sub-steps to `_trampoline`, so depth costs heap, not Python stack.
+
+The grammar is the same for every text, but `element_from_text` reads a
+monomial as one word: a text that is nothing but generator labels, each
+bare or raised to at most six ASCII digits, joined by '*' with no spaces
+(`_MONOMIAL`), becomes the element of that one word with coefficient 1,
+which is what evaluating it gives.  Any other text, a reserved name or an
+unknown label included, goes through the tokenizer, parser and evaluator,
+which make every refusal and its offset.
 """
 from __future__ import annotations
 
-from .freealg import EMPTY_WORD, Element
+import re
+
+from .freealg import EMPTY_WORD, Element, Word
 from .scalars import MAX_DIGITS, H, I, R2, HPoly, Scalar, _Value
 
 
@@ -338,7 +348,34 @@ def _as_scalar(x: Element):
     return coeff.constant()
 
 
+# An identifier, bare or raised to at most six digits (below the 10**6
+# letters a power may have), in ASCII alone and with no spaces.
+_FACTOR = r"[A-Za-z_]\w*(?:\^\d{1,6})?"
+_MONOMIAL = re.compile(rf"{_FACTOR}(?:\*{_FACTOR})*", re.ASCII)
+
+
+def _monomial_word(text: str, by_label: dict):
+    """The word of a monomial text (module docstring), or None when the text
+    is not one or names a reserved identifier or a label not in `by_label`."""
+    if _MONOMIAL.fullmatch(text) is None:
+        return None
+    letters = []
+    for factor in text.split("*"):
+        label, _, exp = factor.partition("^")
+        g = by_label.get(label)
+        if g is None or label in _RESERVED:
+            return None
+        if exp:
+            letters += [g] * int(exp)
+        else:
+            letters.append(g)
+    return Word(letters)
+
+
 def element_from_text(text: str, alg, functions: dict = None) -> Element:
+    word = _monomial_word(text, alg._by_label)
+    if word is not None:
+        return Element.from_word(word)
     atoms = {g.label: Element.from_word(g) for g in alg.generators}
     return evaluate(parse(text), atoms, functions)
 

@@ -38,7 +38,7 @@ stay exhaustive.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .freealg import Element, Generator, Word
 from .grading import (
@@ -153,10 +153,13 @@ class Algebra:
         return self.gen(f"{name}{index}")
 
     def relations(self):
-        """Defining relations as elements of the free algebra (lhs - rhs)."""
-        return tuple(
-            Element.from_word(rule.lhs) - rule.rhs for rule in self.system.rules
-        )
+        """Defining relations as elements of the free algebra (lhs - rhs),
+        built on the first call and kept, as the rules of an algebra are fixed."""
+        return self._relations
+
+    @cached_property
+    def _relations(self):
+        return tuple(Element.from_word(rule.lhs) - rule.rhs for rule in self.system.rules)
 
     # ------------------------------------------------------------ operations
 

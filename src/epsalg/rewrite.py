@@ -22,9 +22,15 @@ concatenation and heap order all run on strings.  The reducer keeps one
 heap of bare strings per length and drains the lengths longest first; no
 rule lengthens a word, so a child never joins a drained length, and the
 strings are popped in the order of one heap keyed by (-len(s), s), largest
-word first.  Every left side is compiled into one
-regular expression, an alternation sorted shortest first, whose `search`
-returns the leftmost redex and, at that position, the shortest.  A rewrite
+word first.  Every left side is compiled into one regular expression whose
+`search` returns the leftmost redex and, at that position, the shortest.
+The expression is an alternation factored by first letter (`_alternation`):
+one branch per letter, the letter followed by a group of the rests of the
+left sides that begin with it, in sorted order.  `search` tries the
+positions from the left, so its match is the leftmost.  At a position only
+the branch of the letter there is entered, and no other left side is
+tried; in it two rests match only if one begins the other, and that one
+sorts first, so the match is the shortest.  A rewrite
 at position p leaves the letters before p alone, so a child word is
 searched from p - (m - 1), m the longest left side.  Words are encoded on
 entry and only irreducible ones are decoded.
@@ -35,8 +41,8 @@ decreasing) read the code strings.  Critical pairs come from an index of
 the encoded left sides by their proper prefixes.
 
 Redexes, irreducible words and their number depend on the left sides
-alone; all three read the one pattern compiled from `left_sides`
-(letters -> rule).
+alone; all three read the one pattern compiled from the encoded left
+sides.
 
 The product memo `_nf` maps a pair (w1, w2) of Words to the normal form of
 w1*w2 as a tuple of (Word, HPoly) pairs, () for zero.  Only `mul_sum` fills
@@ -63,6 +69,30 @@ MAX_GENERATORS = _BASE + 1
 # With at most this many generators every code letter is above ASCII, and
 # `re.escape` leaves a string without ASCII letters as it is.
 _UNESCAPED = _BASE - 127
+
+
+def _alternation(heads: dict, escape: bool) -> str:
+    """The redex pattern of the left sides filed by first letter (letter ->
+    the rest of each left side beginning with it): its `search` returns the
+    leftmost left side and, at that position, the shortest.
+
+    Each letter is one branch, the letter followed by a group of its rests,
+    and the branches begin with distinct letters, so at most one can match
+    at a position.  Two rests match there only if one begins the other,
+    and a string sorts before the strings it begins, so with the rests
+    sorted the first to match is the shortest.  A letter that is a left
+    side alone has the empty rest, sorted first: `(?:|...)` acts as the
+    lazy group `(?:...)??`.  `re.escape` runs only when `escape` is true,
+    that is, when some code letter is ASCII.  Without rules the pattern is
+    "(?!)", which never matches: every word is irreducible.
+    """
+    branches = []
+    for c, rests in heads.items():
+        rests.sort()
+        if escape:
+            c, rests = re.escape(c), map(re.escape, rests)
+        branches.append(f"{c}(?:{'|'.join(rests)})")
+    return "|".join(branches) or "(?!)"
 
 
 def require_h_free(*elements):
@@ -169,14 +199,21 @@ class ReductionSystem:
         encoding reverses the precedence of the letters.  Then the redex
         pattern is compiled from the left sides.
 
-        The checks are kept cheap without dropping one: a left side is hashed
-        once, by `setdefault`, and is a duplicate when the dict did not grow,
-        so one Rule object given twice is refused too; a sign-only rule is
-        found from its coefficient's integers (`d == 1`, numerators +-1 over
-        zeros), with no HPoly equality; a word that is the left side reversed
-        has its letters, with no sort (other words are sorted); and the
-        pattern escapes the left sides only when some code letter is ASCII,
-        since `re.escape` leaves every other character alone.
+        The checks are kept cheap without dropping one: a left side is a
+        duplicate when its code string is a key of `_rewrites` already, so
+        one Rule object given twice is refused too and no tuple of letters
+        is hashed (`left_sides` is built from the rules on first use); a
+        sign-only rule is found from its coefficient's integers (`d == 1`,
+        numerators +-1 over zeros), with no HPoly equality; a word that is
+        the left side reversed has its letters, with no sort (other words
+        are sorted); and the pattern escapes the left sides only when some
+        code letter is ASCII, since `re.escape` leaves every other character
+        alone.
+
+        Each left side is filed under its first letter as it is encoded, and
+        `_alternation` factors the pattern by those letters, which keeps the
+        leftmost, then shortest, redex (see there); no list of all left
+        sides is sorted by a Python key.
         """
         self._code = code = {g: chr(_BASE - i) for g, i in self._prec.items()}
         self._letter = {c: g for g, c in code.items()}
@@ -187,20 +224,18 @@ class ReductionSystem:
             sums = map(sum, zip(zero, *[coords[c] for c in s]))
             return tuple(x % m if m else x for x, m in zip(sums, moduli))
 
-        self.left_sides = left_sides = {}
         self._rewrites = rewrites = {}
+        heads = {}  # first code letter -> the rest of each left side
         self._signed = signed = {}  # lhs -> (rhs, 1 or -1) of a sign-only rule
         one = _SIGNS[0]
         for rule in self.rules:
             letters = rule.lhs.letters
             if not letters:
                 raise ValueError("rule with empty left side")
-            size = len(left_sides)
-            left_sides.setdefault(letters, rule)
-            if len(left_sides) == size:  # letters was a left side already
-                raise ValueError(f"duplicate rule left side {rule.lhs}")
             try:
                 lhs = "".join([code[g] for g in letters])
+                if lhs in rewrites:
+                    raise ValueError(f"duplicate rule left side {rule.lhs}")
                 # A unit coefficient is H_ONE itself, so `_reduce` skips it.
                 rhs = [("".join([code[g] for g in w.letters]),
                         c if c.n != one or c.d != 1 else H_ONE)
@@ -208,6 +243,7 @@ class ReductionSystem:
             except KeyError as exc:
                 raise ValueError(f"rule uses foreign generator {exc.args[0]}") from None
             rewrites[lhs] = rhs
+            heads.setdefault(lhs[0], []).append(lhs[1:])
             if len(rhs) == 1:
                 w, c = rhs[0]
                 if c.d == 1 and c.n in _SIGNS:
@@ -232,12 +268,14 @@ class ReductionSystem:
                     raise ValueError(
                         f"rule {rule} does not decrease the termination order at {word}"
                     )
-        lefts = sorted(rewrites, key=lambda s: (len(s), s))
-        self._reach = len(lefts[-1]) - 1 if lefts else 0
-        if len(self.generators) > _UNESCAPED:  # some code letter is ASCII
-            lefts = map(re.escape, lefts)
-        # "(?!)" never matches: without rules every word is irreducible.
-        self._redex = re.compile("|".join(lefts) or "(?!)")
+        self._reach = max(map(len, rewrites), default=1) - 1
+        # Some code letter is ASCII only with this many generators.
+        self._redex = re.compile(_alternation(heads, len(self.generators) > _UNESCAPED))
+
+    @cached_property
+    def left_sides(self) -> dict:
+        """Each rule's left side (a tuple of letters) -> the rule."""
+        return {rule.lhs.letters: rule for rule in self.rules}
 
     def _encode(self, letters) -> str:
         try:

@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsalg import (
@@ -19,13 +19,16 @@ from epsalg import (
     R2,
     Scalar,
     Sym,
+    Word,
     build_noa,
     element_from_text,
     evaluate,
     parse,
+    parse_preset,
     print_expr,
     scalar_from_text,
 )
+from epsalg.exprparse import _monomial_word
 
 
 # ------------------------------------------------------------------- parsing
@@ -145,3 +148,72 @@ def test_power_evaluation():
     alg = build_noa("c", 1)
     assert element_from_text("(a1 + ad1)^0", alg) == Element.one()
     assert element_from_text("a1^3", alg) == alg.parse("a1*a1*a1")
+
+
+# ------------------------------------------------------------------ monomials
+
+_MONOMIAL_PRESETS = [
+    f"{family}:n={n}"
+    for family in ["fermion", "pseudo-fermion", "excl", "excl-dual", "boson", "pseudo-boson"]
+    for n in (1, 2, 3)
+] + ["cex", "ext:n=3", "qplane:2"]
+
+
+def _evaluated(text, alg):
+    """The general path: tokenizer, parser and evaluator."""
+    return evaluate(parse(text), {g.label: Element.from_word(g) for g in alg.generators})
+
+
+@st.composite
+def _monomials(draw):
+    alg = parse_preset(draw(st.sampled_from(_MONOMIAL_PRESETS)))
+    labels = st.sampled_from([g.label for g in alg.generators])
+    # No exponent, or one of 1 to 6 digits, leading zeros and 0 included.
+    exps = st.one_of(st.just(""), st.tuples(st.integers(1, 6), st.integers(0, 12)).map(
+        lambda z: "^" + str(z[1]).zfill(z[0])))
+    factors = draw(st.lists(st.tuples(labels, exps), min_size=1, max_size=10))
+    return alg, "*".join(label + exp for label, exp in factors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomials())
+def test_a_monomial_is_read_as_the_word_the_evaluator_builds(case):
+    alg, text = case
+    assert _monomial_word(text, alg._by_label) is not None
+    got, want = element_from_text(text, alg), _evaluated(text, alg)
+    assert got == want and str(got) == str(want)
+
+
+@pytest.mark.parametrize(
+    "text, result",
+    [
+        ("a1 * a2", "a1*a2"),
+        ("h*a1", "h*a1"),
+        ("r2*a1", "r2*a1"),
+        ("I", "I"),
+        ("a1²", "EvalError: unknown generator 'a1²' (offset 0)"),
+        ("a1*", "ParseError: unexpected token 'end' (offset 3)"),
+        ("a1^", "ParseError: expected 'INT', found 'end' (offset 3)"),
+        ("a1^-1", "ParseError: expected 'INT', found '-' (offset 3)"),
+        ("a1^1000001", "ValueError: (1-letter word)^1000001 exceeds 10**6 letters"),
+        ("a1^1000000*a1", "a1^1000001"),
+        ("b7", "EvalError: unknown generator 'b7' (offset 0)"),
+        ("a1*b7^2", "EvalError: unknown generator 'b7' (offset 3)"),
+    ],
+)
+def test_other_texts_take_the_general_path(text, result):
+    alg = parse_preset("boson:n=2")
+    assert _monomial_word(text, alg._by_label) is None
+    try:
+        got = str(element_from_text(text, alg))
+    except ValueError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == result
+
+
+def test_a_zero_power_leaves_its_letter_out():
+    alg = parse_preset("boson:n=2")
+    a1, a2 = alg.gen("a1"), alg.gen("a2")
+    assert element_from_text("a1^0", alg) == Element.one()
+    assert element_from_text("a1^000*a2^2", alg) == Element.from_word(Word((a2, a2)))
+    assert element_from_text("a1^999999", alg) == Element.from_word(Word([a1] * 999999))

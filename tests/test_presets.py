@@ -420,6 +420,17 @@ def test_relations_are_free_elements():
     assert all(alg.normalize(r).is_zero() for r in rels)
 
 
+def test_relations_are_built_once_per_algebra(monkeypatch):
+    preset = build_noa("a", 2)
+    alg = presets.Algebra(preset.label, preset.family, preset.system, preset.factor, preset.h)
+    built = []
+    sub = Element.__sub__
+    monkeypatch.setattr(Element, "__sub__", lambda x, y: built.append(y) or sub(x, y))
+    first = alg.relations()
+    assert len(built) == len(alg.system.rules) == len(first)
+    assert alg.relations() is first and len(built) == len(first)
+
+
 # ------------------------------------------------- the family table's rules
 #
 # The six families were written out by hand before one parameter table

@@ -11,7 +11,6 @@ import itertools
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 
@@ -332,11 +331,8 @@ def _word_build(generators, rules):
         lhs: (rhs[0][0], 1 if rhs[0][1] == H_ONE else -1)
         for lhs, rhs in rewrites.items() if len(rhs) == 1 and rhs[0][1] in (H_ONE, -H_ONE)
     }
-    lefts = sorted(rewrites, key=lambda s: (len(s), s))
-    pattern = "|".join(map(re.escape, lefts)) or "(?!)"
-    reach = len(lefts[-1]) - 1 if lefts else 0
-    return (list(left_sides.items()), list(rewrites.items()), list(signed.items()),
-            pattern, reach)
+    reach = max(map(len, rewrites), default=1) - 1
+    return (list(left_sides.items()), list(rewrites.items()), list(signed.items()), reach)
 
 
 def _one_pass_build(generators, rules):
@@ -345,7 +341,27 @@ def _one_pass_build(generators, rules):
     except ValueError as exc:
         return str(exc)
     return (list(sys_.left_sides.items()), list(sys_._rewrites.items()),
-            list(sys_._signed.items()), sys_._redex.pattern, sys_._reach)
+            list(sys_._signed.items()), sys_._reach)
+
+
+def _leftmost_shortest(lefts, s: str, k: int):
+    """Span of the leftmost, then shortest, left side in s at or after k, or
+    None: every start, then every end, in turn."""
+    for pos in range(k, len(s)):
+        for end in range(pos + 1, len(s) + 1):
+            if s[pos:end] in lefts:
+                return pos, end
+    return None
+
+
+def _assert_redex_spans(sys_, words):
+    """The redex pattern finds, from every start of every code string in
+    `words`, the span the brute-force scan finds."""
+    lefts = set(sys_._rewrites)
+    for s in words:
+        for k in range(len(s) + 1):
+            match = sys_._redex.search(s, k)
+            assert (match and match.span()) == _leftmost_shortest(lefts, s, k), (s, k)
 
 
 _PARITY_PRESETS = [
@@ -428,6 +444,9 @@ def test_one_pass_build_matches_the_word_build():
             if isinstance(want, str):
                 refusals.add(next(why for why in _REFUSALS if why in want))
         assert not isinstance(_one_pass_build(gens, rules), str), name
+        lefts = list(sys_._rewrites)
+        _assert_redex_spans(sys_, lefts + [a + b for a, b in zip(lefts, lefts[::-1])]
+                            + sys_._irreducible_codes(3)[-3:])
         signed = _one_pass_build(gens, rules)[2]
         signs.update(sign for _, (_, sign) in signed)
     # Every check refused some rule set, and both signs were followed.
@@ -950,7 +969,7 @@ def test_generator_count_is_bounded_by_the_encoding():
 
 
 @pytest.mark.parametrize("count", [_UNESCAPED, MAX_GENERATORS])
-def test_the_redex_pattern_is_the_escaped_pattern(count):
+def test_the_redex_pattern_on_either_side_of_escaping(count):
     # Precedence i is coded chr(_BASE - i): with _UNESCAPED generators no
     # code is ASCII, and with all of them "." and "|" are codes too.
     grade = Grade((1,))
@@ -962,13 +981,57 @@ def test_the_redex_pattern_is_the_escaped_pattern(count):
     swaps = [(by_code[p], by_code[q]) for p, q in pairs]
     rules = [Rule(Word((x, y)), Element.from_word(Word((y, x)))) for x, y in swaps]
     sys_ = ReductionSystem(gens, rules)
-    lefts = sorted(sys_._rewrites, key=lambda s: (len(s), s))
+    lefts = sorted(sys_._rewrites)
     assert lefts == sorted(p + q for p, q in pairs)
-    assert sys_._redex.pattern == "|".join(map(re.escape, lefts))
+    codes = {c for left in lefts for c in left} | {chr(_BASE)}
+    _assert_redex_spans(sys_, lefts + ["".join(w) for w in itertools.product(codes, repeat=3)])
     for x, y in swaps:
         assert sys_.normalize(Word((x, y))) == Element.from_word(Word((y, x)))
         for word in (Word((y, y, x)), Word((gens[0], y))):  # no redex in either
             assert sys_.normalize(word) == Element.from_word(word)
+
+
+@functools.cache
+def _every_generator():
+    grade = Grade((1,))
+    return tuple(Generator("x", i, grade) for i in range(MAX_GENERATORS))
+
+
+# With every generator, every ASCII character is a code letter; these are
+# special in a regular expression.
+_ASCII_CODES = ".|*+]-^\\"
+
+
+@st.composite
+def _code_left_sides(draw, alphabet):
+    """Distinct left sides over `alphabet`, with some prefixes of others."""
+    word = st.text(alphabet, min_size=1, max_size=4)
+    lefts = draw(st.lists(word, min_size=1, max_size=8))
+    cuts = draw(st.lists(st.integers(1, 3), max_size=len(lefts)))
+    lefts += [w[:k] for w, k in zip(lefts, cuts)]
+    return list(dict.fromkeys(lefts))
+
+
+def _redex_matches_the_scan(data, count, alphabet):
+    gens = _every_generator()[:count]
+    lefts = data.draw(_code_left_sides(alphabet))
+    rules = [Rule(Word([gens[_BASE - ord(c)] for c in s]), Element.zero()) for s in lefts]
+    sys_ = ReductionSystem(gens, rules)
+    words = data.draw(st.lists(st.text(alphabet, max_size=8), max_size=6))
+    _assert_redex_spans(sys_, words + lefts + [a + b for a in lefts for b in lefts])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_redex_is_the_leftmost_then_shortest_left_side(data):
+    _redex_matches_the_scan(data, 4, "".join(chr(_BASE - i) for i in range(4)))
+
+
+# Each system has every generator, so examples are few.
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_the_redex_of_ascii_code_letters_is_the_leftmost_then_shortest(data):
+    _redex_matches_the_scan(data, MAX_GENERATORS, _ASCII_CODES + chr(_BASE))
 
 
 def test_foreign_letters_are_refused():
