@@ -20,15 +20,16 @@ The grammar is the same for every text, but `element_from_text` reads a
 monomial as one word: a text that is nothing but generator labels, each
 bare or raised to at most six ASCII digits, joined by '*' with no spaces
 (`_MONOMIAL`), becomes the element of that one word with coefficient 1,
-which is what evaluating it gives.  Any other text, a reserved name or an
-unknown label included, goes through the tokenizer, parser and evaluator,
-which make every refusal and its offset.
+which is what evaluating it gives.  Any other text, a reserved name, an
+unknown label or a word past `freealg.MAX_LETTERS` letters included, goes
+through the tokenizer, parser and evaluator, which make every refusal and
+its offset.
 """
 from __future__ import annotations
 
 import re
 
-from .freealg import EMPTY_WORD, Element, Word
+from .freealg import EMPTY_WORD, MAX_LETTERS, Element, Word
 from .scalars import MAX_DIGITS, H, I, R2, HPoly, Scalar, _Value
 
 
@@ -356,7 +357,8 @@ _MONOMIAL = re.compile(rf"{_FACTOR}(?:\*{_FACTOR})*", re.ASCII)
 
 def _monomial_word(text: str, by_label: dict):
     """The word of a monomial text (module docstring), or None when the text
-    is not one or names a reserved identifier or a label not in `by_label`."""
+    is not one, names a reserved identifier or a label not in `by_label`, or
+    holds more than `MAX_LETTERS` letters."""
     if _MONOMIAL.fullmatch(text) is None:
         return None
     letters = []
@@ -365,10 +367,10 @@ def _monomial_word(text: str, by_label: dict):
         g = by_label.get(label)
         if g is None or label in _RESERVED:
             return None
-        if exp:
-            letters += [g] * int(exp)
-        else:
-            letters.append(g)
+        count = int(exp) if exp else 1
+        if len(letters) + count > MAX_LETTERS:  # the general path refuses it
+            return None
+        letters += [g] * count
     return Word(letters)
 
 

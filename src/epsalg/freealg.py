@@ -15,6 +15,9 @@ from math import gcd
 from .grading import Grade
 from .scalars import H_ONE, HPoly, _Arithmetic, join_signed
 
+# The longest word a product or a power may build.
+MAX_LETTERS = 10**6
+
 
 class Generator:
     __slots__ = ("name", "index", "grade", "label", "_hash", "_key")
@@ -135,7 +138,7 @@ class Element(_Arithmetic):
             prev = out.pop(word, None)
             if prev is not None:
                 coeff = prev + coeff
-            if coeff:
+            if coeff.n:
                 out[word] = coeff
         self.terms = out
 
@@ -192,9 +195,15 @@ class Element(_Arithmetic):
         return Element((w, -c) for w, c in self.terms.items())
 
     def __mul__(self, other):
+        """The product; of two elements, refused before a word past
+        `MAX_LETTERS` letters, as `__pow__` refuses a power."""
         if isinstance(other, (Word, Generator)):
             other = Element.from_word(other)
         if isinstance(other, Element):
+            m = max(map(len, self.terms), default=0)
+            n = max(map(len, other.terms), default=0)
+            if m + n > MAX_LETTERS:
+                raise ValueError(f"({m}-letter word)*({n}-letter word) exceeds 10**6 letters")
             return Element(
                 (w1 * w2, c1 * c2)
                 for w1, c1 in self.terms.items()
@@ -219,7 +228,7 @@ class Element(_Arithmetic):
             if k > 1 and (n >= 20 or k**n > 10**6):  # 2**20 > 10**6
                 raise ValueError(f"({k} terms)^{n} would expand to more than 10**6 words")
             longest = max(map(len, self.terms), default=0)
-            if longest * n > 10**6:
+            if longest * n > MAX_LETTERS:
                 raise ValueError(f"({longest}-letter word)^{n} exceeds 10**6 letters")
             degree = self.h_degree()
             if degree * n > 10**6:

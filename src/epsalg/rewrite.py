@@ -49,7 +49,10 @@ w1*w2 as a tuple of (Word, HPoly) pairs, () for zero.  Only `mul_sum` fills
 it; `normalize`, `iter_ambiguities` and the basis code neither read nor
 write it.  Its words, coefficients and pairs go through `_shared`, a table
 of one object per value, so each appears once per system however many
-entries hold it.
+entries hold it; a coefficient +-1 is `H_ONE` or `H_MINUS_ONE` itself, so
+`mul_sum` applies it as a sign.  `mul_sum` multiplies coefficients only for
+a term it keeps: with `degree=k`, a pair whose normal form has no h^k part
+costs a lookup and no product.
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ from heapq import heappop, heappush
 
 from .freealg import EMPTY_WORD, Element, Generator, Word
 from .grading import Grade
-from .scalars import _SIGNS, H_ONE, HPoly, _Record, _Value
+from .scalars import _SIGNS, H_MINUS_ONE, H_ONE, HPoly, _Record, _unit, _Value
 
 
 # The highest code point below the surrogates: precedences 0 .. _BASE map to
@@ -227,7 +230,6 @@ class ReductionSystem:
         self._rewrites = rewrites = {}
         heads = {}  # first code letter -> the rest of each left side
         self._signed = signed = {}  # lhs -> (rhs, 1 or -1) of a sign-only rule
-        one = _SIGNS[0]
         for rule in self.rules:
             letters = rule.lhs.letters
             if not letters:
@@ -236,9 +238,8 @@ class ReductionSystem:
                 lhs = "".join([code[g] for g in letters])
                 if lhs in rewrites:
                     raise ValueError(f"duplicate rule left side {rule.lhs}")
-                # A unit coefficient is H_ONE itself, so `_reduce` skips it.
-                rhs = [("".join([code[g] for g in w.letters]),
-                        c if c.n != one or c.d != 1 else H_ONE)
+                # A coefficient 1 is H_ONE itself, so `_reduce` skips it.
+                rhs = [("".join([code[g] for g in w.letters]), _unit(c))
                        for w, c in rule.rhs.terms.items()]
             except KeyError as exc:
                 raise ValueError(f"rule uses foreign generator {exc.args[0]}") from None
@@ -316,27 +317,44 @@ class ReductionSystem:
         `degree=k` its h^k part (zero for k < 0), with no free product: the
         normal form of each word pair is looked up in `_nf` under the pair
         (w1, w2), so a hit builds and hashes no concatenated word, and all
-        terms go to one `Element` call.  The h^k part reads the h^k
-        coefficient of each normal form alone, so every s*c1*c2 must be free
-        of h (else ValueError).  This is the one method that fills `_nf`
-        (through `_cached_nf`); its entries are tuples of (word,
-        coefficient) pairs, iterated as they are."""
+        terms go to one `Element` call.  This is the one method that fills
+        `_nf` (through `_cached_nf`); its entries are tuples of (word,
+        coefficient) pairs, iterated as they are.
+
+        A product is formed only for a coefficient it keeps.  An s of +-1
+        leaves c1 as it is or negates it, and an entry coefficient of +-1
+        (`H_ONE` or `H_MINUS_ONE` itself, see `_cached_nf`) takes c1*c2 or
+        its negation.  The h^k part reads the h^k coefficient of each normal
+        form alone, so every nonzero s*c1*c2 must be free of h (else
+        ValueError, before the lookup); it calls `part` only on a
+        coefficient of degree >= k and forms c1*c2 only once some term of
+        the pair has an h^k part, so a pair with an empty slice costs a
+        lookup and no product."""
         memo, reduce_pair, out = self._nf, self._cached_nf, []
+        append = out.append
         for s, x, y in terms:
             s, ys = HPoly.of(s), y.terms.items()
             for w1, c1 in x.terms.items():
-                if s is not H_ONE:
+                if s is H_MINUS_ONE:
+                    c1 = -c1
+                elif s is not H_ONE:
                     c1 = s * c1
                 for w2, c2 in ys:
-                    coeff = c1 * c2
-                    if degree is not None and not coeff.is_constant():
+                    if (degree is not None and (len(c1.n) > 4 or len(c2.n) > 4)
+                            and c1.n and c2.n):
                         require_h_free(x, y, Element.scalar(s))
                     nf = memo.get((w1, w2))
                     if nf is None:
                         nf = reduce_pair(w1, w2)
+                    coeff = None
                     for w, c in nf:
-                        if degree is None or (c := c.part(degree)):
-                            out.append((w, c * coeff))
+                        if degree is not None and (len(c.n) <= 4 * degree
+                                                   or not (c := c.part(degree))):
+                            continue
+                        if coeff is None:
+                            coeff = c1 * c2
+                        append((w, coeff if c is H_ONE else
+                                -coeff if c is H_MINUS_ONE else c * coeff))
         return Element(out)
 
     def _cached_nf(self, w1: Word, w2: Word = EMPTY_WORD) -> tuple:
@@ -347,14 +365,16 @@ class ReductionSystem:
         On a miss the words of the key and every word, coefficient and
         (word, coefficient) pair of the entry become the one object
         `_shared` holds for that value, so a value that many entries reach
-        is stored once per system.
+        is stored once per system.  A coefficient +-1 is shared as `H_ONE`
+        or `H_MINUS_ONE` itself, so `mul_sum` tells the units by identity.
         """
         nf = self._nf.get((w1, w2))
         if nf is None:
             share = self._shared.setdefault
             w1, w2 = share(w1, w1), share(w2, w2)
             terms = self._word_nf(Word(w1.letters + w2.letters)).terms
-            pairs = [(share(w, w), share(c, c)) for w, c in terms.items()]
+            pairs = [(share(w, w), share(c, c)) for w, c in
+                     ((w, _unit(c)) for w, c in terms.items())]
             nf = self._nf[w1, w2] = tuple([share(p, p) for p in pairs])
         return nf
 

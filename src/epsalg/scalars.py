@@ -37,12 +37,18 @@ Scalar, HPoly and freealg.Element share `_Arithmetic`: each gives `_coerce`
 `__mul__`; the base derives `of` (a TypeError for a foreign operand),
 `is_zero`, subtraction, division by a constant and square-and-multiply
 powers with unit `_coerce(1)`.  Scalar and HPoly also share `_Reduced`, the
-integer storage with its `_make`, equality, hash, negation and tau.  Zeros
-and the monomials +-h^k (1 and -1 among them) are absorbed in
-`HPoly.__mul__` alone, so callers need not test for them.  The library's
-record classes derive `repr` from their `__slots__` through `_Record`, and
-equality and hash too through `_Value`.  A coordinate is
-printed only up to `MAX_DIGITS` decimal digits; a longer one is a ValueError.
+integer storage with its `_make`, equality, hash, negation and tau;
+`_make` takes no gcd over d == 1, where the form is reduced already.
+`HPoly.__mul__` alone absorbs zeros and the monomials +-h^k, so callers
+need not test for them: a product of two constants is the other factor,
+or its negation, for a factor +-1, and else one table product (`_times`)
+over d1*d2 with no convolution.  `HPoly._coerce` makes 1 and -1 the
+singletons `H_ONE` and `H_MINUS_ONE` (`_unit`), so `rewrite` tells a unit
+coefficient by identity: the reducer skips a 1 and the product memo
+applies +-1 as a sign.  The library's record classes derive `repr` from
+their `__slots__` through `_Record`, and equality and hash too through
+`_Value`.  A coordinate is printed only up to `MAX_DIGITS` decimal digits;
+a longer one is a ValueError.
 """
 from __future__ import annotations
 
@@ -169,11 +175,13 @@ class _Reduced(_Arithmetic):
 
     @classmethod
     def _make(cls, n: tuple, d: int):
-        """n/d, reduced; d > 0 and no coercion of the arguments."""
-        g = gcd(d, *n)
-        if g != 1:
-            n = tuple(x // g for x in n)
-            d //= g
+        """n/d, reduced; d > 0 and no coercion of the arguments.  Over d == 1
+        the form is reduced already, and no gcd is taken."""
+        if d != 1:
+            g = gcd(d, *n)
+            if g != 1:
+                n = tuple(x // g for x in n)
+                d //= g
         s = _new(cls)
         s.n = n
         s.d = d
@@ -369,12 +377,15 @@ class HPoly(_Reduced):
     no trailing group of four is zero, so the zero polynomial is ()/1.
     `coeffs`, `coefficient(k)` and `constant()` read Scalars out of it.
 
-    A product with a factor +-h^k (d == 1, +-1 on top, every lower group
-    zero), either side, k = 0 included, is the other factor's numerators
-    behind 4k zeros, negated for -, over its own d: already canonical, so
-    it makes no `_convolve` and no gcd.  The shorter factor is tried first,
-    so a factor 1 returns the other one itself, unless that is -1.  A product with zero is
-    zero, and every other product convolves.
+    A product of two constants is the other factor, or its negation, for
+    a factor +-1 (the right one tried first), else the table product of
+    the two groups over d1*d2, reduced.  A product with a factor +-h^k
+    (d == 1, +-1 on top, every lower group zero), either side, k = 0
+    included, is the other factor's numerators behind 4k zeros, negated
+    for -, over its own d: already canonical, so it makes no `_convolve`
+    and no gcd.  The shorter factor is tried first, so a factor 1 returns
+    the other one itself, unless that is -1.  A product with zero is zero,
+    and every other product convolves.
     """
 
     __slots__ = ()
@@ -397,7 +408,7 @@ class HPoly(_Reduced):
         if type(value) is HPoly:
             return value
         c = Scalar._coerce(value)
-        return None if c is None else _hmake(c.n if c else (), c.d)
+        return None if c is None else _unit(_hmake(c.n if c else (), c.d))
 
     @property
     def degree(self) -> int:
@@ -452,6 +463,12 @@ class HPoly(_Reduced):
         a, b = self.n, other.n
         if not a or not b:
             return H_ZERO
+        if len(a) == 4 == len(b):  # two constants: +-1 is a sign, else one table product
+            if other.d == 1 and b in _SIGNS:
+                return self if b[0] == 1 else -self
+            if self.d == 1 and a in _SIGNS:
+                return other if a[0] == 1 else -other
+            return _hmake(_times(a, b), self.d * other.d)
         if len(a) < len(b):  # so 1 * h^k returns h^k itself, not a copy
             self, other, a, b = other, self, b, a
         # A monomial +-h^k: one nonzero numerator, +-1 on top, over 1.
@@ -496,6 +513,14 @@ class HPoly(_Reduced):
 
 
 _hmake = HPoly._make
+
+
+def _unit(p: HPoly) -> HPoly:
+    """p, or `H_ONE` or `H_MINUS_ONE` itself when p is 1 or -1, so that a
+    caller can tell a unit coefficient by identity."""
+    if p.d == 1 and p.n in _SIGNS:
+        return H_ONE if p.n[0] == 1 else H_MINUS_ONE
+    return p
 
 
 def _prefix(c: tuple, d: int) -> str:

@@ -318,6 +318,12 @@ def test_power_beyond_a_million_letters_is_a_one_line_error():
     assert "10**6 letters" in proc.stderr
 
 
+def test_product_beyond_a_million_letters_is_a_one_line_error():
+    proc = _child("normalize", "--alg", "boson:n=1", "a1^999999*a1^2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: (999999-letter word)*(2-letter word) exceeds 10**6 letters\n"
+
+
 def test_power_beyond_a_million_h_degrees_is_a_one_line_error():
     # Without the budget h^2000000 builds 2,000,001 coefficients for seconds;
     # the child's timeout turns a budget that does not hold into a failure.

@@ -196,7 +196,9 @@ def test_a_monomial_is_read_as_the_word_the_evaluator_builds(case):
         ("a1^", "ParseError: expected 'INT', found 'end' (offset 3)"),
         ("a1^-1", "ParseError: expected 'INT', found '-' (offset 3)"),
         ("a1^1000001", "ValueError: (1-letter word)^1000001 exceeds 10**6 letters"),
-        ("a1^1000000*a1", "a1^1000001"),
+        ("a1^1000000*a1", "ValueError: (1000000-letter word)*(1-letter word) exceeds 10**6 letters"),
+        # A monomial past 10**6 letters is left to the general path, which refuses it.
+        ("a1^999999*a2^2", "ValueError: (999999-letter word)*(2-letter word) exceeds 10**6 letters"),
         ("b7", "EvalError: unknown generator 'b7' (offset 0)"),
         ("a1*b7^2", "EvalError: unknown generator 'b7' (offset 3)"),
     ],

@@ -171,6 +171,20 @@ def test_power_refuses_an_expansion_beyond_a_million_words():
         (e + Element.one()) ** 13
 
 
+def test_product_refuses_a_word_beyond_a_million_letters():
+    long, short = Element.from_word(Word((X,) * (10**6 - 2))), Element.from_word(Word((Y, Y)))
+    mixed = short + Element.from_word(X) * 3
+    assert len(next(iter((long * short).terms))) == 10**6
+    assert len((short * long * Element.one()).terms) == 1
+    for left, right, m, n in ((long, mixed * X, 10**6 - 2, 3), (mixed, long * X, 2, 10**6 - 1)):
+        with pytest.raises(ValueError) as err:
+            left * right
+        assert str(err.value) == f"({m}-letter word)*({n}-letter word) exceeds 10**6 letters"
+    with pytest.raises(ValueError, match="10\\*\\*6 letters"):
+        X * (long * Word((Y, Y)))
+    assert long * Element.zero() == Element.zero()
+
+
 def test_power_refuses_coefficients_beyond_a_million_bits_or_degrees():
     assert (Element.one() * (1 + Scalar(0, 1))) ** 64 == Element.scalar(2**32)
     with pytest.raises(ValueError, match="h-degree 10\\*\\*6"):

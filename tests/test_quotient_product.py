@@ -15,11 +15,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsalg import (
     FACTOR_PRESETS,
     FAMILY_NAMES,
     H,
+    H_ONE,
+    MINUS_ONE,
+    ONE,
     I,
     Algebra,
     BracketContext,
@@ -51,6 +56,8 @@ from epsalg import (
 )
 from epsalg.brackets import _lie_residuals
 from epsalg.cli import run
+from epsalg.scalars import H_MINUS_ONE
+from value_strategies import bounded_fractions, scalars_of
 
 FAMILIES = ["a", "a'", "b", "b'", "c", "c'"]
 
@@ -190,6 +197,69 @@ def test_pairs_with_one_concatenation_have_one_product(name, build):
         a1, ad1 = alg.parse("a1"), alg.parse("ad1")
         left, right = system.mul(a1, alg.parse("a1*ad1")), system.mul(alg.parse("a1*a1"), ad1)
         assert left == right == alg.normalize(alg.parse("a1*a1*ad1"))
+
+
+# -------------------------------------- the shortcuts against their definitions
+
+# Scales and coefficients: 0 and +-1 as ints, Scalars and HPolys (the unit
+# singletons and fresh objects equal to them), Fractions, and field values
+# with all four coordinates, I*r2 included.
+_FRACTIONS = bounded_fractions(3, 4)
+_SCALES = st.one_of(
+    st.sampled_from([0, 1, -1, ONE, MINUS_ONE, H_ONE, H_MINUS_ONE, HPoly((ONE,)), -H_ONE]),
+    _FRACTIONS,
+    scalars_of(_FRACTIONS),
+)
+
+
+@st.composite
+def _product_sums(draw, h_free):
+    """An algebra and terms (s, x, y) over it; with h in coefficients and
+    scales unless `h_free`."""
+    alg = draw(st.sampled_from(ALGEBRAS))[1]()
+    coeffs = _SCALES if h_free else st.one_of(
+        _SCALES, st.lists(scalars_of(_FRACTIONS), min_size=2, max_size=3).map(HPoly))
+    words = st.lists(st.sampled_from(alg.generators), max_size=4).map(Word)
+    elements = st.lists(st.tuples(words, coeffs), max_size=3).map(Element)
+    return alg, draw(st.lists(st.tuples(coeffs, elements, elements), min_size=1, max_size=3))
+
+
+def _free_sum(alg, terms):
+    return alg.normalize(Element.sum(x * y * s for s, x, y in terms))
+
+
+def _assert_units_are_the_singletons(system):
+    for nf in system._nf.values():
+        for _, c in nf:
+            if c == H_ONE or c == H_MINUS_ONE:
+                assert c is H_ONE or c is H_MINUS_ONE
+
+
+@settings(max_examples=80, deadline=None)
+@given(_product_sums(h_free=False))
+def test_a_sum_of_products_is_the_normal_form_of_the_free_sum(case):
+    alg, terms = case
+    want = _free_sum(alg, terms)
+    assert Element.sum(alg.mul(x, y) * s for s, x, y in terms) == want
+    system = ReductionSystem(alg.system.generators, alg.system.rules)
+    for _ in range(2):  # on a fresh system, then on the same, warm one
+        assert system.mul_sum(terms) == want
+    _assert_units_are_the_singletons(system)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_product_sums(h_free=True), st.integers(-1, 3))
+def test_a_slice_is_the_h_coefficient_of_the_sum(case, k):
+    alg, terms = case
+    want = _free_sum(alg, terms).h_coefficient(k)
+    for slice_first in (True, False):
+        system = ReductionSystem(alg.system.generators, alg.system.rules)
+        for _ in range(2):  # each way first on a fresh system, then warm
+            if slice_first:
+                assert system.mul_sum(terms, k) == want
+            assert system.mul_sum(terms).h_coefficient(k) == want
+            assert system.mul_sum(terms, k) == want
+        _assert_units_are_the_singletons(system)
 
 
 # ------------------------------------------- the free-product formulas, kept

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from epsalg import H, H_ONE, H_ZERO, HALF, I, MINUS_ONE, ONE, R2, ZERO, Element, HPoly, Scalar
 from epsalg import Word, parse_preset, scalar_from_text
 from epsalg.presets import PRESETS
-from epsalg.scalars import _SIGNS, _ZERO_N, _convolve, _render, join_signed
+from epsalg.scalars import _SIGNS, _ZERO_N, H_MINUS_ONE, _convolve, _render, join_signed
 from test_scalar_canonical import assert_flat
 from value_strategies import HPOLYS, SCALARS, UNITS, bounded_fractions, hpolys_of, scalars_of
 from value_strategies import specials
@@ -368,6 +368,35 @@ def test_a_product_with_a_signed_power_of_h_is_the_convolution(sign, k, x):
         assert sympy.expand(hpoly_to_sympy(got) - exact) == 0
         if (sign, k) == (1, 0) and x and x.n not in _SIGNS:  # no copy, even of h^j
             assert got is x
+
+
+def test_plus_and_minus_one_coerce_to_the_unit_singletons():
+    for one in (1, ONE, Scalar(1), Fraction(1), Fraction(2, 2)):
+        assert HPoly.of(one) is H_ONE
+    for minus_one in (-1, MINUS_ONE, Scalar(-1), Fraction(-1)):
+        assert HPoly.of(minus_one) is H_MINUS_ONE
+
+
+# Constants over d != 1, and +-1 as the singletons and as fresh objects, so
+# that each branch of the product of two constants is taken.
+constant_hpolys = st.one_of(
+    st.sampled_from([H_ONE, H_MINUS_ONE, HPoly((ONE,)), -H_ONE, HPoly.of(HALF), HPoly.of(-HALF)]),
+    nonzero_scalars.map(HPoly.of),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(constant_hpolys, constant_hpolys)
+@example(HPoly.of(R2 * I / 3), HPoly.of(R2 * I * 3 / 2))  # over 3 and 2, the product -1 over 1
+@example(HPoly.of(HALF), HPoly.of(Scalar(2, 0, 2, 0)))  # over 2 and 1, the product 1 + r2 over 1
+def test_a_product_of_constants_is_the_field_product_in_lowest_terms(a, b):
+    want = from_sympy(to_sympy(a.constant()) * to_sympy(b.constant()))
+    for got in (a * b, b * a):
+        assert_flat(got)  # in lowest terms
+        assert got.is_constant() and got.constant() == want
+    for unit, other in ((a, b), (b, a)):
+        if unit.d == 1 and unit.n in _SIGNS:
+            assert unit * other == other * unit == (other if unit.n[0] == 1 else -other)
 
 
 @settings(max_examples=30, deadline=None)
