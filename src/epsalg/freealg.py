@@ -138,7 +138,7 @@ class Element(_Arithmetic):
             prev = out.pop(word, None)
             if prev is not None:
                 coeff = prev + coeff
-            if coeff.n:
+            if coeff:
                 out[word] = coeff
         self.terms = out
 

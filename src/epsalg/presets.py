@@ -194,8 +194,6 @@ class Algebra:
     def components(self, x: Element) -> dict:
         """Split x by grade (as `freealg.homogeneous_components`); a
         homogeneous x is its own single piece, split no further."""
-        if len(x.terms) == 1:
-            return {self.word_grade(next(iter(x.terms))): x}
         grades = list(map(self.word_grade, x.terms))
         if grades and grades.count(grades[0]) == len(grades):
             return {grades[0]: x}

@@ -39,10 +39,10 @@ Scalar, HPoly and freealg.Element share `_Arithmetic`: each gives `_coerce`
 powers with unit `_coerce(1)`.  Scalar and HPoly also share `_Reduced`, the
 integer storage with its `_make`, equality, hash, negation and tau;
 `_make` takes no gcd over d == 1, where the form is reduced already.
-`HPoly.__mul__` alone absorbs zeros and the monomials +-h^k, so callers
-need not test for them: a product of two constants is the other factor,
-or its negation, for a factor +-1, and else one table product (`_times`)
-over d1*d2 with no convolution.  `HPoly._coerce` makes 1 and -1 the
+`HPoly.__mul__` alone absorbs zeros and the monomials +-h^k (1 and -1
+among them), so callers need not test for them; any other product of two
+constants is one table product (`_times`) over d1*d2, with no
+convolution.  `HPoly._coerce` makes 1 and -1 the
 singletons `H_ONE` and `H_MINUS_ONE` (`_unit`), so `rewrite` tells a unit
 coefficient by identity: the reducer skips a 1 and the product memo
 applies +-1 as a sign.  The library's record classes derive `repr` from
@@ -377,15 +377,14 @@ class HPoly(_Reduced):
     no trailing group of four is zero, so the zero polynomial is ()/1.
     `coeffs`, `coefficient(k)` and `constant()` read Scalars out of it.
 
-    A product of two constants is the other factor, or its negation, for
-    a factor +-1 (the right one tried first), else the table product of
-    the two groups over d1*d2, reduced.  A product with a factor +-h^k
-    (d == 1, +-1 on top, every lower group zero), either side, k = 0
-    included, is the other factor's numerators behind 4k zeros, negated
-    for -, over its own d: already canonical, so it makes no `_convolve`
-    and no gcd.  The shorter factor is tried first, so a factor 1 returns
-    the other one itself, unless that is -1.  A product with zero is zero,
-    and every other product convolves.
+    A product with a factor +-h^k (d == 1, +-1 on top, every lower group
+    zero), either side, k = 0 included, is the other factor's numerators
+    behind 4k zeros, negated for -, over its own d: already canonical, so
+    it makes no `_convolve` and no gcd.  The shorter factor is tried first,
+    so a factor 1 returns the other one itself, unless that is -1.  A
+    product with zero is zero, any other product of two constants is the
+    table product of the two groups over d1*d2, reduced, and every other
+    product convolves.
     """
 
     __slots__ = ()
@@ -463,12 +462,6 @@ class HPoly(_Reduced):
         a, b = self.n, other.n
         if not a or not b:
             return H_ZERO
-        if len(a) == 4 == len(b):  # two constants: +-1 is a sign, else one table product
-            if other.d == 1 and b in _SIGNS:
-                return self if b[0] == 1 else -self
-            if self.d == 1 and a in _SIGNS:
-                return other if a[0] == 1 else -other
-            return _hmake(_times(a, b), self.d * other.d)
         if len(a) < len(b):  # so 1 * h^k returns h^k itself, not a copy
             self, other, a, b = other, self, b, a
         # A monomial +-h^k: one nonzero numerator, +-1 on top, over 1.
@@ -476,6 +469,8 @@ class HPoly(_Reduced):
             return _shift(self, len(b) - 4, b[-4])
         if self.d == 1 and a[-4] in (1, -1) and a.count(0) == len(a) - 1:
             return _shift(other, len(a) - 4, a[-4])
+        if len(a) == 4:  # two constants: one table product
+            return _hmake(_times(a, b), self.d * other.d)
         # A product of nonzero polynomials has a nonzero top: no strip.
         return _hmake(_convolve(a, b), self.d * other.d)
 
