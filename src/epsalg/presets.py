@@ -2,9 +2,10 @@
 limits, the quantum plane, the invertible-pair counterexample, and
 epsilon-exterior algebras.
 
-Every builder returns an Algebra whose reduction system is confluent
-(certified at construction) and whose commutation factor is proved to
-satisfy the factor axioms over its whole grade group.
+An Algebra exists only certified: its constructor proves the commutation
+factor's axioms over the whole grade group and the reduction system
+confluent, or raises ValueError, so every builder here returns a
+certified Algebra.
 
 Confluence is certified by resolving every critical pair (`exhaustive`),
 except for the families whose diagonal relation is local (fermion,
@@ -113,9 +114,39 @@ def parse_modes(text: str) -> int:
 
 
 class Algebra:
-    """A graded algebra given by generators, a factor, and a confluent system."""
+    """A graded algebra given by generators, a factor, and a confluent system.
 
-    def __init__(self, label, family, system, factor, h, involution=None, params=None):
+    The constructor certifies: it proves the factor axioms in closed form,
+    then the system confluent, and a failure of either raises ValueError, as
+    does a factor whose size is not the size of the grades.  Nothing else is
+    checked: J and the rules' agreement with h are for the `structure` checks.
+
+    `three`, for a family with a local diagonal on n > 3 modes, is the
+    certified 3-mode algebra S_3 of the same row and h.  When `_local_shape`
+    finds one shape for S_n and S_3, hypotheses (1)-(4) of the module
+    docstring hold and the certificate of S_3 certifies S_n (LOCALITY).
+    Otherwise, and without `three`, every critical pair is resolved
+    (EXHAUSTIVE).
+    """
+
+    def __init__(self, label, family, system, factor, h, involution=None, params=None,
+                 three=None):
+        zero = system.zero_grade
+        if factor.dim != zero.dim:
+            raise ValueError(
+                f"{label}: a factor of size {factor.dim} cannot weigh grades of size {zero.dim}"
+            )
+        bad = verify_factor_axioms(factor, [zero])
+        if bad:
+            raise ValueError(f"{label}: commutation factor axioms fail: {bad}")
+        shape = None if three is None else _local_shape(system)
+        if shape is not None and shape == _local_shape(three.system):
+            self._certified_by = LOCALITY
+        else:
+            unresolved = system.check_confluence()
+            if unresolved:
+                raise ValueError(f"{label}: reduction system not confluent, e.g. {unresolved[0]}")
+            self._certified_by = EXHAUSTIVE
         self.label = label
         self.family = family
         self.system = system
@@ -127,11 +158,10 @@ class Algebra:
         self._by_label = {g.label: g for g in self.generators}
         self._basis = {}
         self._grades = {}  # word -> Grade, filled as words are met
-        self._certified_by = None
 
     @property
     def certified_by(self):
-        """EXHAUSTIVE or LOCALITY once certified at construction, else None."""
+        """EXHAUSTIVE or LOCALITY: how the constructor proved confluence."""
         return self._certified_by
 
     # ------------------------------------------------------------- structure
@@ -209,34 +239,6 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra({self.label})"
-
-
-def _certify(alg: Algebra, three=None) -> Algebra:
-    """Prove the factor axioms of `alg` in closed form, then certify its
-    system confluent; a failure of either raises ValueError.
-
-    `three`, for a family with a local diagonal on n > 3 modes, is the
-    certified 3-mode algebra S_3 of the same row and h.  When `_local_shape`
-    finds one shape for S_n and S_3, hypotheses (1)-(4) of the module
-    docstring hold and the certificate of S_3 certifies S_n (LOCALITY).
-    Otherwise, and without `three`, every critical pair is resolved
-    (EXHAUSTIVE).
-    """
-    bad = verify_factor_axioms(alg.factor, [alg.zero_grade])
-    if bad:
-        raise ValueError(f"{alg.label}: commutation factor axioms fail: {bad}")
-    if three is not None:
-        shape = _local_shape(alg.system)
-        if shape is not None and shape == _local_shape(three.system):
-            alg._certified_by = LOCALITY
-            return alg
-    unresolved = alg.system.check_confluence()
-    if unresolved:
-        raise ValueError(
-            f"{alg.label}: reduction system not confluent, e.g. {unresolved[0]}"
-        )
-    alg._certified_by = EXHAUSTIVE
-    return alg
 
 
 def _local_shape(system: ReductionSystem):
@@ -329,10 +331,8 @@ def _build_noa_cached(family: str, n: int, h: HPoly) -> Algebra:
         involution[x] = y
         involution[y] = x
     label = f"{tag}:n={n}" if h == H else f"{tag}:n={n},h={h}"
-    alg = Algebra(label, family, system, factor(n), h, involution, {"n": n})
-    if n > 3 and not collective:
-        return _certify(alg, _build_noa_cached(family, 3, h))
-    return _certify(alg)
+    three = _build_noa_cached(family, 3, h) if n > 3 and not collective else None
+    return Algebra(label, family, system, factor(n), h, involution, {"n": n}, three)
 
 
 def build_noa(family: str, n: int, h=H) -> Algebra:
@@ -376,8 +376,7 @@ def _build_qplane_cached(q: Scalar) -> Algebra:
     y = Generator("y", None, Grade((1, 0)))
     rule = Rule(Word((x, y)), Element.from_word(Word((y, x)), q))
     system = ReductionSystem((y, x), (rule,))
-    alg = Algebra(f"qplane:q={q}", "qplane", system, eps_q(q), H_ZERO, None, {"q": q})
-    return _certify(alg)
+    return Algebra(f"qplane:q={q}", "qplane", system, eps_q(q), H_ZERO, None, {"q": q})
 
 
 def build_quantum_plane(q) -> Algebra:
@@ -413,8 +412,7 @@ def build_counterexample() -> Algebra:
         Rule(Word((yi, xi)), neg(xi, yi)),
     )
     system = ReductionSystem((x, xi, y, yi), rules)
-    alg = Algebra("cex", "cex", system, counterexample_factor(), H_ZERO)
-    return _certify(alg)
+    return Algebra("cex", "cex", system, counterexample_factor(), H_ZERO)
 
 
 def build_epsilon_exterior(grades, factor: CommutationFactor, label: str = "ext") -> Algebra:
@@ -435,8 +433,7 @@ def build_epsilon_exterior(grades, factor: CommutationFactor, label: str = "ext"
             coeff = -factor.eval(vj.grade, vi.grade)
             rules.append(Rule(Word((vj, vi)), Element.from_word(Word((vi, vj)), coeff)))
     system = ReductionSystem(gens, rules)
-    alg = Algebra(label, "ext", system, factor, H_ZERO)
-    return _certify(alg)
+    return Algebra(label, "ext", system, factor, H_ZERO)
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ from epsalg import (
     ReductionSystem,
     Scalar,
     Word,
+    eps_c,
     grade_of,
     homogeneous_components,
     parse_preset,
@@ -276,7 +277,7 @@ def test_a_built_generator_keeps_the_formatted_label():
     gens = [Generator("x", None, grade), Generator("a", 1, grade), Generator("ad", 12, grade),
             Generator("v", 0, grade)]
     assert [g.label for g in gens] == ["x", "a1", "ad12", "v0"]
-    alg = Algebra("built", None, ReductionSystem(gens, []), None, 0)
+    alg = Algebra("built", None, ReductionSystem(gens, []), eps_c(2), 0)
     for g in gens:
         assert g.label == _formatted_label(g) == str(g)
         assert alg.gen(g.label) is g

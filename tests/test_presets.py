@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from epsalg import (
     CommutationFactor,
     Element,
+    Generator,
     Grade,
     H,
     HPoly,
@@ -192,11 +193,50 @@ def test_exterior_rejects_unknown_factor():
         build_exterior_preset(2, "eps_z")
 
 
+# ------------------------------------------------- the certifying constructor
+
+
+def _x_y(grades):
+    return Generator("x", None, Grade(grades[0])), Generator("y", None, Grade(grades[1]))
+
+
 def test_certification_rejects_factor_breaking_axiom_one():
     # eps(p1,p2)*eps(p2,p1) = 2**(1+0) = 2, so this is no commutation factor
     factor = CommutationFactor(Scalar.of(2), ((0, 1), (0, 0)))
     with pytest.raises(ValueError, match="commutation factor axioms fail"):
         build_epsilon_exterior([Grade((1, 0)), Grade((0, 1))], factor)
+    # eps(p,p)**2 = 4 on Z: the constructor, called directly, refuses it too
+    x, y = _x_y([(1,), (2,)])
+    with pytest.raises(ValueError, match="free: commutation factor axioms fail"):
+        presets.Algebra("free", "free", ReductionSystem((y, x), ()),
+                        CommutationFactor(2, ((1,),)), 0)
+
+
+def test_the_constructor_refuses_a_system_that_is_not_confluent():
+    # x*x -> y and x*y -> 0 reduce x^3 two ways: (x*x)*x = y*x, x*(x*x) = 0
+    x, y = _x_y([(1,), (2,)])
+    xx, xy = Word((x, x)), Word((x, y))
+    system = ReductionSystem((y, x), (Rule(xx, Element.from_word(y)), Rule(xy, Element.zero())))
+    with pytest.raises(ValueError) as err:
+        presets.Algebra("x3", "x3", system, eps_c(1), 0)
+    assert str(err.value) == (
+        "x3: reduction system not confluent, e.g. overlap at x^3: UNRESOLVED, residual y*x"
+    )
+
+
+def test_the_constructor_refuses_a_factor_of_another_size():
+    x, y = _x_y([(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="^m: a factor of size 3 cannot weigh grades of size 2$"):
+        presets.Algebra("m", "m", ReductionSystem((y, x), ()), eps_c(3), 0)
+
+
+def test_a_directly_built_algebra_is_certified_exhaustively():
+    x, y = _x_y([(0, 1), (1, 0)])
+    system = ReductionSystem((y, x), (Rule(Word((x, y)), Element.from_word(Word((y, x)))),))
+    alg = presets.Algebra("plane", "plane", system, eps_c(2), 0)
+    assert alg.certified_by == presets.EXHAUSTIVE
+    with pytest.raises(AttributeError):
+        alg.certified_by = None
 
 
 # ----------------------------------------------------- limits and parameters

@@ -435,6 +435,9 @@ def _sign_mutated_expansion():
              Rule(Word((a, ad)), Element.from_word(Word((ad, a))) + Element.scalar(H))]
     system = ReductionSystem(base.system.generators, rules)
     assert system.check_confluence()
+    # Algebra refuses a system that is not confluent, and this test needs
+    # one on purpose: only this instance reports no unresolved pair.
+    system.check_confluence = lambda: []
     return DeformationExpansion(Algebra("sign-mutated", base.family, system, base.factor, H,
                                         params=base.params))
 

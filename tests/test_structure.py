@@ -31,10 +31,12 @@ FAMILIES = ["a", "a'", "b", "b'", "c", "c'"]
 
 
 def _algebra(base: Algebra, involution=None, diagonal=()) -> Algebra:
-    """An uncertified algebra on base's generators, factor, h and parameters.
+    """An algebra on base's generators, factor, h and parameters.
 
     It takes base's rules, except that the diagonal rule a_i*ad_i of each
-    mode i in the dict `diagonal` becomes ad_i*a_i + diagonal[i].
+    mode i in the dict `diagonal` becomes ad_i*a_i + diagonal[i].  Its callers
+    pass bosons, which stay confluent under any diagonal constant, so the
+    algebra certifies; what is wrong in it is its J or its constants against h.
     """
     rules = []
     for rule in base.system.rules:
