@@ -105,7 +105,7 @@ def _algebra_from_args(args) -> Algebra:
 def _expansion_for(alg: Algebra) -> deformation.DeformationExpansion:
     if alg.family not in NOA_FAMILIES:
         raise UsageError(f"{alg.label} has no deformation expansion")
-    return deformation.DeformationExpansion(with_h(alg, H))
+    return deformation.DeformationExpansion(with_h(alg, H) if alg.h.is_constant() else alg)
 
 
 def _parser(alg: Algebra):

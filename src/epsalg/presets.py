@@ -8,34 +8,34 @@ confluent, or raises ValueError, so every builder here returns a
 certified Algebra.
 
 Confluence is certified by resolving every critical pair (`exhaustive`),
-except for the families whose diagonal relation is local (fermion,
-pseudo-fermion, boson, pseudo-boson) on n > 3 modes, which are certified
-from n = 3 (`locality`).  Rename each mode of a rule by its rank among the
-modes of its left side, so a rule on modes i < j reads as one on 1 < 2.
-The n-mode system S_n is confluent when S_3 is and:
+except on a local system S_n of n > 3 modes, certified from R, its own
+generators on modes 1-3 and the rules whose left side lies on them
+(`locality`).  Rename each mode of a rule by its rank among the modes of
+its left side, so a rule on modes i < j reads as one on 1 < 2.  S_n is
+confluent when R is and:
 
   (1) every left side of S_n has two letters;
   (2) every word of a right side of S_n uses only the modes of its left side;
   (3) every mode of S_n carries the same renamed rules, and so does every
-      pair of modes, and these are the renamed rules of S_3;
-  (4) the generators of S_n and of S_3 stand in precedence by name (in one
-      order for both) and then by mode.
+      pair of modes;
+  (4) the generators of S_n stand in precedence by name and then by mode.
 
 By (1), and as left sides are distinct, every critical pair is an overlap
 of three letters, so it lies on at most three modes i < j < k.  The map phi
 of modes 1 -> i, 2 -> j, 3 -> k, sending each letter to the letter of the
 same name, keeps the order of modes and so the renamed rules: by (3) the
-rules of S_n on those modes are the rules of S_3 under phi, and by (2) no
+rules of S_n on those modes are the rules of R under phi, and by (2) no
 reduction of a word on those modes leaves them.  phi keeps the positions
 of letters and, by (4), the precedence, so it keeps the termination order
 and the leftmost redex and commutes with the reducer: each critical pair
-of S_n and its resolution are the image under phi of one of S_3, and S_n
-is confluent exactly when S_3 is.  (1)-(4) are checked at every such build
-in one pass over the rules of S_n and of S_3, which is certified
-exhaustively once per family and h; if a check fails, the build resolves
-every critical pair of S_n instead.  The excl families (b, b') have the
-collective diagonal Sum_k, which breaks (2), so they, and every n <= 3,
-stay exhaustive.
+of S_n and its resolution are the image under phi of one of R, and S_n is
+confluent exactly when R is; a pair of R that does not resolve is one of
+S_n.  (1)-(4) are checked at every such build in one pass over the rules
+of S_n; if a check fails, every critical pair of S_n is resolved instead.
+So fermion, pseudo-fermion, boson, pseudo-boson, and `ext` with eps_c or
+eps_c', are local.  The excl families have the collective diagonal Sum_k,
+which breaks (2); `ext` with eps_a or eps_a' squares no odd generator, so
+its modes carry no rule and (3) fails.
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ NOA_FAMILIES = tuple(_FAMILY_ROWS)
 FAMILY_NAMES = {row[0]: row[1] for row in _FAMILY_TABLE}
 
 # Exhaustive certification grows as n^3 with the modes, so preset strings refuse
-# more; build_noa does not.  The local families, certified from n = 3,
+# more; build_noa does not.  The local families, certified from modes 1-3,
 # no longer bound it (boson:n=16 builds in 0.02 s, boson:n=40 in 0.1 s); excl and
 # excl-dual, exhaustive, do: 0.15-0.23 s each on 16 modes (2-CPU Xeon, Python 3.11).
 MAX_MODES = 16
@@ -89,7 +89,7 @@ MAX_MODES = 16
 MAX_H_DEGREE = 64
 
 # How an Algebra's reduction system was certified confluent (see the module
-# docstring): every critical pair resolved, or the locality proof from n = 3.
+# docstring): every critical pair resolved, or the locality proof from modes 1-3.
 EXHAUSTIVE = "exhaustive"
 LOCALITY = "locality from n=3"
 
@@ -121,16 +121,12 @@ class Algebra:
     does a factor whose size is not the size of the grades.  Nothing else is
     checked: J and the rules' agreement with h are for the `structure` checks.
 
-    `three`, for a family with a local diagonal on n > 3 modes, is the
-    certified 3-mode algebra S_3 of the same row and h.  When `_local_shape`
-    finds one shape for S_n and S_3, hypotheses (1)-(4) of the module
-    docstring hold and the certificate of S_3 certifies S_n (LOCALITY).
-    Otherwise, and without `three`, every critical pair is resolved
-    (EXHAUSTIVE).
+    A system on more than three modes that `_local_shape` finds local meets
+    (1)-(4) of the module docstring, so only the critical pairs of its rules
+    on modes 1-3 are resolved (LOCALITY); any other resolves all (EXHAUSTIVE).
     """
 
-    def __init__(self, label, family, system, factor, h, involution=None, params=None,
-                 three=None):
+    def __init__(self, label, family, system, factor, h, involution=None, params=None):
         zero = system.zero_grade
         if factor.dim != zero.dim:
             raise ValueError(
@@ -139,14 +135,18 @@ class Algebra:
         bad = verify_factor_axioms(factor, [zero])
         if bad:
             raise ValueError(f"{label}: commutation factor axioms fail: {bad}")
-        shape = None if three is None else _local_shape(system)
-        if shape is not None and shape == _local_shape(three.system):
+        gens = system.generators
+        checked, self._certified_by = system, EXHAUSTIVE
+        if len(gens) > 3 * len({g.name for g in gens}) and _local_shape(system):
+            checked = ReductionSystem(
+                [g for g in gens if g.index <= 3],
+                [r for r in system.rules if all(g.index <= 3 for g in r.lhs.letters)],
+                system.max_steps,
+            )
             self._certified_by = LOCALITY
-        else:
-            unresolved = system.check_confluence()
-            if unresolved:
-                raise ValueError(f"{label}: reduction system not confluent, e.g. {unresolved[0]}")
-            self._certified_by = EXHAUSTIVE
+        unresolved = checked.check_confluence()
+        if unresolved:
+            raise ValueError(f"{label}: reduction system not confluent, e.g. {unresolved[0]}")
         self.label = label
         self.family = family
         self.system = system
@@ -319,7 +319,7 @@ def _noa_rules(a_first, collective, alpha, squares_vanish, s, h: HPoly, ad, a):
 @lru_cache(maxsize=None)
 def _build_noa_cached(family: str, n: int, h: HPoly) -> Algebra:
     row = _FAMILY_ROWS[family]
-    tag, _, a_first, collective, *_, factor = row
+    tag, _, a_first, *_, factor = row
     ad, a = _noa_generators(n)
     # Generators in normal order: a collective diagonal with a-letters first
     # cannot decrease under the ad-first order.
@@ -331,8 +331,7 @@ def _build_noa_cached(family: str, n: int, h: HPoly) -> Algebra:
         involution[x] = y
         involution[y] = x
     label = f"{tag}:n={n}" if h == H else f"{tag}:n={n},h={h}"
-    three = _build_noa_cached(family, 3, h) if n > 3 and not collective else None
-    return Algebra(label, family, system, factor(n), h, involution, {"n": n}, three)
+    return Algebra(label, family, system, factor(n), h, involution, {"n": n})
 
 
 def build_noa(family: str, n: int, h=H) -> Algebra:

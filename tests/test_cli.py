@@ -77,6 +77,25 @@ def test_pinned_h_presets_expand_their_symbolic_h_algebra(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("h", ["2*h", "h^2", "h^2 + h"])
+def test_a_preset_with_a_non_constant_h_expands_its_own_deformation(capsys, h):
+    preset = f"boson:n=1,h={h}"
+    exp = epsalg.DeformationExpansion(epsalg.parse_preset(preset))
+    x, y = exp.classical.parse("a1"), exp.classical.parse("ad1")
+    for order in range(3):
+        assert run(["mu", "--alg", preset, "--order", str(order), "a1", "ad1"]) == 0
+        assert _lines(capsys) == [str(exp.mu_n(x, y, order))]
+    assert run(["bracket", "--kind", "poisson", "--alg", preset, "a1", "ad1"]) == 0
+    ctx = epsalg.BracketContext.classical(exp)
+    assert _lines(capsys) == [str(epsalg.poisson_bracket(ctx, x, y))]
+
+
+def test_a_preset_whose_h_has_a_constant_term_has_no_expansion(capsys):
+    assert run(["verify", "--suite", "deformation", "--alg", "boson:n=1,h=h+1"]) == 2
+    assert capsys.readouterr() == ("", "error: boson:n=1,h=h + 1: h = h + 1 has a non-zero "
+                                   "constant term, so mu_0 would not be the classical product\n")
+
+
 def test_confluence(capsys):
     assert run(["confluence", "--alg", "excl:n=2"]) == 0
     out = _lines(capsys)

@@ -331,7 +331,7 @@ def test_local_shape_refuses_a_pair_of_modes_without_rules():
     assert presets._local_shape(ReductionSystem(ad + a, kept)) is None
 
 
-def test_a_local_build_makes_rules_for_n_and_three_modes_only(monkeypatch):
+def test_a_local_build_makes_rules_for_n_modes_only(monkeypatch):
     modes = []
 
     def counted(*row_h_gens):
@@ -339,9 +339,9 @@ def test_a_local_build_makes_rules_for_n_and_three_modes_only(monkeypatch):
         return _table_rules(*row_h_gens)
 
     monkeypatch.setattr(presets, "_noa_rules", counted)
-    # h = 19 is built by no other test, so both builds below are new
+    # h = 19 is built by no other test, so the build below is new
     assert build_noa("a", 9, 19).certified_by == presets.LOCALITY
-    assert modes == [9, 3]
+    assert modes == [9]
 
 
 def test_local_families_resolve_only_the_three_mode_pairs(monkeypatch):
@@ -357,6 +357,8 @@ def test_local_families_resolve_only_the_three_mode_pairs(monkeypatch):
     # h = 17 is built by no other test, so every build below is new
     alg = build_noa("a", 8, 17)
     assert alg.certified_by == presets.LOCALITY
+    assert modes == [3] * 56  # the pairs of its own rules on modes 1-3
+    modes.clear()
     assert build_noa("a", 3, 17).certified_by == presets.EXHAUSTIVE
     assert modes == [3] * 56
     modes.clear()
@@ -364,6 +366,95 @@ def test_local_families_resolve_only_the_three_mode_pairs(monkeypatch):
     assert modes == [4] * 256
     with pytest.raises(AttributeError):
         alg.certified_by = presets.EXHAUSTIVE
+
+
+@pytest.mark.parametrize("family", ["a", "c"])
+def test_a_directly_built_local_system_is_certified_by_locality(family):
+    row = presets._FAMILY_ROWS[family]
+    for n in (4, 5, 6):
+        # fresh generator objects and no preset builder: only the rules decide
+        ad = tuple(Generator("ad", i, Grade.unit(i, n)) for i in range(1, n + 1))
+        a = tuple(Generator("a", i, -Grade.unit(i, n)) for i in range(1, n + 1))
+        system = ReductionSystem(ad + a, _table_rules(*row[2:7], H, ad, a))
+        alg = presets.Algebra("direct", "direct", system, row[-1](n), H)
+        assert alg.certified_by == presets.LOCALITY
+        assert system.check_confluence() == []
+
+
+def test_locality_resolves_the_pairs_on_three_modes():
+    # y_i x_i -> 0 and x_i x_j -> 2 x_i x_i (i < j) are local, and every pair
+    # on one or two modes resolves, but x1*x2*x3 reduces to 4 and 8 times x1^3.
+    def system(n):
+        x = [Generator("x", i, Grade((1,))) for i in range(1, n + 1)]
+        y = [Generator("y", i, Grade((1,))) for i in range(1, n + 1)]
+        rules = [Rule(Word((y[i], x[i])), Element.zero()) for i in range(n)]
+        rules += [Rule(Word((x[i], x[j])), Element.from_word(Word((x[i], x[i])), 2))
+                  for i in range(n) for j in range(i + 1, n)]
+        return ReductionSystem(x + y, rules)
+
+    assert system(2).check_confluence() == []
+    four = system(4)
+    assert presets._local_shape(four) is not None
+    first = "overlap at x1*x2*x3: UNRESOLVED, residual -4*x1^3"
+    assert first in map(str, four.check_confluence())
+    with pytest.raises(ValueError) as err:
+        presets.Algebra("x3", "x3", four, eps_c(1), 0)
+    assert str(err.value) == f"x3: reduction system not confluent, e.g. {first}"
+
+
+@pytest.mark.parametrize("factor", ["eps_a", "eps_a'", "eps_c", "eps_c'"])
+def test_ext_is_local_exactly_when_every_generator_squares_to_zero(factor):
+    for n in range(4, 9):
+        alg = build_exterior_preset(n, factor)
+        local = factor in ("eps_c", "eps_c'")
+        assert alg.certified_by == (presets.LOCALITY if local else presets.EXHAUSTIVE)
+        assert alg.system.check_confluence() == []
+        assert parse_preset(alg.label) is alg
+
+
+def _renamed(rule):
+    """A rule's left side with each mode renamed by its rank, as in (3)."""
+    modes = sorted({g.index for g in rule.lhs})
+    return tuple((g.name, modes.index(g.index)) for g in rule.lhs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["a", "c"]),
+    n=st.sampled_from([4, 5]),
+    kind=st.integers(0, 99),
+    which=st.integers(0, 99),
+    term=st.integers(0, 1),
+    scale=st.sampled_from([-1, 0, 2]),
+    everywhere=st.booleans(),
+)
+def test_a_mutated_local_system_is_certified_by_locality_only_when_confluent(
+    family, n, kind, which, term, scale, everywhere
+):
+    # One coefficient of one kind of rule is scaled, on every mode (pair) that
+    # carries that kind, or on one of them; exhaustive certification judges.
+    row = presets._FAMILY_ROWS[family]
+    ad, a = presets._noa_generators(n)
+    rules = _table_rules(*row[2:7], HPoly.of(3), ad, a)
+    kinds = sorted(set(map(_renamed, rules)))
+    hit = [k for k, r in enumerate(rules) if _renamed(r) == kinds[kind % len(kinds)]]
+    for k in hit if everywhere else [hit[which % len(hit)]]:
+        lhs, rhs = rules[k].lhs, rules[k].rhs
+        if rhs.terms:
+            w, c = list(rhs.terms.items())[term % len(rhs.terms)]
+            rules[k] = Rule(lhs, rhs + Element([(w, c * (scale - 1))]))
+    system = ReductionSystem(ad + a, rules)
+    unresolved = [str(amb) for amb in system.check_confluence()]
+    try:
+        alg = presets.Algebra("m", "m", system, row[-1](n), 3)
+    except ValueError as exc:
+        prefix = "m: reduction system not confluent, e.g. "
+        assert str(exc).startswith(prefix)
+        assert str(exc)[len(prefix):] in unresolved
+    else:
+        assert unresolved == []
+        if everywhere:
+            assert alg.certified_by == presets.LOCALITY
 
 
 # ------------------------------------------------------------ preset strings
