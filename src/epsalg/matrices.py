@@ -3,20 +3,18 @@
 A graded matrix carries row grades, column grades, and a shift gamma; entry
 (i, j) must be homogeneous of grade row_i + gamma - col_j.  Invertible
 pairs witness graded module isomorphisms; the probe pushes them through the
-coefficient-of-1 augmentation (when that map is multiplicative) to compare
-rank profiles over the scalar field, where ranks are honest.
+coefficient-of-1 augmentation, once the relations prove it a ring map, and
+compares rank profiles over the scalars, equal then by Cohn's lemma.
 """
 from __future__ import annotations
 
 import itertools
+from math import prod
 
-from .freealg import EMPTY_WORD, Element
-from .grading import CommutationFactor, Grade
+from .freealg import EMPTY_WORD, Element, Word
+from .grading import CommutationFactor
 from .presets import Algebra
 from .scalars import H_ONE, H_ZERO, HPoly, _Record, _Value
-
-# Basis words up to this length are multiplied in pairs to test the augmentation.
-AUGMENTATION_LEN = 2
 
 
 class RankProfile(_Value):
@@ -103,16 +101,13 @@ def gm_mul(P: GradedMatrix, Q: GradedMatrix) -> GradedMatrix:
     return GradedMatrix(P.alg, P.row_grades, Q.col_grades, entries, P.gamma + Q.gamma)
 
 
-def _rows_are_identity(rows, one, zero) -> bool:
-    """Each row i holds one in place i and zero everywhere else."""
-    return all(v == (one if i == j else zero) for i, row in enumerate(rows)
-               for j, v in enumerate(row))
-
-
 def is_identity(M: GradedMatrix) -> bool:
+    """Square grades, no shift, one in place (i, i) and zero everywhere else."""
     if M.row_grades != M.col_grades or not M.gamma.is_zero():
         return False
-    return _rows_are_identity(M.entries, Element.one(), Element.zero())
+    one, zero = Element.one(), Element.zero()
+    return all(v == (one if i == j else zero) for i, row in enumerate(M.entries)
+               for j, v in enumerate(row))
 
 
 def invertible_pair(P: GradedMatrix, Q: GradedMatrix) -> bool:
@@ -130,23 +125,32 @@ def unit_coefficient(x: Element) -> HPoly:
 
 
 def augmentation_violations(alg: Algebra) -> list:
-    """Multiplicativity of the augmentation on pairs of basis words of length
-    at most `AUGMENTATION_LEN`.
+    """A line for each rule whose two sides phi sends to different values, phi
+    the algebra map on the free algebra with phi(g) = pi(g) on generators and
+    pi(x) the coefficient of 1 in the normal form N(x); none exactly when pi
+    is multiplicative.
 
-    The augmentation kills every nonzero grade outright, so the only way it
-    fails to be an algebra map is a product of basis words acquiring a
-    constant term; that is exactly what happens in any quantum family
-    (a_1 ad_1 -> h + ...) and in the localized counterexample (x X -> 1).
+    Proof.  If pi is multiplicative, pi is an algebra map of the free algebra
+    agreeing with phi on generators, so phi(lhs) = pi(lhs) = pi(rhs) =
+    phi(rhs).  If no rule gives a line, phi kills the relations, so phi(x) =
+    phi(N(x)), and phi(N(x)) = pi(x): a nonempty irreducible word has only
+    irreducible letters g, with phi(g) = pi(g) = 0.
+
+    A rule u*v -> rhs (u a letter) prints `pi(u * v) = phi(rhs) != pi(u)*pi(v)
+    = phi(u*v)`, values of pi where rhs and v are irreducible, as in presets.
     """
+    pi = {g: unit_coefficient(alg.normalize(Element.from_word(g))) for g in alg.generators}
+
+    def phi(word: Word) -> HPoly:
+        return prod(map(pi.__getitem__, word.letters), start=H_ONE)
+
     violations = []
-    basis = alg.basis(AUGMENTATION_LEN)
-    for u, v in itertools.product(basis, repeat=2):
-        lhs = unit_coefficient(alg.mul(Element.from_word(u), Element.from_word(v)))
-        rhs = unit_coefficient(Element.from_word(u)) * unit_coefficient(
-            Element.from_word(v)
-        )
+    for rule in alg.system.rules:
+        lhs = phi(rule.lhs)
+        rhs = sum((c * phi(w) for w, c in rule.rhs.terms.items()), H_ZERO)
         if lhs != rhs:
-            violations.append(f"pi({u} * {v}) = {lhs} != pi({u})*pi({v}) = {rhs}")
+            u, v = rule.lhs.letters[0], Word(rule.lhs.letters[1:])
+            violations.append(f"pi({u} * {v}) = {rhs} != pi({u})*pi({v}) = {lhs}")
     return violations
 
 
@@ -171,65 +175,34 @@ class IbnReport(_Record):
 
 
 def ibn_probe(P: GradedMatrix, Q: GradedMatrix, kind: str = "eps") -> IbnReport:
-    """Compare rank profiles through the augmentation, refusing when unsound.
+    """Compare rank profiles through the augmentation pi, refusing when unsound.
 
     kind picks how much grading survives the probe: 'total' forgets it all,
-    'super' keeps the parity split, 'eps' keeps every grade.  Certification
-    means the projected scalar blocks multiply to identities both ways, which
-    forces the corresponding multiplicities to agree.
+    'super' keeps the parity split, 'eps' keeps every grade; a grade's key
+    is 0, its parity, or itself.  Refused unless pi is a ring map, (P, Q) an
+    invertible pair, and the shift gamma of trivial key.  Then the projected
+    scalar blocks multiply to identities both ways: pi(P) pi(Q) = pi(PQ) = 1
+    and pi(Q) pi(P) = 1; pi kills nonzero grades, so pi(P)_ij = 0 unless
+    col_j = row_i + gamma, of row_i's key; so pi(P) and pi(Q) are block
+    diagonal with inverse blocks, square over the commutative scalars, and
+    the multiplicities agree.  With gamma's key nontrivial, a nonempty pi(P)
+    is nonzero (it has a right inverse) and each nonzero entry crosses blocks.
     """
     if kind not in ("total", "super", "eps"):
         raise ValueError(f"unknown probe kind {kind!r}")
-    alg = P.alg
-    factor = alg.factor
+    factor = P.alg.factor
     rows = rank_profile(P.row_grades, factor)
     cols = rank_profile(P.col_grades, factor)
 
     def refuse(reason: str) -> IbnReport:
         return IbnReport(False, kind, reason, rows, cols)
 
-    bad = augmentation_violations(alg)
+    bad = augmentation_violations(P.alg)
     if bad:
         return refuse(f"augmentation not multiplicative, e.g. {bad[0]}")
     if not invertible_pair(P, Q):
         return refuse("not an invertible pair")
-
-    def keyfn(g: Grade):
-        if kind == "total":
-            return 0
-        if kind == "super":
-            return factor.parity(g)
-        return g.sort_key()
-
-    if kind != "total":
-        for i, g in enumerate(P.row_grades):
-            for j, k in enumerate(P.col_grades):
-                if keyfn(g) != keyfn(k) and unit_coefficient(P.entries[i][j]):
-                    return refuse(f"projected entry ({i},{j}) crosses blocks")
-    blocks = sorted({keyfn(g) for g in P.row_grades + P.col_grades})
-    for block in blocks:
-        ridx = [i for i, g in enumerate(P.row_grades) if keyfn(g) == block]
-        cidx = [j for j, g in enumerate(P.col_grades) if keyfn(g) == block]
-        p_blk = [[unit_coefficient(P.entries[i][j]) for j in cidx] for i in ridx]
-        q_blk = [[unit_coefficient(Q.entries[j][i]) for i in ridx] for j in cidx]
-        pq, qp = _scalar_mul(p_blk, q_blk), _scalar_mul(q_blk, p_blk)
-        if not (_rows_are_identity(pq, H_ONE, H_ZERO) and _rows_are_identity(qp, H_ONE, H_ZERO)):
-            return refuse(f"projected block {block} not invertible")
-        if len(ridx) != len(cidx):
-            return refuse(f"block {block} has unequal row and column multiplicity")
+    if P.row_grades and (kind == "eps" and not P.gamma.is_zero()
+                         or kind == "super" and factor.parity(P.gamma)):
+        return refuse(f"shift {P.gamma} crosses blocks")
     return IbnReport(True, kind, "profiles agree through the augmentation", rows, cols)
-
-
-def _scalar_mul(A, B):
-    if not A or not B:
-        return [[H_ZERO for _ in range(len(B[0]) if B else 0)] for _ in A]
-    out = []
-    for i in range(len(A)):
-        row = []
-        for j in range(len(B[0])):
-            total = H_ZERO
-            for k in range(len(B)):
-                total = total + A[i][k] * B[k][j]
-            row.append(total)
-        out.append(row)
-    return out

@@ -106,7 +106,8 @@ def rescale(source: Algebra, lam) -> RescalingMap:
     """Build the target algebra (parameter divided by the norm) and the map."""
     lam = Scalar.of(lam)
     norm = lam * lam.tau()
-    target = with_h(source, source.h / norm)
+    # lam = 0 has no norm to divide by; the map refuses it with its own message
+    target = with_h(source, source.h / norm) if norm else source
     return RescalingMap(lam, source, target)
 
 

@@ -740,6 +740,14 @@ def test_bad_values_exit_two_with_one_line(argv, data, flag, tmp_path, capsys):
     assert flag in captured.err
 
 
+@pytest.mark.parametrize("command", [["dim"], ["verify", "--suite", "lie"]])
+def test_a_maxlen_of_more_than_a_million_words_is_refused(command, capsys):
+    assert run(command + ["--alg", "boson:n=2", "--maxlen", "100"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --maxlen 100 admits more than 10**6 irreducible words\n"
+    )
+
+
 def test_smallest_valid_values_still_run(capsys):
     assert run(["mu", "--alg", "boson:n=1", "--order", "0", "a1", "ad1"]) == 0
     assert run(["verify", "--suite", "lie", "--alg", "boson:n=1", "--samples", "1"]) == 0

@@ -53,6 +53,14 @@ def test_grade_moduli_mismatch_rejected():
         Grade((1, 0), (2, 2)) + Grade((1, 0))
 
 
+def test_unit_index_and_factor_size_are_checked():
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=rf"^unit index {i} out of range 1\.\.2$"):
+            Grade.unit(i, 2)
+    with pytest.raises(ValueError, match="^grade dimension 1x2 does not match form of size 2$"):
+        eps_c(2).exponent(Grade((1,)), Grade((1, 0)))
+
+
 @given(grades3, grades3, grades3)
 def test_preset_factor_axioms_pointwise(g, k, l):
     for factor in (eps_a(3), eps_a_prime(3), eps_c(3), eps_c_prime(3)):

@@ -1,10 +1,20 @@
 """Graded matrices, rank profiles, and the invariant-basis-number probe."""
+import itertools
+import random
+
 import pytest
 
 from epsalg import (
+    H_ONE,
+    H_ZERO,
+    Algebra,
+    CommutationFactor,
     Element,
+    Generator,
     Grade,
     GradedMatrix,
+    Rule,
+    Word,
     augmentation_violations,
     build_counterexample,
     build_noa,
@@ -13,6 +23,7 @@ from epsalg import (
     gm_mul,
     ibn_probe,
     invertible_pair,
+    parse_preset,
     rank_profile,
     unit_coefficient,
 )
@@ -216,3 +227,159 @@ def test_gamma_shift_certified_totally_but_not_gradedly():
     total = ibn_probe(P, Q, "total")
     assert total.ok
     assert total.row_profile.total == total.col_profile.total == 1
+
+
+
+def test_a_shift_with_trivial_key_keeps_the_blocks():
+    # an even shift keeps the parity blocks of the fermion factor, so only
+    # the graded probe refuses; with no row there is no block to cross
+    alg = classical_limit(build_noa("a", 2))
+    z, e2 = Grade((0, 0)), Grade((2, 0))
+    P = _matrix(alg, [e2], [z], [["1"]], gamma=-e2)
+    Q = _matrix(alg, [z], [e2], [["1"]], gamma=e2)
+    assert [ibn_probe(P, Q, kind).ok for kind in ("total", "super", "eps")] == [True, True, False]
+    assert ibn_probe(P, Q, "eps").reason == "shift (-2,0) crosses blocks"
+    P = _matrix(alg, [], [], [], gamma=Grade((1, 0)))
+    Q = _matrix(alg, [], [], [], gamma=Grade((-1, 0)))
+    assert all(ibn_probe(P, Q, kind).ok for kind in ("total", "super", "eps"))
+
+
+# ------------------------------------------------------------- refusals
+
+
+def test_matrix_refusals():
+    alg = classical_limit(build_noa("c", 1))
+    z, e1 = Grade((0,)), Grade((1,))
+    with pytest.raises(ValueError, match="entry row does not match column grades"):
+        _matrix(alg, [z, z], [z, z], [["1", "0"], ["1"]])
+    one = _matrix(alg, [z], [z], [["1"]])
+    with pytest.raises(ValueError, match="matrices live over different algebras"):
+        gm_mul(one, _matrix(build_noa("c", 1), [z], [z], [["1"]]))
+    assert invertible_pair(one, one)
+    # mismatched shapes, then a total shift e1 that is not zero
+    assert not invertible_pair(one, _matrix(alg, [z, z], [z], [["1"], ["0"]]))
+    assert not invertible_pair(one, _matrix(alg, [z], [z], [["ad1"]], gamma=e1))
+
+
+# ------------------------------------------- the proof against its oracles
+
+
+def _sampled_violations(alg):
+    """pi(u*v) against pi(u)*pi(v) on every pair of basis words of length at
+    most 2.  Where every left side has two letters, each rule u*v -> r is
+    such a pair, so the sample misses no failure; a longer left side
+    escapes it."""
+    basis, pi = alg.basis(2), unit_coefficient
+    violations = []
+    for u, v in itertools.product(map(Element.from_word, basis), repeat=2):
+        lhs, rhs = pi(alg.mul(u, v)), pi(u) * pi(v)
+        if lhs != rhs:
+            violations.append(f"pi({u} * {v}) = {lhs} != pi({u})*pi({v}) = {rhs}")
+    return violations
+
+
+_FAMILIES = ("fermion", "pseudo-fermion", "excl", "excl-dual", "boson", "pseudo-boson")
+
+_PRESETS = [
+    f"{family}:n={n},h={h}"
+    for family in _FAMILIES for n in (1, 2, 3) for h in ("h", "0", "2", "2*h", "h^2")
+] + ["qplane:2", "qplane:I", "qplane:-1", "cex"] + [
+    f"ext:n={n},factor={f}" for n in (1, 2, 3, 4) for f in ("eps_a", "eps_a'", "eps_c", "eps_c'")
+]
+
+
+def test_the_rules_decide_as_the_sampled_pairs_on_every_preset():
+    refused = 0
+    for text in _PRESETS:
+        alg = parse_preset(text)
+        assert all(len(rule.lhs) == 2 for rule in alg.system.rules), text
+        got, sampled = augmentation_violations(alg), _sampled_violations(alg)
+        assert bool(got) == bool(sampled), text
+        assert got[:1] == sampled[:1], text
+        refused += bool(got)
+    assert len(_PRESETS) == 110 and refused == 73
+
+
+def _fifth_power():
+    """One generator x of grade 1 in Z/5 with x^5 = 1, and the pair [[x]], [[x^4]]."""
+    g0, g1 = Grade((0,), (5,)), Grade((1,), (5,))
+    x = Generator("x", None, g1)
+    system = ReductionSystem([x], [Rule(Word((x,) * 5), Element.one())])
+    alg = Algebra("x5", "x5", system, CommutationFactor(1, ((0,),)), H_ZERO)
+    return _matrix(alg, [g1], [g0], [["x"]]), _matrix(alg, [g0], [g1], [["x^4"]])
+
+
+def test_a_relation_of_five_letters_is_seen():
+    P, Q = _fifth_power()
+    assert invertible_pair(P, Q)
+    assert _sampled_violations(P.alg) == []
+    line = "pi(x * x^4) = 1 != pi(x)*pi(x^4) = 0"
+    assert augmentation_violations(P.alg) == [line]
+    for kind in ("total", "super", "eps"):
+        report = ibn_probe(P, Q, kind)
+        assert not report.ok
+        assert report.reason == f"augmentation not multiplicative, e.g. {line}"
+
+
+def _blocks_invert(P, Q, kind):
+    """pi(P) and pi(Q) cut into blocks by key: each block square, and the
+    blocks multiply to identities both ways."""
+    key = {"total": lambda g: 0, "super": P.alg.factor.parity, "eps": lambda g: g}[kind]
+    for block in {key(g) for g in P.row_grades + P.col_grades}:
+        ridx = [i for i, g in enumerate(P.row_grades) if key(g) == block]
+        cidx = [j for j, g in enumerate(P.col_grades) if key(g) == block]
+        if len(ridx) != len(cidx):
+            return False
+        p = [[unit_coefficient(P.entries[i][j]) for j in cidx] for i in ridx]
+        q = [[unit_coefficient(Q.entries[j][i]) for i in ridx] for j in cidx]
+        size = range(len(ridx))
+        eye = [[H_ONE if i == j else H_ZERO for j in size] for i in size]
+        for a, b in ((p, q), (q, p)):
+            if [[sum((a[i][k] * b[k][j] for k in size), H_ZERO) for j in size]
+                    for i in size] != eye:
+                return False
+    return True
+
+
+def _random_pair(rng, alg, shift):
+    """P = [[1, x], [0, 1]] and its inverse, x = c0 + c*w (c0 = 0 unless the
+    word w has grade zero), the rows of P (columns of Q) swapped at random,
+    P shifted by a random grade and Q back by its negative when `shift`."""
+    n = alg.params["n"]
+    w = rng.choice([w for w in alg.basis(2) if len(w)])
+    gw = alg.word_grade(w)
+    c0 = rng.choice((0, 1, -2)) if gw.is_zero() else 0
+    c = rng.choice((1, 2, -1, -3))
+    top = rng.choice([alg.zero_grade] + [Grade.unit(i, n) for i in range(1, n + 1)])
+    cols = [top, top - gw]
+    p_entries = [["1", f"{c0} + {c}*{w}"], ["0", "1"]]
+    q_entries = [["1", f"{-c0} - {c}*{w}"], ["0", "1"]]
+    rows = list(cols)
+    if rng.random() < 0.5:
+        rows.reverse()
+        p_entries.reverse()
+        q_entries = [row[::-1] for row in q_entries]
+    gamma = Grade(tuple(rng.choice((-2, -1, 0, 1, 2)) for _ in range(n))) if shift else None
+    if gamma is not None:
+        rows = [g - gamma for g in rows]
+    P = _matrix(alg, rows, cols, p_entries, gamma)
+    Q = _matrix(alg, cols, rows, q_entries, None if gamma is None else -gamma)
+    return (Q, P) if rng.random() < 0.2 else (P, Q)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_certified_probes_have_inverse_square_blocks(family):
+    # pi is a ring map of every classical preset, so a probe refuses only a
+    # shift across blocks, and certifies exactly when the blocks invert
+    rng = random.Random(f"blocks {family}")
+    certified = 0
+    for n, kind, shift in itertools.product((1, 2, 3), ("total", "super", "eps"), (False, True)):
+        alg = classical_limit(build_noa(family, n))
+        for _ in range(8):
+            P, Q = _random_pair(rng, alg, shift)
+            assert invertible_pair(P, Q)
+            report = ibn_probe(P, Q, kind)
+            assert report.ok == _blocks_invert(P, Q, kind), (str(P), str(Q), kind)
+            assert report.ok or report.reason.endswith("crosses blocks")
+            certified += report.ok
+    assert certified > 72

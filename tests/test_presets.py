@@ -544,6 +544,11 @@ def test_parse_preset_errors():
         parse_preset("qplane")
 
 
+def test_an_unknown_generator_label_is_refused():
+    with pytest.raises(KeyError, match="unknown generator 'a3' in boson:n=2"):
+        build_noa("c", 2).gen("a3")
+
+
 def test_relations_are_free_elements():
     alg = build_noa("a", 1)
     rels = alg.relations()

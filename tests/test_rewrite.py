@@ -968,6 +968,18 @@ def test_generator_count_is_bounded_by_the_encoding():
         ReductionSystem(gens, [])
 
 
+def test_the_generator_list_is_checked():
+    x, y = Generator("x", None, Grade((1,))), Generator("y", None, Grade((0, 1)))
+    z = Generator("z", None, Grade((1,), (2,)))
+    with pytest.raises(ValueError, match="^a reduction system needs at least one generator$"):
+        ReductionSystem([], [])
+    for gens in ([x, y], [x, z]):
+        with pytest.raises(ValueError, match="^generators live in different grade groups$"):
+            ReductionSystem(gens, [])
+    with pytest.raises(ValueError, match="^duplicate generator in precedence list$"):
+        ReductionSystem([x, x], [])
+
+
 @pytest.mark.parametrize("count", [_UNESCAPED, MAX_GENERATORS])
 def test_the_redex_pattern_on_either_side_of_escaping(count):
     # Precedence i is coded chr(_BASE - i): with _UNESCAPED generators no

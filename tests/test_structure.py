@@ -57,6 +57,12 @@ def test_J_well_defined(family):
     assert verify_J_well_defined(build_noa(family, 2)) == []
 
 
+def test_an_involution_that_does_not_square_to_one_is_named():
+    base = build_noa("c", 1)
+    ad, a = base.gen("ad1"), base.gen("a1")
+    assert "J(J(ad1)) = a1 != ad1" in verify_J_well_defined(_algebra(base, {ad: a, a: a}))
+
+
 def test_J_reverses_and_swaps():
     alg = build_noa("c", 2)
     x = alg.parse("ad1*a2*ad2")
@@ -169,6 +175,12 @@ def test_rescaling_map_rejects():
         RescalingMap(Scalar(1, 1, 0, 0), c1, c1)
 
 
+def test_rescale_refuses_zero_before_dividing_by_its_norm():
+    for lam in (0, Scalar(0)):
+        with pytest.raises(ValueError, match="^rescaling parameter must be invertible$"):
+            rescale(build_noa("c", 1), lam)
+
+
 def test_rescaling_lists_each_relation_the_target_does_not_kill():
     source = with_h(parse_preset("boson:n=1"), H * 2)
     target = _algebra(parse_preset("boson:n=1"), diagonal={1: H * 2})
@@ -207,3 +219,14 @@ def test_number_operator_trivial_classically():
     # at h = 0 both sides of the commutator identity vanish
     alg = build_noa("c", 1, 0)
     assert number_operator_check(alg, 1, 1) == []
+
+
+def test_the_mirrored_representative_fails_on_boson_rules():
+    # the b' representative h - a_i ad_i, on rules where a_i ad_i = ad_i a_i + h
+    base = build_noa("c", 1)
+    alg = Algebra("boson rules as b'", "b'", base.system, base.factor, base.h,
+                  base.involution, base.params)
+    assert number_operator_check(alg, 1, 1) == [
+        "[hN_1, ad1] residual -2*h*ad1 (expected h*ad1)",
+        "[hN_1, a1] residual 2*h*a1 (expected -h*a1)",
+    ]
