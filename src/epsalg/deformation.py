@@ -59,15 +59,11 @@ def check_deformation_identity(
 ) -> Element:
     """Residual of order-n associativity; zero iff the identity holds.
 
-    sum over p+q=n of mu_p(mu_q(x,y), z) - mu_p(x, mu_q(y,z)).  The inner
-    slices mu_q are the h^q parts of one exact product mu(x,y) and one
-    mu(y,z), which also refuse h in x, y or z, in that order; the two outer
-    products of each q are one h^(n-q) call.  For n < 0 it checks the
-    inputs and returns zero.
+    The h^n coefficient of N(N(xy)z) - N(xN(yz)), read off one exact
+    associator: the products mu(x,y) and mu(y,z), which also refuse h in
+    x, y or z, in that order, then one `mul_sum` of both sides.  This equals
+    sum over p+q=n of mu_p(mu_q(x,y), z) - mu_p(x, mu_q(y,z)), and is zero
+    for n < 0.
     """
-    xy, yz, outer = exp.mu(x, y), exp.mu(y, z), exp.quantum.system.mul_sum
-    return Element.sum(
-        outer(((H_ONE, xy.h_coefficient(q), z), (H_MINUS_ONE, x, yz.h_coefficient(q))), n - q)
-        for q in range(max(n, 0) + 1)
-    )
-
+    xy, yz = exp.mu(x, y), exp.mu(y, z)
+    return exp.quantum.system.mul_sum(((H_ONE, xy, z), (H_MINUS_ONE, x, yz))).h_coefficient(n)

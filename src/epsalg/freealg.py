@@ -6,10 +6,15 @@ Element constructor is the one place that merges repeated words and drops
 zeros: every sum and product in the library hands it (word, coefficient)
 pairs.  The product is plain concatenation extended bilinearly; all quotient
 structure lives in the rewrite engine.
+
+Equal letters are one object, registered weakly, so every word and memo
+hashes them by identity.
 """
 from __future__ import annotations
 
 import itertools
+import operator
+import weakref
 from math import gcd
 
 from .grading import Grade
@@ -20,29 +25,24 @@ MAX_LETTERS = 10**6
 
 
 class Generator:
-    __slots__ = ("name", "index", "grade", "label", "_hash", "_key")
+    """A letter.  Equal letters are one object: the constructor returns the
+    live letter of the same name, index (read as an int) and grade."""
 
-    def __init__(self, name: str, index: int | None, grade: Grade):
-        self.name = name
-        self.index = index
-        self.grade = grade
-        # Every rendered word and every parse reads the label: formatted once.
-        self.label = name if index is None else f"{name}{index}"
-        # Letters are hashed in every word and redex lookup; equality stays by value.
-        self._hash = hash((name, index, grade))
-        self._key = (name, index if index is not None else 0)
+    __slots__ = ("name", "index", "grade", "label", "_key", "__weakref__")
+    _live = weakref.WeakValueDictionary()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.name == other.name
-                and self.index == other.index
-                and self.grade == other.grade
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, name: str, index: int | None, grade: Grade):
+        if index is not None:
+            index = operator.index(index)
+        key = (name, index, grade)
+        self = cls._live.get(key)
+        if self is None:
+            self = cls._live[key] = object.__new__(cls)
+            self.name, self.index, self.grade = key
+            # Every rendered word and every parse reads the label: formatted once.
+            self.label = name if index is None else f"{name}{index}"
+            self._key = (name, index if index is not None else 0)
+        return self
 
     def sort_key(self):
         return self._key
@@ -108,7 +108,7 @@ class Word:
         parts = []
         run, count = self.letters[0], 1
         for letter in self.letters[1:]:
-            if letter is run or (letter._key == run._key and letter == run):
+            if letter is run:
                 count += 1
                 continue
             parts.append(run.label if count == 1 else f"{run.label}^{count}")

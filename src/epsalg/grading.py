@@ -6,34 +6,38 @@ defining axioms eps(g,k)*eps(k,g) = 1 and eps(g+g',k) = eps(g,k)*eps(g',k)
 to O(n^2) facts about B: `verify_factor_axioms` proves them in closed form
 over the whole grade group.  Parity splits the grade group into even and
 odd parts according to the sign of eps(g,g).
+
+Equal grades are one object, registered weakly, so the word-grade and
+factor memos hash them by identity.
 """
 from __future__ import annotations
+
+import operator
+import weakref
 
 from .scalars import MINUS_ONE, ONE, Scalar
 
 
 class Grade:
-    """Element of Z^n, reduced modulo the per-coordinate moduli (0 = free)."""
+    """Element of Z^n, reduced modulo the per-coordinate moduli (0 = free).
 
-    __slots__ = ("coords", "moduli", "_hash")
+    Equal grades are one object: the constructor returns the live grade of
+    the same coordinates and moduli, read as ints and reduced."""
 
-    def __init__(self, coords: tuple, moduli: tuple = None):
-        if moduli is None:
-            moduli = (0,) * len(coords)
+    __slots__ = ("coords", "moduli", "__weakref__")
+    _live = weakref.WeakValueDictionary()
+
+    def __new__(cls, coords: tuple, moduli: tuple = None):
+        coords = tuple(map(operator.index, coords))
+        moduli = (0,) * len(coords) if moduli is None else tuple(map(operator.index, moduli))
         if len(moduli) != len(coords):
             raise ValueError("moduli shape does not match coordinates")
-        self.coords = tuple(c % m if m else c for c, m in zip(coords, moduli))
-        self.moduli = tuple(moduli)
-        # Grades key the word-grade and commutation-factor memos; equality stays by value.
-        self._hash = hash((self.coords, self.moduli))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords and self.moduli == other.moduli
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+        key = (tuple(c % m if m else c for c, m in zip(coords, moduli)), moduli)
+        self = cls._live.get(key)
+        if self is None:
+            self = cls._live[key] = object.__new__(cls)
+            self.coords, self.moduli = key
+        return self
 
     @staticmethod
     def zero(dim: int, moduli=None) -> Grade:

@@ -39,6 +39,7 @@ its modes carry no rule and (3) fails.
 """
 from __future__ import annotations
 
+import operator
 from functools import cached_property, lru_cache
 
 from .freealg import Element, Generator, Word
@@ -271,13 +272,8 @@ def _local_shape(system: ReductionSystem):
     return names, shape.get(1), shape.get(2)
 
 
-@lru_cache(maxsize=None)
 def _noa_generators(n: int):
-    """Creators and annihilators on n modes, one set of objects per n.
-
-    Every build of n modes (quantum, classical limit, pinned h) shares them,
-    so a word of one build finds its equal in another's memo by identity.
-    """
+    """Creators and annihilators on n modes."""
     creators = tuple(Generator("ad", i, Grade.unit(i, n)) for i in range(1, n + 1))
     annihilators = tuple(Generator("a", i, -Grade.unit(i, n)) for i in range(1, n + 1))
     return creators, annihilators
@@ -335,7 +331,8 @@ def _build_noa_cached(family: str, n: int, h: HPoly) -> Algebra:
 
 
 def build_noa(family: str, n: int, h=H) -> Algebra:
-    """One of the six number-operator families on n modes.
+    """One of the six number-operator families on n modes, n an int
+    (`operator.index`, so 2.7 or "2" is a TypeError).
 
     h is the deformation constant as a polynomial in the formal parameter;
     the default is the symbolic parameter itself, 0 gives the classical
@@ -343,6 +340,7 @@ def build_noa(family: str, n: int, h=H) -> Algebra:
     algebra.  An h that tau does not fix (I, 1 + I, I*h) is a ValueError:
     J conjugates coefficients, so it would not respect the relations.
     """
+    n = operator.index(n)
     family = FAMILY_NAMES.get(family, family)
     if family not in NOA_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -351,7 +349,7 @@ def build_noa(family: str, n: int, h=H) -> Algebra:
     h = HPoly.of(h)
     if h.tau() != h:
         raise ValueError(f"h = {h} is not tau-fixed")
-    return _build_noa_cached(family, int(n), h)
+    return _build_noa_cached(family, n, h)
 
 
 def classical_limit(alg: Algebra) -> Algebra:

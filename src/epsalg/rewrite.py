@@ -204,14 +204,13 @@ class ReductionSystem:
 
         The checks are kept cheap without dropping one: a left side is a
         duplicate when its code string is a key of `_rewrites` already, so
-        one Rule object given twice is refused too and no tuple of letters
-        is hashed (`left_sides` is built from the rules on first use); a
-        sign-only rule is found from its coefficient's integers (`d == 1`,
-        numerators +-1 over zeros), with no HPoly equality; a word that is
-        the left side reversed has its letters, with no sort (other words
-        are sorted); and the pattern escapes the left sides only when some
-        code letter is ASCII, since `re.escape` leaves every other character
-        alone.
+        one Rule object given twice is refused too and `left_sides` is left
+        to be built from the rules on first use; a sign-only rule is found
+        from its coefficient's integers (`d == 1`, numerators +-1 over
+        zeros), with no HPoly equality; a word that is the left side
+        reversed has its letters, with no sort (other words are sorted); and
+        the pattern escapes the left sides only when some code letter is
+        ASCII, since `re.escape` leaves every other character alone.
 
         Each left side is filed under its first letter as it is encoded, and
         `_alternation` factors the pattern by those letters, which keeps the

@@ -101,6 +101,20 @@ def test_build_noa_rejects():
         build_noa("a", 0)
 
 
+def test_build_noa_reads_n_as_an_integer(monkeypatch):
+    built = []
+    monkeypatch.setattr(presets, "_build_noa_cached", lambda *args: built.append(args))
+    for n, kind in ((2.7, "float"), ("2", "str")):
+        with pytest.raises(TypeError, match=f"^'{kind}' object cannot be interpreted as an integer$"):
+            build_noa("boson", n)
+    assert built == []
+    monkeypatch.undo()
+    alg = build_noa("boson", 2)
+    assert alg is build_noa("c", 2) and alg.label == "boson:n=2"
+    assert type(alg.params["n"]) is int and alg.params["n"] == 2
+    assert [g.label for g in alg.generators] == ["ad1", "ad2", "a1", "a2"]
+
+
 # --------------------------------------------------------------------- bases
 
 

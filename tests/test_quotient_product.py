@@ -472,9 +472,8 @@ def test_deformation_identity_matches_the_sliced_formula(monkeypatch):
                 got = check_deformation_identity(exp, x, y, z, n)
                 made = list(calls)
                 assert got == _old_check_deformation_identity(exp, x, y, z, n), (name, n)
-                if n >= 0:
-                    # one exact mu(x, y), one mu(y, z), one outer sum per q
-                    assert made == [None, None] + [n - q for q in range(n + 1)]
+                # one exact mu(x, y), one mu(y, z), one exact associator
+                assert made == [None, None, None]
                 nonzero += not got.is_zero()
     assert nonzero > 0
 

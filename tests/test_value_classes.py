@@ -8,14 +8,20 @@ field values as the library's (real `Grade`, `Word`, `Element` objects), so
 each comparison pins one class's own methods.
 
 Classes whose equality no caller uses compare by identity now; for those the
-test pins their fields and repr and that equality is identity.
+test pins their fields and repr and that equality is identity.  `Grade` and
+`Generator` intern their values: two of them are one object exactly when the
+oracle calls them equal.
 """
 import dataclasses
+import gc
 import sys
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import epsalg
 from epsalg import (
@@ -263,6 +269,28 @@ def _pin_value_class(new_cls, old_cls, samples):
         assert new_a != object() and old_a != object()
 
 
+def _pin_interned_class(new_cls, old_cls, samples):
+    """Same constructor errors and repr as the oracle; two instances are one
+    object exactly when the oracle calls them equal."""
+    built = []
+    for args in samples:
+        new, new_err = _build(new_cls, args)
+        old, old_err = _build(old_cls, args)
+        assert new_err == old_err, args
+        if new is None:
+            continue
+        assert repr(new) == repr(old)
+        assert not hasattr(new, "_hash")
+        built.append((new, old, args))
+    assert len(built) >= 2
+    for new_a, old_a, args_a in built:
+        for new_b, old_b, args_b in built:
+            assert (new_a is new_b) == (old_a == old_b), (args_a, args_b)
+            assert (new_a == new_b) == (old_a == old_b), (args_a, args_b)
+            assert (new_a != new_b) == (old_a != old_b), (args_a, args_b)
+        assert new_a != object()
+
+
 def _pin_identity_class(new_cls, old_cls, args, has_repr=True):
     """Same fields and repr as the oracle; equality is identity."""
     new, old = new_cls(*args), old_cls(*args)
@@ -290,7 +318,7 @@ def test_grade():
         ((), ()),
         ((1, 2), (2,)),
     ]
-    _pin_value_class(_G, Grade, samples)
+    _pin_interned_class(_G, Grade, samples)
     with pytest.raises(ValueError, match=r"^grade group mismatch: Grade\(1, 0\) vs "
                                          r"Grade\(1, 0\) mod \(2, 2\)$"):
         _G((1, 0)) + _G((1, 0), (2, 2))
@@ -312,13 +340,70 @@ def test_commutation_factor_ignores_its_label():
     _pin_value_class(grading.CommutationFactor, CommutationFactor, samples)
 
 
-def test_generator_keeps_its_cached_hash():
+def test_generator():
     g, g_twin, k = _G((1, 0)), _G((1, 0)), _G((0, 1))
     samples = [("a", 1, g), ("a", 1, g_twin), ("a", None, g), ("ad", 1, g), ("a", 1, k),
                ("a", 2, g)]
-    _pin_value_class(freealg.Generator, Generator, samples)
-    gen = freealg.Generator("a", 1, g)
-    assert gen._hash == hash(("a", 1, g))
+    _pin_interned_class(freealg.Generator, Generator, samples)
+
+
+# Small ranges, so that equal values are drawn often; bools are ints too.
+_INTS = st.integers(-3, 3) | st.booleans()
+
+
+@st.composite
+def _grade_args(draw):
+    coords = draw(st.lists(_INTS, max_size=3))
+    moduli = draw(st.none() | st.lists(st.integers(-2, 3) | st.booleans(),
+                                       min_size=len(coords), max_size=len(coords)))
+    return coords, moduli
+
+
+def _as_ints(values):
+    return None if values is None else [int(v) for v in values]
+
+
+@given(_grade_args(), _grade_args())
+def test_grades_are_one_object_exactly_when_the_oracle_calls_them_equal(a, b):
+    (c, m), (d, n) = a, b
+    grade = _G(tuple(c), m)
+    assert grade is _G(list(c), m) is _G(tuple(c), None if m is None else tuple(m))
+    assert (grade is _G(d, n)) == (Grade(tuple(c), m) == Grade(tuple(d), n))
+    # The key is read as ints, so a grade prints as the oracle of its ints.
+    assert repr(grade) == repr(Grade(tuple(_as_ints(c)), _as_ints(m)))
+
+
+_GENERATOR_ARGS = st.tuples(st.sampled_from(["a", "ad"]),
+                            st.none() | st.integers(0, 2) | st.booleans(),
+                            st.sampled_from([(1, 0), (0, 1), (True, 0)]))
+
+
+@given(_GENERATOR_ARGS, _GENERATOR_ARGS)
+def test_generators_are_one_object_exactly_when_the_oracle_calls_them_equal(a, b):
+    (name, index, coords), (name_b, index_b, coords_b) = a, b
+    gen = freealg.Generator(name, index, _G(coords))
+    assert gen is freealg.Generator(name, index, _G(list(coords)))
+    same = Generator(name, index, _G(coords)) == Generator(name_b, index_b, _G(coords_b))
+    assert (gen is freealg.Generator(name_b, index_b, _G(coords_b))) == same
+    int_index = None if index is None else int(index)
+    assert repr(gen) == repr(Generator(name, int_index, _G(coords)))
+    assert gen.label == Generator(name, int_index, _G(coords)).label
+
+
+def test_a_grade_made_from_bools_prints_its_ints():
+    gc.collect()
+    assert ((1, 7, 3), (0, 0, 0)) not in grading.Grade._live
+    first = _G((True, 7, 3))
+    assert str(first) == "(1,7,3)" and repr(first) == "Grade(1, 7, 3)"
+    assert first is _G((1, 7, 3))
+
+
+def test_a_dropped_generator_is_collected():
+    gen = freealg.Generator("dropped", 1, _G((2, 5)))
+    ref = weakref.ref(gen)
+    del gen
+    gc.collect()
+    assert ref() is None
 
 
 def _tree(ns, shift):
