@@ -1,7 +1,7 @@
 """Free associative algebra over K[h] on graded generators.
 
-Words are immutable letter tuples, elements are sparse dictionaries mapping
-words to h-polynomial coefficients with zero values never stored.  The
+A word is the tuple of its letters; elements are sparse dictionaries
+mapping words to h-polynomial coefficients with zero values never stored.  The
 Element constructor is the one place that merges repeated words and drops
 zeros: every sum and product in the library hands it (word, coefficient)
 pairs.  The product is plain concatenation extended bilinearly; all quotient
@@ -54,60 +54,60 @@ class Generator:
         return f"Generator({self.label}, grade {self.grade})"
 
 
-class Word:
-    """Immutable product of generators; the empty word is the unit."""
+class Word(tuple):
+    """A product of generators, the empty word the unit: the tuple of its
+    letters, which a word equals and hashes like.  `*` with a word or a
+    letter is the free product and returns a Word, as slicing does; `w * 3`
+    and `3 * w` raise TypeError.  `w + v` is the tuple's concatenation and
+    returns a plain tuple; no library code uses it."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ()
 
-    def __init__(self, letters=()):
+    def __new__(cls, letters=()):
         if isinstance(letters, Generator):
             letters = (letters,)
-        self.letters = tuple(letters)
-        self._hash = hash(self.letters)
+        return tuple.__new__(cls, letters)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+    @property
+    def letters(self) -> Word:
+        """The word itself, which is the tuple of its letters."""
+        return self
 
     def __mul__(self, other):
         if isinstance(other, Word):
-            return Word(self.letters + other.letters)
+            return Word(self + other)
         if isinstance(other, Generator):
-            return Word(self.letters + (other,))
+            return Word(self + (other,))
         return NotImplemented
 
+    def __rmul__(self, other):
+        return NotImplemented  # not the tuple's repetition
+
     def __getitem__(self, item):
-        got = self.letters[item]
+        got = tuple.__getitem__(self, item)
         return Word(got) if isinstance(item, slice) else got
 
     def is_empty(self) -> bool:
-        return not self.letters
+        return not self
 
     def grade(self, zero: Grade) -> Grade:
         """Sum of the letters' grades: coordinates add up, reduced once."""
-        grades = [letter.grade for letter in self.letters]
+        grades = [letter.grade for letter in self]
         for g in grades:
             if g.moduli != zero.moduli or len(g.coords) != len(zero.coords):
                 raise ValueError(f"grade group mismatch: {zero!r} vs {g!r}")
         return Grade(tuple(map(sum, zip(zero.coords, *(g.coords for g in grades)))), zero.moduli)
 
     def sort_key(self):
-        return (len(self.letters), tuple([g._key for g in self.letters]))
+        return (len(self), tuple([g._key for g in self]))
 
     def __str__(self) -> str:
-        if not self.letters:
+        if not self:
             return "1"
         parts = []
-        run, count = self.letters[0], 1
-        for letter in self.letters[1:]:
+        letters = iter(self)  # no slice: each would build a Word
+        run, count = next(letters), 1
+        for letter in letters:
             if letter is run:
                 count += 1
                 continue

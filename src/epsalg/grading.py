@@ -45,7 +45,8 @@ class Grade:
 
     @staticmethod
     def unit(i: int, dim: int, moduli=None) -> Grade:
-        """The i-th coordinate vector p_i (1-based index)."""
+        """The i-th coordinate vector p_i (1-based index; i and dim read as ints)."""
+        i, dim = operator.index(i), operator.index(dim)
         if not 1 <= i <= dim:
             raise ValueError(f"unit index {i} out of range 1..{dim}")
         return Grade(tuple(1 if k == i - 1 else 0 for k in range(dim)), moduli)
@@ -100,7 +101,7 @@ class CommutationFactor:
 
     def __init__(self, base: Scalar, form: tuple, label: str = ""):
         self.base = Scalar.of(base)
-        self.form = tuple(tuple(int(x) for x in row) for row in form)
+        self.form = tuple(tuple(map(operator.index, row)) for row in form)
         self.label = label
         self._values = {}
         self._distinct = {}

@@ -142,14 +142,14 @@ def augmentation_violations(alg: Algebra) -> list:
     pi = {g: unit_coefficient(alg.normalize(Element.from_word(g))) for g in alg.generators}
 
     def phi(word: Word) -> HPoly:
-        return prod(map(pi.__getitem__, word.letters), start=H_ONE)
+        return prod(map(pi.__getitem__, word), start=H_ONE)
 
     violations = []
     for rule in alg.system.rules:
         lhs = phi(rule.lhs)
         rhs = sum((c * phi(w) for w, c in rule.rhs.terms.items()), H_ZERO)
         if lhs != rhs:
-            u, v = rule.lhs.letters[0], Word(rule.lhs.letters[1:])
+            u, v = rule.lhs[0], rule.lhs[1:]
             violations.append(f"pi({u} * {v}) = {rhs} != pi({u})*pi({v}) = {lhs}")
     return violations
 

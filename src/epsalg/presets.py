@@ -141,7 +141,7 @@ class Algebra:
         if len(gens) > 3 * len({g.name for g in gens}) and _local_shape(system):
             checked = ReductionSystem(
                 [g for g in gens if g.index <= 3],
-                [r for r in system.rules if all(g.index <= 3 for g in r.lhs.letters)],
+                [r for r in system.rules if all(g.index <= 3 for g in r.lhs)],
                 system.max_steps,
             )
             self._certified_by = LOCALITY
@@ -253,7 +253,7 @@ def _local_shape(system: ReductionSystem):
         return None  # (4)
     on_modes = {}
     for rule in system.rules:
-        letters = rule.lhs.letters
+        letters = rule.lhs
         if len(letters) != 2:
             return None  # (1)
         modes = tuple(sorted({g.index for g in letters}))

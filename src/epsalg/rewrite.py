@@ -230,15 +230,14 @@ class ReductionSystem:
         heads = {}  # first code letter -> the rest of each left side
         self._signed = signed = {}  # lhs -> (rhs, 1 or -1) of a sign-only rule
         for rule in self.rules:
-            letters = rule.lhs.letters
-            if not letters:
+            if not rule.lhs:
                 raise ValueError("rule with empty left side")
             try:
-                lhs = "".join([code[g] for g in letters])
+                lhs = "".join([code[g] for g in rule.lhs])
                 if lhs in rewrites:
                     raise ValueError(f"duplicate rule left side {rule.lhs}")
                 # A coefficient 1 is H_ONE itself, so `_reduce` skips it.
-                rhs = [("".join([code[g] for g in w.letters]), _unit(c))
+                rhs = [("".join([code[g] for g in w]), _unit(c))
                        for w, c in rule.rhs.terms.items()]
             except KeyError as exc:
                 raise ValueError(f"rule uses foreign generator {exc.args[0]}") from None
@@ -274,8 +273,8 @@ class ReductionSystem:
 
     @cached_property
     def left_sides(self) -> dict:
-        """Each rule's left side (a tuple of letters) -> the rule."""
-        return {rule.lhs.letters: rule for rule in self.rules}
+        """Each rule's left side -> the rule."""
+        return {rule.lhs: rule for rule in self.rules}
 
     def _encode(self, letters) -> str:
         try:
@@ -303,7 +302,7 @@ class ReductionSystem:
         if isinstance(x, (Word, Generator)):
             x = Element.from_word(x)
         terms = x.terms
-        pending = {self._encode(w.letters): c for w, c in terms.items()}
+        pending = {self._encode(w): c for w, c in terms.items()}
         return self._reduce(pending, next(iter(terms)) if len(terms) == 1
                             else f"a sum of {len(terms)} words")
 
@@ -371,14 +370,14 @@ class ReductionSystem:
         if nf is None:
             share = self._shared.setdefault
             w1, w2 = share(w1, w1), share(w2, w2)
-            terms = self._word_nf(Word(w1.letters + w2.letters)).terms
+            terms = self._word_nf(Word(w1 + w2)).terms
             pairs = [(share(w, w), share(c, c)) for w, c in
                      ((w, _unit(c)) for w, c in terms.items())]
             nf = self._nf[w1, w2] = tuple([share(p, p) for p in pairs])
         return nf
 
     def _word_nf(self, word: Word) -> Element:
-        return self._reduce({self._encode(word.letters): H_ONE}, word)
+        return self._reduce({self._encode(word): H_ONE}, word)
 
     def _reduce(self, pending: dict, word) -> Element:
         """Normal form of `pending` (code string -> coefficient, consumed) in

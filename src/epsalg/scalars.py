@@ -56,8 +56,6 @@ import sys
 from math import gcd, lcm
 from operator import add as _add, neg as _neg
 
-ScalarLike = "Scalar | int | Fraction"
-
 # Numbers are printed and read with at most this many decimal digits, the
 # default of the interpreter's own int/str conversion limit.
 MAX_DIGITS = 4300

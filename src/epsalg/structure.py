@@ -20,7 +20,7 @@ def apply_J(alg: Algebra, x: Element) -> Element:
     if not alg.involution:
         raise ValueError(f"{alg.label} carries no anti-involution")
     return Element(
-        (Word(tuple(alg.involution[g] for g in reversed(word.letters))), coeff.tau())
+        (Word(alg.involution[g] for g in word[::-1]), coeff.tau())
         for word, coeff in x.terms.items()
     )
 
@@ -61,7 +61,7 @@ def apply_sigma(alg: Algebra, perm, x: Element) -> Element:
         raise ValueError(f"{alg.label} has no indexed modes to permute")
     perm = _as_perm(perm, n)
     return Element(
-        (Word(tuple(alg.indexed_gen(g.name, perm[g.index]) for g in word.letters)), coeff)
+        (Word(alg.indexed_gen(g.name, perm[g.index]) for g in word), coeff)
         for word, coeff in x.terms.items()
     )
 
@@ -115,7 +115,7 @@ def apply_phi(m: RescalingMap, x: Element) -> Element:
     tl = m.lam.tau()
 
     def image(word, c):
-        for g in word.letters:
+        for g in word:
             c = c * (m.lam if g.name == "a" else tl)
         return c
 

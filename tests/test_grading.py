@@ -243,3 +243,24 @@ def test_eval_holds_each_distinct_value_once():
     values = [factor.eval(g, k) for g in box for k in box]
     assert set(values) == {ONE, MINUS_ONE}
     assert len({id(v) for v in values}) == 2
+
+
+def test_integer_inputs_are_read_as_ints_not_converted():
+    """A float or a string is refused, not truncated or parsed; a bool is 0 or 1."""
+    probes = (
+        lambda: Grade.unit(1.5, 2),
+        lambda: Grade.unit(2.0, 2),
+        lambda: CommutationFactor(MINUS_ONE, ((0.7,),)),
+        lambda: CommutationFactor(MINUS_ONE, (("1",),)),
+    )
+    for probe in probes:
+        with pytest.raises(TypeError):
+            probe()
+    assert Grade.unit(True, 2) is Grade.unit(1, 2) is Grade((1, 0))
+    assert [Grade.unit(i, 3).coords for i in (1, 2, 3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    form = CommutationFactor(MINUS_ONE, ((True, False), (0, -2))).form
+    assert form == ((1, 0), (0, -2)) and all(type(x) is int for row in form for x in row)
+    assert eps_a(3).form == ((1, 1, 1),) * 3
+    assert eps_a_prime(3).form == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert eps_c(3).form == ((0, 0, 0),) * 3
+    assert eps_c_prime(3).form == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
